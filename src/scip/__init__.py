@@ -12,12 +12,6 @@ from .conformal import (
     i_adjusted_pvalues,
     truncated_i_adjusted_pvalue,
 )
-from .constructors import (
-    argmax_class_constructor,
-    cp_truncated_constructor,
-    directional_constructor,
-    fixed_constructor,
-)
 from .core import (
     CalibrationRecord,
     ClassSet,
@@ -66,13 +60,6 @@ from .selection import (
     self_consistent_select,
 )
 from .simgen import gen_classification, gen_regression, gen_synthetic_scores, mu_star
-from .trust import (
-    diversity_scores,
-    distance_trust,
-    monotone_trust,
-    probability_trust,
-    train_pu_classifier,
-    train_trust_classifier,
-)
+from .trust import diversity_scores, train_pu_classifier, train_trust_classifier
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .core import ConfigError, RngStream, ScipError
 from .experiments import (
     CLASSIFICATION_METHODS,
     REGRESSION_METHODS,
+    SYNTHETIC_METHODS,
     classification_replication,
     regression_replication,
     run_equivalence_checks,
@@ -66,6 +67,9 @@ _KEYS = {
     "out": str,
 }
 
+# keys that build_config turns into constructor arguments; the rest are copied onto the config
+_SPECIAL_KEYS = {"experiment", "methods", "alpha", "alpha_grid", "eta", "eta_grid"}
+
 
 @dataclass
 class ExperimentConfig:
@@ -106,10 +110,10 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         known = {
-            "regression-sweep": set(REGRESSION_METHODS),
-            "classification-sweep": set(CLASSIFICATION_METHODS),
-            "synthetic-real": {"naive", "infosp", "infosp+", "infoscop"},
-            "equivalence-suite": set(),
+            "regression-sweep": REGRESSION_METHODS,
+            "classification-sweep": CLASSIFICATION_METHODS,
+            "synthetic-real": SYNTHETIC_METHODS,
+            "equivalence-suite": (),
         }[self.experiment]
         for name in self.methods:
             if name not in known:
@@ -171,11 +175,7 @@ def build_config(values: dict) -> ExperimentConfig:
         alphas=tuple(float(a) for a in alphas),
         etas=tuple(float(e) for e in etas),
     )
-    for key in (
-        "n", "m", "reps", "seed", "split_ratio", "screening_alpha", "screening_threshold",
-        "noise_sd", "lam", "feature_degree", "train_size", "max_size", "profile",
-        "feasible_frac", "sharpness", "instances", "jobs", "out",
-    ):
+    for key in _KEYS.keys() - _SPECIAL_KEYS:
         if key in values:
             setattr(config, key, values[key])
     config.validate()
@@ -245,10 +245,7 @@ def _cell_task(args):
 
 
 def _cells(config: ExperimentConfig):
-    if config.experiment == "classification-sweep":
-        for ci, alpha in enumerate(config.alphas):
-            yield ci, alpha, None
-    elif config.experiment == "regression-sweep":
+    if config.experiment == "regression-sweep":
         ci = 0
         for eta in config.etas:
             for alpha in config.alphas:

@@ -44,10 +44,6 @@ class NotPositiveDefiniteError(ScipError):
     """A matrix required to be positive definite failed factorization."""
 
 
-class MissingLevelError(ScipError):
-    """A per-unit conformal level was requested for an unknown unit."""
-
-
 class UndefinedMetricError(ScipError):
     """A ratio metric was requested with a zero denominator."""
 
@@ -423,9 +419,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def sample(self, i: int):
-        return self.X[i], (None if self.y is None else self.y[i])
 
     def to_csv(self, path) -> None:
         """Write x columns then y (blank when unlabeled), UTF-8, LF endings."""

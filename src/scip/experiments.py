@@ -9,9 +9,11 @@ method's output invariant to which other methods run alongside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
+from . import procedures
 from .conformal import AbsoluteResidual, OneMinusProb
 from .core import (
     CLASSIFICATION,
@@ -31,13 +33,8 @@ from .procedures import (
     ProcedureConfig,
     run_cfbh,
     run_cfbh_plus,
-    run_cfbh_plus_plus,
-    run_infoscop,
-    run_infosp,
     run_infosp_modified,
     run_infosp_plus,
-    run_infosp_plus_plus,
-    run_naive,
     run_selective_classification,
 )
 from .references import fasi_select, zhao_su_select
@@ -57,25 +54,86 @@ from .simgen import (
 )
 from .trust import OptimizerConfig
 
-METHOD_IDS = {
-    "naive": 0,
-    "cfbh": 1,
-    "cfbh+": 2,
-    "cfbh++": 3,
-    "infosp": 4,
-    "infosp+": 5,
-    "infosp++": 6,
-    "infoscop": 7,
+
+@dataclass(frozen=True)
+class _Splits:
+    """The samples and configs of one replication that every method runner reads."""
+
+    cal: Dataset
+    test: Dataset
+    cal0: Dataset
+    cal1: Dataset
+    base: ProcedureConfig
+    train: Dataset | None = None
+    one_sided: ProcedureConfig | None = None
+
+
+@dataclass(frozen=True)
+class _Method:
+    stream: int
+    studies: tuple[str, ...]
+    run: Callable[[_Splits, RngStream], procedures.ProcedureOutput]
+
+
+_STUDIES = ("regression", "classification", "dti-like", "cifar-like")
+
+# Runners look procedures up on the module at call time, so a wrapper set on
+# ``scip.procedures`` sees every call a study makes.
+METHODS = {
+    "naive": _Method(0, _STUDIES, lambda s, rng: procedures.run_naive(s.cal, s.test, s.base)),
+    "cfbh": _Method(1, ("regression",), lambda s, rng: procedures.run_cfbh(s.cal, s.test, s.one_sided, rng)),
+    "cfbh+": _Method(
+        2, ("regression",), lambda s, rng: procedures.run_cfbh_plus(s.cal, s.test, s.one_sided, rng)
+    ),
+    "cfbh++": _Method(
+        3,
+        ("regression",),
+        lambda s, rng: procedures.run_cfbh_plus_plus(s.train, s.cal, s.test, s.one_sided, rng),
+    ),
+    "infosp": _Method(4, _STUDIES, lambda s, rng: procedures.run_infosp(s.cal, s.test, s.base)),
+    "infosp+": _Method(
+        5, _STUDIES, lambda s, rng: procedures.run_infosp_plus(s.cal1, s.cal0, s.test, s.base, rng)
+    ),
+    "infosp++": _Method(
+        6,
+        ("regression", "classification"),
+        lambda s, rng: procedures.run_infosp_plus_plus(s.train, s.cal1, s.cal0, s.test, s.base, rng),
+    ),
+    "infoscop": _Method(
+        7,
+        ("regression", "dti-like"),
+        lambda s, rng: procedures.run_infoscop(s.cal0, s.cal1, s.test, s.base, rng),
+    ),
 }
 
-REGRESSION_METHODS = ("naive", "cfbh", "cfbh+", "cfbh++", "infosp", "infosp+", "infosp++", "infoscop")
-CLASSIFICATION_METHODS = ("naive", "infosp", "infosp+", "infosp++")
+METHOD_IDS = {name: method.stream for name, method in METHODS.items()}
+
+# each study's methods in registry order
+STUDY_METHODS = {
+    study: tuple(name for name, method in METHODS.items() if study in method.studies) for study in _STUDIES
+}
+REGRESSION_METHODS = STUDY_METHODS["regression"]
+CLASSIFICATION_METHODS = STUDY_METHODS["classification"]
+SYNTHETIC_METHODS = STUDY_METHODS["dti-like"]  # the cifar-like profile has all but infoscop
 
 _DATA_STREAM = 0
 _METHOD_STREAM = 1
 
 # Monte-Carlo trainer settings: lighter than the library defaults, see notes.
 MC_OPTIMIZER = OptimizerConfig(max_iter=400, grad_tol=1e-6)
+
+
+def _run_methods(study: str, methods, splits: _Splits, rng: RngStream) -> dict[str, ReplicationMetrics]:
+    """Run each named method of ``study`` on one replication's splits; unknown names fail first."""
+    for name in methods:
+        if name not in STUDY_METHODS.get(study, ()):
+            raise ConfigError(f"method {name!r} is not part of the {study} study")
+    out: dict[str, ReplicationMetrics] = {}
+    for name in methods:
+        method = METHODS[name]
+        res = method.run(splits, rng.child(_METHOD_STREAM, method.stream))
+        out[name] = replication_metrics(res.reported, splits.test.y)
+    return out
 
 
 def _split_halves(data: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
@@ -85,6 +143,11 @@ def _split_halves(data: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
     first = Dataset(data.X[:cut], None if data.y is None else data.y[:cut], data.task)
     second = Dataset(data.X[cut:], None if data.y is None else data.y[cut:], data.task)
     return first, second
+
+
+def _splits(cal: Dataset, test: Dataset, base: ProcedureConfig, **extra) -> _Splits:
+    cal0, cal1 = _split_halves(cal, base.split_ratio)
+    return _Splits(cal, test, cal0, cal1, base, **extra)
 
 
 def _slice(data_X, data_y, sl, task) -> Dataset:
@@ -111,10 +174,9 @@ def regression_replication(
     cal = _slice(data.X, data.y, slice(0, n), REGRESSION)
     test = _slice(data.X, data.y, slice(n, n + m), REGRESSION)
     train = _slice(data.X, data.y, slice(n + m, 2 * n + m), REGRESSION)
-    score = AbsoluteResidual(mu_hat)
     base = ProcedureConfig(
         alpha=alpha,
-        score=score,
+        score=AbsoluteResidual(mu_hat),
         constraint=PositiveInterval(),
         split_ratio=split_ratio,
         screening_alpha=alpha / 2 if screening_alpha is None else screening_alpha,
@@ -124,30 +186,8 @@ def regression_replication(
         optimizer=optimizer,
     )
     one_sided = replace(base, constraint=HalfLine(screening_threshold))
-    cal0, cal1 = _split_halves(cal, split_ratio)
-    out: dict[str, ReplicationMetrics] = {}
-    for name in methods:
-        mrng = rng.child(_METHOD_STREAM, METHOD_IDS[name])
-        if name == "naive":
-            res = run_naive(cal, test, base)
-        elif name == "cfbh":
-            res = run_cfbh(cal, test, one_sided, mrng)
-        elif name == "cfbh+":
-            res = run_cfbh_plus(cal, test, one_sided, mrng)
-        elif name == "cfbh++":
-            res = run_cfbh_plus_plus(train, cal, test, one_sided, mrng)
-        elif name == "infosp":
-            res = run_infosp(cal, test, base)
-        elif name == "infosp+":
-            res = run_infosp_plus(cal1, cal0, test, base, mrng)
-        elif name == "infosp++":
-            res = run_infosp_plus_plus(train, cal1, cal0, test, base, mrng)
-        elif name == "infoscop":
-            res = run_infoscop(cal0, cal1, test, base, mrng)
-        else:
-            raise ConfigError(f"method {name!r} is not part of the regression study")
-        out[name] = replication_metrics(res.reported, test.y)
-    return out
+    splits = _splits(cal, test, base, train=train, one_sided=one_sided)
+    return _run_methods("regression", methods, splits, rng)
 
 
 def classification_replication(
@@ -174,22 +214,7 @@ def classification_replication(
         constraint=MaxSize(max_size),
         split_ratio=split_ratio,
     )
-    cal0, cal1 = _split_halves(cal, split_ratio)
-    out: dict[str, ReplicationMetrics] = {}
-    for name in methods:
-        mrng = rng.child(_METHOD_STREAM, METHOD_IDS[name])
-        if name == "naive":
-            res = run_naive(cal, test, base)
-        elif name == "infosp":
-            res = run_infosp(cal, test, base)
-        elif name == "infosp+":
-            res = run_infosp_plus(cal1, cal0, test, base, mrng)
-        elif name == "infosp++":
-            res = run_infosp_plus_plus(None, cal1, cal0, test, base, mrng)
-        else:
-            raise ConfigError(f"method {name!r} is not part of the classification study")
-        out[name] = replication_metrics(res.reported, test.y)
-    return out
+    return _run_methods("classification", methods, _splits(cal, test, base), rng)
 
 
 def synthetic_replication(
@@ -230,22 +255,7 @@ def synthetic_replication(
             constraint=MaxSize(min(max_size, bundle.n_classes - 2)),
             split_ratio=split_ratio,
         )
-    cal0, cal1 = _split_halves(cal, split_ratio)
-    out: dict[str, ReplicationMetrics] = {}
-    for name in methods:
-        mrng = rng.child(_METHOD_STREAM, METHOD_IDS[name])
-        if name == "naive":
-            res = run_naive(cal, test, base)
-        elif name == "infosp":
-            res = run_infosp(cal, test, base)
-        elif name == "infosp+":
-            res = run_infosp_plus(cal1, cal0, test, base, mrng)
-        elif name == "infoscop" and profile == "dti-like":
-            res = run_infoscop(cal0, cal1, test, base, mrng)
-        else:
-            raise ConfigError(f"method {name!r} is not part of the {profile} study")
-        out[name] = replication_metrics(res.reported, test.y)
-    return out
+    return _run_methods(profile, methods, _splits(cal, test, base), rng)
 
 
 def containment_replication(

@@ -222,6 +222,7 @@ def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStrea
 
 
 def _two_sided_pieces(score: AbsoluteResidual, constraint: TargetHalfLines, X, y=None):
+    """Directional constructor: (c_u, inf) when mu_hat >= (c_l + c_u)/2, else (-inf, c_l)."""
     mu = np.asarray(score.mu_hat(X), dtype=float)
     mid = (constraint.c_l + constraint.c_u) / 2.0
     up = mid - mu <= 0.0
@@ -232,33 +233,45 @@ def _two_sided_pieces(score: AbsoluteResidual, constraint: TargetHalfLines, X, y
     return up, trust, null
 
 
+def _select_half_lines(
+    cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream, scorer=None
+) -> ProcedureOutput:
+    """cfbh+/cfbh++ route: null flags, generalized selection, one half line per selected unit.
+
+    The trust is mu_hat (one-sided) or the distance from the band midpoint
+    (two-sided) unless a trained ``scorer`` supplies it.
+    """
+    constraint = config.constraint
+    score = _require_residual(config)
+    if isinstance(constraint, HalfLine):
+        null = cal.y <= constraint.c0
+        up_test = np.ones(test.n, dtype=bool)
+        above = below = half_line_above(constraint.c0)
+        if scorer is None:
+            trust_cal = np.asarray(score.mu_hat(cal.X), dtype=float)
+            trust_test = np.asarray(score.mu_hat(test.X), dtype=float)
+    elif isinstance(constraint, TargetHalfLines):
+        _, trust_cal, null = _two_sided_pieces(score, constraint, cal.X, cal.y)
+        up_test, trust_test, _ = _two_sided_pieces(score, constraint, test.X)
+        above, below = half_line_above(constraint.c_u), half_line_below(constraint.c_l)
+    else:
+        raise ConfigError("cfbh+ needs a HalfLine or TargetHalfLines constraint")
+    if scorer is not None:
+        trust_cal, trust_test = scorer.predict(cal.X), scorer.predict(test.X)
+    result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
+    reported = tuple((int(j), above if up_test[j] else below) for j in result.selected)
+    _check_reported(reported, constraint)
+    diag = {"pvalues": result.pvalues, "result": result}
+    if scorer is not None:
+        diag["scorer"] = scorer
+    return ProcedureOutput(reported, result.selected, diag)
+
+
 def run_cfbh_plus(
     cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """Trust-score route: fixed half line (one-sided) or estimated direction (two-sided)."""
-    constraint = config.constraint
-    score = _require_residual(config)
-    if isinstance(constraint, HalfLine):
-        trust_cal = np.asarray(score.mu_hat(cal.X), dtype=float)
-        trust_test = np.asarray(score.mu_hat(test.X), dtype=float)
-        null = cal.y <= constraint.c0
-        result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
-        reported = tuple((int(j), half_line_above(constraint.c0)) for j in result.selected)
-    elif isinstance(constraint, TargetHalfLines):
-        _, trust_cal, null = _two_sided_pieces(score, constraint, cal.X, cal.y)
-        up_test, trust_test, _ = _two_sided_pieces(score, constraint, test.X)
-        result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
-        reported = tuple(
-            (
-                int(j),
-                half_line_above(constraint.c_u) if up_test[j] else half_line_below(constraint.c_l),
-            )
-            for j in result.selected
-        )
-    else:
-        raise ConfigError("cfbh+ needs a HalfLine or TargetHalfLines constraint")
-    _check_reported(reported, constraint)
-    return ProcedureOutput(reported, result.selected, {"pvalues": result.pvalues, "result": result})
+    return _select_half_lines(cal, test, config, rng)
 
 
 def run_cfbh_plus_plus(
@@ -268,37 +281,17 @@ def run_cfbh_plus_plus(
     constraint = config.constraint
     score = _require_residual(config)
     if isinstance(constraint, HalfLine):
-        labels = np.where(train.y > constraint.c0, 1, -1)
+        pos = train.y > constraint.c0
     elif isinstance(constraint, TargetHalfLines):
-        mu_train = np.asarray(score.mu_hat(train.X), dtype=float)
-        up = 2.0 * mu_train >= constraint.c_l + constraint.c_u
-        pos = (up & (train.y >= constraint.c_u)) | (~up & (train.y <= constraint.c_l))
-        labels = np.where(pos, 1, -1)
+        up, _, _ = _two_sided_pieces(score, constraint, train.X)
+        pos = np.where(up, train.y >= constraint.c_u, train.y <= constraint.c_l)
     else:
         raise ConfigError("cfbh++ needs a HalfLine or TargetHalfLines constraint")
     scorer = train_trust_classifier(
-        train.X, labels, lam=config.lam, config=config.optimizer, feature_degree=config.feature_degree
+        train.X, np.where(pos, 1, -1), lam=config.lam, config=config.optimizer,
+        feature_degree=config.feature_degree,
     )
-    trust_cal = scorer.predict(cal.X)
-    trust_test = scorer.predict(test.X)
-    if isinstance(constraint, HalfLine):
-        null = cal.y <= constraint.c0
-        result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
-        reported = tuple((int(j), half_line_above(constraint.c0)) for j in result.selected)
-    else:
-        _, _, null = _two_sided_pieces(score, constraint, cal.X, cal.y)
-        up_test, _, _ = _two_sided_pieces(score, constraint, test.X)
-        result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
-        reported = tuple(
-            (
-                int(j),
-                half_line_above(constraint.c_u) if up_test[j] else half_line_below(constraint.c_l),
-            )
-            for j in result.selected
-        )
-    _check_reported(reported, constraint)
-    diag = {"pvalues": result.pvalues, "result": result, "scorer": scorer}
-    return ProcedureOutput(reported, result.selected, diag)
+    return _select_half_lines(cal, test, config, rng, scorer)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +300,7 @@ def run_cfbh_plus_plus(
 
 
 def _sets_at_levels(score, cal_scores: CalibrationScores, X, levels):
-    """Per-unit set geometry at per-unit levels: radii plus task-specific pieces."""
+    """CP-truncated constructor: per-unit conformal sets (radii plus task pieces) at per-unit levels."""
     radii = np.asarray(cal_scores.score_radius(np.asarray(levels, dtype=float)))
     if isinstance(score, AbsoluteResidual):
         mu = np.asarray(score.mu_hat(X), dtype=float)
@@ -355,27 +348,35 @@ def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedur
     return ProcedureOutput(reported, keep, {"q": q, "tau": tau})
 
 
-def _infosp_plus_core(
-    cal: Dataset,
-    cal0: Dataset,
-    test: Dataset,
-    config: ProcedureConfig,
-    rng: RngStream,
-    trust_override=None,
-):
-    """Shared pipeline: truncated levels, per-unit sets, trust, generalized selection.
-
-    ``trust_override(pieces, X_all, nonempty)`` replaces the default
-    one-minus-level trust when the estimated-oracle variant runs.
-    """
+def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
+    """Truncation step: cal0 scores, pooled cal+test X, their I-adjusted p-values q0, BH level tau0."""
     score, constraint = config.score, config.constraint
     if score is None or constraint is None:
         raise ConfigError("infosp+ needs a score and a constraint")
     cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
     X_all = np.vstack([cal.X, test.X])
-    n, m = cal.n, test.n
     q0 = i_adjusted_pvalues(X_all, cal0_scores, score, constraint)
     tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
+    return cal0_scores, X_all, q0, tau0
+
+
+def _infosp_plus_core(
+    cal: Dataset,
+    test: Dataset,
+    config: ProcedureConfig,
+    rng: RngStream,
+    truncation,
+    trust_override=None,
+):
+    """Shared pipeline: truncated levels, per-unit sets, trust, generalized selection.
+
+    ``truncation`` is the output of ``_truncation``; ``trust_override(pieces,
+    X_all)`` replaces the default one-minus-level trust when the
+    estimated-oracle variant runs.
+    """
+    score = config.score
+    cal0_scores, X_all, q0, tau0 = truncation
+    n = cal.n
     q_plus = np.maximum(q0, tau0)
     pieces = _sets_at_levels(score, cal0_scores, X_all, q_plus)
     nonempty = pieces["nonempty"]
@@ -383,7 +384,7 @@ def _infosp_plus_core(
         trust = np.where(nonempty, 1.0 - q_plus, 0.0)
     else:
         trust = np.where(nonempty, trust_override(pieces, X_all), 0.0)
-    covered_cal = _covered(score, _slice_pieces(score, pieces, slice(0, n)), cal.y)
+    covered_cal = _covered(score, _slice_pieces(pieces, slice(0, n)), cal.y)
     null = ~(covered_cal & nonempty[:n])
     result = scip_select_arrays(
         trust[:n],
@@ -395,9 +396,8 @@ def _infosp_plus_core(
         test_eligible=nonempty[n:],
         shrink_m=config.shrink_m,
     )
-    test_pieces = _slice_pieces(score, pieces, slice(n, n + m))
-    reported = _reported_from_pieces(score, test_pieces, result.selected)
-    _check_reported(reported, constraint)
+    reported = _reported_from_pieces(score, _slice_pieces(pieces, slice(n, None)), result.selected)
+    _check_reported(reported, config.constraint)
     diag = {
         "q0": q0,
         "tau0": tau0,
@@ -409,16 +409,15 @@ def _infosp_plus_core(
     return ProcedureOutput(reported, result.selected, diag)
 
 
-def _slice_pieces(score, pieces, sl):
-    out = {k: v[sl] for k, v in pieces.items()}
-    return out
+def _slice_pieces(pieces, sl):
+    return {k: v[sl] for k, v in pieces.items()}
 
 
 def run_infosp_plus(
     cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """Truncated-level sets with trust 1 - level, then generalized selection."""
-    return _infosp_plus_core(cal, cal0, test, config, rng)
+    return _infosp_plus_core(cal, test, config, rng, _truncation(cal, cal0, test, config))
 
 
 def run_infosp_plus_plus(
@@ -434,20 +433,18 @@ def run_infosp_plus_plus(
     Classification reuses the frozen class probabilities (mass of the set);
     regression trains a coverage classifier on the disjoint training sample.
     """
-    score, constraint = config.score, config.constraint
-    if isinstance(score, OneMinusProb):
+    if isinstance(config.score, OneMinusProb):
         def trust_override(pieces, X_all):
             return class_membership_trust(pieces["probs"], pieces["member"])
 
-        return _infosp_plus_core(cal, cal0, test, config, rng, trust_override)
+        truncation = _truncation(cal, cal0, test, config)
+        return _infosp_plus_core(cal, test, config, rng, truncation, trust_override)
     score = _require_residual(config)
     if train is None:
         raise ConfigError("regression infosp++ needs a training sample")
-    cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
-    X_all = np.vstack([cal.X, test.X])
-    q0 = i_adjusted_pvalues(X_all, cal0_scores, score, constraint)
-    tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
-    q0_train = i_adjusted_pvalues(train.X, cal0_scores, score, constraint)
+    truncation = _truncation(cal, cal0, test, config)
+    cal0_scores, _, _, tau0 = truncation
+    q0_train = i_adjusted_pvalues(train.X, cal0_scores, score, config.constraint)
     pieces_train = _sets_at_levels(score, cal0_scores, train.X, np.maximum(q0_train, tau0))
     pos = _covered(score, pieces_train, train.y) & pieces_train["nonempty"]
     labels = np.where(pos, 1, -1)
@@ -458,7 +455,7 @@ def run_infosp_plus_plus(
     def trust_override(pieces, X_all):
         return scorer.predict(X_all)
 
-    return _infosp_plus_core(cal, cal0, test, config, rng, trust_override)
+    return _infosp_plus_core(cal, test, config, rng, truncation, trust_override)
 
 
 def run_infosp_modified(
@@ -470,17 +467,14 @@ def run_infosp_modified(
     puts it on equal footing with the truncated-level method for containment
     checks.
     """
-    score, constraint = config.score, config.constraint
-    cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
-    X_all = np.vstack([cal.X, test.X])
-    q0 = i_adjusted_pvalues(X_all, cal0_scores, score, constraint)
-    tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
+    score = config.score
+    cal0_scores, _, q0, tau0 = _truncation(cal, cal0, test, config)
     q0_test = q0[cal.n :]
     selected = np.flatnonzero(q0_test <= tau0) if tau0 > 0.0 else np.array([], dtype=int)
     pieces = _sets_at_levels(score, cal0_scores, test.X, np.full(test.n, tau0))
     keep = selected[pieces["nonempty"][selected]]
     reported = _reported_from_pieces(score, pieces, keep)
-    _check_reported(reported, constraint)
+    _check_reported(reported, config.constraint)
     return ProcedureOutput(reported, keep, {"q0": q0, "tau0": tau0})
 
 
@@ -532,7 +526,8 @@ def run_selective_classification(
     """Singleton reporting with probability trust and deterministic tie breaking.
 
     A SingletonClass constraint targets one fixed class; a MaxSize(1)
-    constraint reports the argmax class per unit.  Deterministic ties make the
+    constraint uses the argmax-class constructor (ties go to the smallest
+    class index).  Deterministic ties make the
     selection coincide with the mirror-process style references.
     """
     score = _require_class_prob(config)

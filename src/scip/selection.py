@@ -80,11 +80,6 @@ class SelectionResult:
     k_hat: int
     trust_threshold: float | None = None
 
-    def selected_mask(self) -> np.ndarray:
-        mask = np.zeros(self.pvalues.size, dtype=bool)
-        mask[self.selected] = True
-        return mask
-
 
 def _tie_draws(m: int, tie_mode: TieMode, rng: RngStream | None) -> np.ndarray:
     if tie_mode is TieMode.DETERMINISTIC:

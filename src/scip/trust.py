@@ -1,32 +1,21 @@
 """Trust scores: reliability scores for (feature, informative set) pairs.
 
-All shipped trust scores map to nonnegative reals and send the empty set to 0.
-The trained variants approximate the oracle score pr{Y in C(X) | X = x} by a
-linear-logistic classifier fit with a class-weighted cross-entropy risk
-(weight lambda on the positive class), either on a disjoint labeled training
-sample or on the positive/unlabeled split of the mixed sample.
+The class-sum trust scores a class set by its estimated probability mass and
+sends the empty set to 0.  The trained variants approximate the oracle score
+pr{Y in C(X) | X = x} by a linear-logistic classifier fit with a
+class-weighted cross-entropy risk (weight lambda on the positive class),
+either on a disjoint labeled training sample or on the positive/unlabeled
+split of the mixed sample.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .conformal import NonconformityScore
-from .core import (
-    ClassSet,
-    DegenerateLabelsError,
-    IntervalUnion,
-    MuHatFn,
-    NotPositiveDefiniteError,
-    PredictionSet,
-    ProbFn,
-    is_empty_set,
-)
+from .core import DegenerateLabelsError, NotPositiveDefiniteError
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -34,140 +23,9 @@ def _as_matrix(X) -> np.ndarray:
     return X[:, None] if X.ndim == 1 else X
 
 
-# ---------------------------------------------------------------------------
-# Closed-form trust scores
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotoneExpTrust:
-    """exp(-V(x, c0)) for a nonconformity score monotone non-increasing in y.
-
-    The caller asserts monotonicity; the score at the boundary label c0 then
-    summarizes how far the unit sits from the uninteresting region.
-    """
-
-    score: NonconformityScore
-    c0: float
-
-    def scores(self, X: np.ndarray, sets=None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        c = np.full(X.shape[0], self.c0)
-        out = np.exp(-np.asarray(self.score.eval(X, c), dtype=float))
-        return _zero_empty(out, sets)
-
-    def eval(self, x_row, pset: PredictionSet) -> float:
-        if is_empty_set(pset):
-            return 0.0
-        return float(self.scores(np.atleast_2d(np.asarray(x_row, dtype=float)))[0])
-
-
-@dataclass(frozen=True)
-class RegionProbabilityTrust:
-    """Estimated pr{Y in C | X = x} for one-sided half-line sets (regression).
-
-    ``region_prob(X, pset)`` must be a frozen estimator trained off the mixed
-    sample.  Sets other than a single half line are rejected.
-    """
-
-    region_prob: Callable[[np.ndarray, PredictionSet], np.ndarray]
-
-    def eval(self, x_row, pset: PredictionSet) -> float:
-        if is_empty_set(pset):
-            return 0.0
-        _require_half_line(pset)
-        out = np.asarray(
-            self.region_prob(np.atleast_2d(np.asarray(x_row, dtype=float)), pset), dtype=float
-        )
-        return float(out[0])
-
-    def scores(self, X: np.ndarray, sets) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0])
-        for i, pset in enumerate(sets):
-            if not is_empty_set(pset):
-                out[i] = self.eval(X[i], pset)
-        return out
-
-
-def _require_half_line(pset: PredictionSet):
-    if not isinstance(pset, IntervalUnion) or len(pset.intervals) != 1:
-        raise ValueError("region trust expects a single half-line set")
-    iv = pset.intervals[0]
-    if not (math.isinf(iv.lower) ^ math.isinf(iv.upper)):
-        raise ValueError("region trust expects a half line unbounded on exactly one side")
-
-
-@dataclass(frozen=True)
-class ClassProbabilityTrust:
-    """Sum of estimated class probabilities over the set's members."""
-
-    p_hat: ProbFn
-
-    def scores(self, X: np.ndarray, sets) -> np.ndarray:
-        probs = np.asarray(self.p_hat(np.asarray(X, dtype=float)), dtype=float)
-        out = np.zeros(probs.shape[0])
-        for i, pset in enumerate(sets):
-            if is_empty_set(pset):
-                continue
-            if not isinstance(pset, ClassSet):
-                raise ValueError("class-sum trust expects class sets")
-            out[i] = probs[i, [k - 1 for k in pset.members]].sum()
-        return out
-
-    def eval(self, x_row, pset: PredictionSet) -> float:
-        return float(self.scores(np.atleast_2d(np.asarray(x_row, dtype=float)), [pset])[0])
-
-
 def class_membership_trust(probs: np.ndarray, member_mask: np.ndarray) -> np.ndarray:
     """Vectorized class-sum trust: probs (n, K) against a boolean member mask."""
     return np.where(member_mask.any(axis=1), (probs * member_mask).sum(axis=1), 0.0)
-
-
-@dataclass(frozen=True)
-class DistanceTrust:
-    """|(c_l + c_u)/2 - mu_hat(x)|: distance of the prediction from the indifference midpoint."""
-
-    mu_hat: MuHatFn
-    c_l: float
-    c_u: float
-
-    def scores(self, X: np.ndarray, sets=None) -> np.ndarray:
-        mu = np.asarray(self.mu_hat(np.asarray(X, dtype=float)), dtype=float)
-        out = np.abs((self.c_l + self.c_u) / 2.0 - mu)
-        return _zero_empty(out, sets)
-
-    def eval(self, x_row, pset: PredictionSet) -> float:
-        if pset is not None and is_empty_set(pset):
-            return 0.0
-        return float(self.scores(np.atleast_2d(np.asarray(x_row, dtype=float)))[0])
-
-
-def _zero_empty(values: np.ndarray, sets) -> np.ndarray:
-    if sets is None:
-        return values
-    empty = np.fromiter((is_empty_set(s) for s in sets), dtype=bool, count=len(sets))
-    return np.where(empty, 0.0, values)
-
-
-def one_minus_level_trust(q_plus) -> np.ndarray:
-    """Trust 1 - q_plus; the level-1 (empty set) corner lands exactly on 0."""
-    return 1.0 - np.asarray(q_plus, dtype=float)
-
-
-def monotone_trust(score: NonconformityScore, c0: float) -> MonotoneExpTrust:
-    return MonotoneExpTrust(score, c0)
-
-
-def probability_trust(region_prob=None, p_hat=None):
-    """Region-probability trust (regression) or class-sum trust (classification)."""
-    if (region_prob is None) == (p_hat is None):
-        raise ValueError("pass exactly one of region_prob / p_hat")
-    return RegionProbabilityTrust(region_prob) if region_prob is not None else ClassProbabilityTrust(p_hat)
-
-
-def distance_trust(mu_hat: MuHatFn, c_l: float, c_u: float) -> DistanceTrust:
-    return DistanceTrust(mu_hat, c_l, c_u)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +152,6 @@ class TrainedScorer:
         z = phi @ self.weights + self.bias
         # keep the output inside the open interval even when the link saturates
         return np.clip(_sigmoid(z), 1e-300, np.nextafter(1.0, 0.0))
-
-    def scores(self, X: np.ndarray, sets=None) -> np.ndarray:
-        return _zero_empty(self.predict(X), sets)
-
-    def eval(self, x_row, pset: PredictionSet) -> float:
-        if pset is not None and is_empty_set(pset):
-            return 0.0
-        return float(self.predict(np.atleast_2d(np.asarray(x_row, dtype=float)))[0])
 
     def to_text(self) -> str:
         lines = [

@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
+import scip.procedures
 from scip.conformal import AbsoluteResidual
-from scip.core import Dataset, REGRESSION, RngStream, TargetHalfLines
+from scip.core import ConfigError, Dataset, REGRESSION, RngStream, TargetHalfLines
 from scip.experiments import (
     METHOD_IDS,
+    classification_replication,
     regression_replication,
     run_equivalence_checks,
     synthetic_replication,
@@ -21,6 +24,36 @@ def test_method_registry_is_stable():
         "naive": 0, "cfbh": 1, "cfbh+": 2, "cfbh++": 3,
         "infosp": 4, "infosp+": 5, "infosp++": 6, "infoscop": 7,
     }
+
+
+def _no_method_may_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a method ran before the method names were checked")
+
+    monkeypatch.setattr(scip.procedures, "run_naive", fail)
+
+
+def test_regression_unknown_method_is_a_config_error(monkeypatch):
+    _no_method_may_run(monkeypatch)
+    for methods in (["foo"], ["naive", "foo"]):
+        with pytest.raises(ConfigError, match="'foo'"):
+            regression_replication(methods, 20, 20, 0.0, 0.1, RngStream(1))
+
+
+def test_classification_unknown_method_is_a_config_error(monkeypatch):
+    _no_method_may_run(monkeypatch)
+    for methods in (["foo"], ["naive", "cfbh"]):
+        with pytest.raises(ConfigError, match="classification study"):
+            classification_replication(methods, 20, 20, 0.1, RngStream(1))
+
+
+def test_synthetic_unknown_method_is_a_config_error(monkeypatch):
+    _no_method_may_run(monkeypatch)
+    with pytest.raises(ConfigError, match="dti-like study"):
+        synthetic_replication(["naive", "foo"], "dti-like", 20, 20, 0.1, RngStream(1))
+    # infoscop screens on a real-valued prediction: dti-like only
+    with pytest.raises(ConfigError, match="cifar-like study"):
+        synthetic_replication(["naive", "infoscop"], "cifar-like", 20, 20, 0.1, RngStream(1))
 
 
 def _mean_se(values):

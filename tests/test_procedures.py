@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from scip.conformal import AbsoluteResidual, OneMinusProb
+from scip.conformal import (
+    AbsoluteResidual,
+    CalibrationScores,
+    ClassLabels,
+    OneMinusProb,
+    RealLine,
+    conformal_prediction_set,
+)
 from scip.core import (
     CLASSIFICATION,
     ConfigError,
@@ -13,6 +20,8 @@ from scip.core import (
     RngStream,
     SingletonClass,
     TargetHalfLines,
+    half_line_above,
+    half_line_below,
 )
 from scip.procedures import (
     ProcedureConfig,
@@ -99,6 +108,40 @@ def test_two_sided_direction_and_sets():
             assert mu_test[j] < 0.0
 
 
+def test_midpoint_tie_goes_to_upper_half_line():
+    """Directional constructor: mu_hat exactly at (c_l + c_u)/2 reports (c_u, inf)."""
+    constraint = TargetHalfLines(0.0, 2.0)
+    mu_hat = lambda X: np.asarray(X, dtype=float).reshape(-1)
+    # no calibration unit is null, so every test unit gets p = 1/(n+1) and is selected
+    x_cal = np.array([-5.0, 5.0] * 10)
+    cal = Dataset(x_cal[:, None], 2.0 * x_cal, REGRESSION)
+    x_train = np.array([-4.0, -3.0, 1.0, 1.0, 3.0, 4.0] * 4)
+    y_train = np.array([-1.0, 1.0, 2.0, 0.5, 3.0, 1.0] * 4)
+    train = Dataset(x_train[:, None], y_train, REGRESSION)
+    test = Dataset(np.array([[1.0], [3.0], [-1.0]]), None, REGRESSION)
+    cfg = ProcedureConfig(
+        alpha=0.5, score=AbsoluteResidual(mu_hat), constraint=constraint, tie_mode=TieMode.DETERMINISTIC
+    )
+    expected = {0: half_line_above(2.0), 1: half_line_above(2.0), 2: half_line_below(0.0)}
+    for out in (
+        run_cfbh_plus(cal, test, cfg, RngStream(40)),
+        run_cfbh_plus_plus(train, cal, test, cfg, RngStream(40)),
+    ):
+        assert dict(out.reported) == expected
+
+
+def test_argmax_ties_go_to_smallest_index():
+    table = np.array(
+        [[0.9, 0.05, 0.05], [0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.2, 0.4, 0.4]]
+    )
+    p_hat = lambda X: table[np.asarray(X, dtype=int).reshape(-1)]
+    cal = Dataset(np.zeros((20, 1)), np.ones(20, dtype=int), CLASSIFICATION)  # no null unit
+    test = Dataset(np.arange(1, 5, dtype=float)[:, None], None, CLASSIFICATION)
+    cfg = ProcedureConfig(alpha=0.5, score=OneMinusProb(p_hat), constraint=MaxSize(1))
+    out = run_selective_classification(cal, test, cfg)
+    assert [(j, pset.members) for j, pset in out.reported] == [(0, (1,)), (1, (1,)), (2, (1,)), (3, (2,))]
+
+
 def test_cfbh_plus_plus_runs_and_controls_shape():
     cal, test, train, mu_hat = _regression_bundle(7)
     cfg = ProcedureConfig(
@@ -156,6 +199,26 @@ def test_infosp_plus_pipeline_invariants():
     assert np.all(trust[d["q_plus"] >= 1.0] == 0.0)
 
 
+def test_infosp_plus_sets_match_per_row_sets_at_truncated_levels():
+    """CP-truncated constructor: each reported set is the level-q_plus conformal set of its unit."""
+    cal, test, _, mu_hat = _regression_bundle(16, n=120, m=80)
+    cls_cal, cls_test, p_hat = _classification_bundle(18, n=120, m=80)
+    cases = (
+        (cal, test, AbsoluteResidual(mu_hat), PositiveInterval(), RealLine()),
+        (cls_cal, cls_test, OneMinusProb(p_hat), MaxSize(2), ClassLabels(4)),
+    )
+    for cal, test, score, constraint, labels in cases:
+        cal0 = Dataset(cal.X[:60], cal.y[:60], cal.task)
+        cal1 = Dataset(cal.X[60:], cal.y[60:], cal.task)
+        cfg = ProcedureConfig(alpha=0.3, score=score, constraint=constraint)
+        out = run_infosp_plus(cal1, cal0, test, cfg, RngStream(18))
+        assert out.n_reported > 0
+        cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
+        q_plus = out.diagnostics["q_plus"][cal1.n :]
+        for j, pset in out.reported:
+            assert pset == conformal_prediction_set(test.X[j], cal0_scores, score, q_plus[j], labels)
+
+
 def test_infosp_plus_zero_truncation_keeps_raw_levels():
     """When the pooled BH threshold is zero the truncation is a no-op."""
     cal, test, _, _ = _regression_bundle(12, n=40, m=30)
@@ -198,6 +261,8 @@ def test_infosp_plus_plus_regression_trained_trust():
     trust = plusplus.diagnostics["trust"]
     nonzero = trust[trust > 0]
     assert np.all((nonzero > 0) & (nonzero < 1))  # logistic range
+    # empty-set units carry zero trust whatever the trained scorer says
+    assert np.all(trust[plusplus.diagnostics["q_plus"] >= 1.0] == 0.0)
     assert all(
         PositiveInterval().contains(pset) and not pset.is_empty for _, pset in plusplus.reported
     )

@@ -3,77 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from scip.conformal import ClippedScore
-from scip.core import (
-    ClassSet,
-    DegenerateLabelsError,
-    NotPositiveDefiniteError,
-    RngStream,
-    half_line_above,
-    half_line_below,
-    interval,
-)
+from scip.core import DegenerateLabelsError, NotPositiveDefiniteError, RngStream
 from scip.trust import (
-    ClassProbabilityTrust,
     GaussianKernel,
     IdentityKernel,
     OptimizerConfig,
     TrainedScorer,
-    distance_trust,
     diversity_scores,
-    monotone_trust,
-    one_minus_level_trust,
-    probability_trust,
     train_pu_classifier,
     train_softmax_classifier,
     train_trust_classifier,
 )
 
 from mp_reference import diversity_instance, diversity_reference
-
-
-def _mu(value):
-    return lambda X: np.full(np.atleast_2d(X).shape[0], float(value))
-
-
-def test_monotone_trust_values():
-    clipped = ClippedScore(_mu(0.3), c0=0.0, big_m=5.0)
-    t = monotone_trust(clipped, c0=0.0)
-    assert t.eval(np.zeros(1), half_line_above(0.0)) == pytest.approx(math.exp(-0.3))
-    zero_score = ClippedScore(_mu(0.0), c0=0.0, big_m=5.0)
-    assert monotone_trust(zero_score, 0.0).eval(np.zeros(1), half_line_above(0.0)) == pytest.approx(1.0)
-    huge = ClippedScore(_mu(600.0), c0=0.0, big_m=1e3)
-    val = monotone_trust(huge, 0.0).eval(np.zeros(1), half_line_above(0.0))
-    assert 0.0 <= val < 1e-200
-
-
-def test_class_probability_trust():
-    p_hat = lambda X: np.tile([0.5, 0.3, 0.2], (np.atleast_2d(X).shape[0], 1))
-    t = probability_trust(p_hat=p_hat)
-    assert isinstance(t, ClassProbabilityTrust)
-    assert t.eval(np.zeros(1), ClassSet((1, 3))) == pytest.approx(0.7)
-    assert t.eval(np.zeros(1), ClassSet(())) == 0.0
-    assert t.eval(np.zeros(1), ClassSet((1, 2, 3))) == pytest.approx(1.0)
-
-
-def test_region_probability_trust_checks_shape():
-    region = lambda X, pset: np.full(np.atleast_2d(X).shape[0], 0.25)
-    t = probability_trust(region_prob=region)
-    assert t.eval(np.zeros(1), half_line_above(1.0)) == pytest.approx(0.25)
-    assert t.eval(np.zeros(1), half_line_below(-1.0)) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        t.eval(np.zeros(1), interval(0.0, 1.0))
-
-
-def test_distance_trust_values():
-    assert distance_trust(_mu(2.0), 0.0, 2.0).eval(np.zeros(1), None) == pytest.approx(1.0)
-    assert distance_trust(_mu(1.0), 0.0, 2.0).eval(np.zeros(1), None) == pytest.approx(0.0)
-    assert distance_trust(_mu(-1.0), 0.0, 2.0).eval(np.zeros(1), None) == pytest.approx(2.0)
-
-
-def test_one_minus_level_sends_empty_to_zero():
-    out = one_minus_level_trust(np.array([0.2, 1.0]))
-    assert out[0] == pytest.approx(0.8) and out[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +137,13 @@ def test_degenerate_labels_error():
         train_trust_classifier(np.zeros((5, 1)), np.ones(5, dtype=int))
 
 
-def test_trained_scorer_range_and_empty_set():
+def test_trained_scorer_range():
     gen = np.random.default_rng(20)
     x = gen.normal(size=60)
     labels = np.where(x > 0, 1, -1)
     scorer = train_trust_classifier(x[:, None], labels, config=OptimizerConfig(max_iter=200))
     vals = scorer.predict(gen.normal(size=(30, 1)))
     assert np.all((vals > 0) & (vals < 1))
-    assert scorer.eval(np.zeros(1), ClassSet(())) == 0.0
 
 
 def test_serialization_roundtrip():
