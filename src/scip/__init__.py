@@ -13,12 +13,13 @@ from .conformal import (
     truncated_i_adjusted_pvalue,
 )
 from .core import (
-    CalibrationRecord,
+    ClassBatch,
     ClassSet,
     Dataset,
     HalfLine,
     InformativeConstraint,
     Interval,
+    IntervalBatch,
     IntervalUnion,
     LowerBoundedInterval,
     MaxSize,
@@ -27,12 +28,9 @@ from .core import (
     ScipError,
     SingletonClass,
     TargetHalfLines,
-    TestRecord,
     half_line_above,
     half_line_below,
     interval,
-    set_contains,
-    set_measure,
 )
 from .metrics import aggregate, mfcr_estimate, replication_metrics
 from .procedures import (
@@ -56,7 +54,6 @@ from .selection import (
     bh_select,
     counting_knockoff_select,
     generalized_conformal_pvalues,
-    scip_select,
     self_consistent_select,
 )
 from .simgen import gen_classification, gen_regression, gen_synthetic_scores, mu_star

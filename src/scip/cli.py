@@ -22,9 +22,7 @@ from pathlib import Path
 
 from .core import ConfigError, RngStream, ScipError
 from .experiments import (
-    CLASSIFICATION_METHODS,
-    REGRESSION_METHODS,
-    SYNTHETIC_METHODS,
+    STUDY_METHODS,
     classification_replication,
     regression_replication,
     run_equivalence_checks,
@@ -33,6 +31,8 @@ from .experiments import (
 from .metrics import ReplicationMetrics, aggregate
 
 _EXPERIMENTS = ("regression-sweep", "classification-sweep", "equivalence-suite", "synthetic-real")
+
+_PROFILES = ("dti-like", "cifar-like")
 
 _DEFAULT_METHODS = {
     "regression-sweep": "naive,infosp,infoscop,infosp+",
@@ -109,15 +109,16 @@ class ExperimentConfig:
             raise ConfigError("split ratio must lie in (0, 1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        known = {
-            "regression-sweep": REGRESSION_METHODS,
-            "classification-sweep": CLASSIFICATION_METHODS,
-            "synthetic-real": SYNTHETIC_METHODS,
-            "equivalence-suite": (),
-        }[self.experiment]
+        if self.experiment == "synthetic-real" and self.profile not in _PROFILES:
+            raise ConfigError(f"unknown profile {self.profile!r}; expected one of {', '.join(_PROFILES)}")
+        study = {
+            "regression-sweep": "regression",
+            "classification-sweep": "classification",
+            "synthetic-real": self.profile,
+        }.get(self.experiment)
         for name in self.methods:
-            if name not in known:
-                raise ConfigError(f"method {name!r} is not available in {self.experiment}")
+            if name not in STUDY_METHODS.get(study, ()):
+                raise ConfigError(f"method {name!r} is not available in {self.experiment} ({study})")
 
 
 def _parse_value(key: str, raw: str):

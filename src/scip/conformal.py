@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ClassSet,
-    EMPTY_CLASS_SET,
     EMPTY_INTERVAL_UNION,
+    ClassBatch,
     InformativeConstraint,
-    IntervalUnion,
+    IntervalBatch,
     MuHatFn,
     PredictionSet,
     ProbFn,
@@ -183,23 +182,6 @@ class CalibrationScores:
 # ---------------------------------------------------------------------------
 
 
-def interval_set_from_radius(mu: float, radius: float) -> IntervalUnion:
-    """Closed residual sublevel interval [mu - r, mu + r]; empty for r < 0, full line for r = inf."""
-    if radius == math.inf:
-        return interval(-math.inf, math.inf, lower_open=True, upper_open=True)
-    if radius < 0.0:
-        return EMPTY_INTERVAL_UNION
-    return interval(mu - radius, mu + radius)
-
-
-def class_set_from_radius(probs: np.ndarray, radius: float) -> ClassSet:
-    """Classes whose probability keeps 1 - p within the score radius."""
-    if radius == -math.inf:
-        return EMPTY_CLASS_SET
-    members = np.flatnonzero(1.0 - probs <= radius) + 1
-    return ClassSet(tuple(int(k) for k in members))
-
-
 def conformal_prediction_set(
     x_row: np.ndarray,
     cal: CalibrationScores,
@@ -213,15 +195,14 @@ def conformal_prediction_set(
     if isinstance(score, AbsoluteResidual):
         if not isinstance(label_space, RealLine):
             raise UnsupportedScoreError("absolute-residual scores need a real label space")
-        mu = float(np.asarray(score.mu_hat(X), dtype=float)[0])
-        return interval_set_from_radius(mu, radius)
+        return IntervalBatch.from_radius(score.mu_hat(X), radius).sets()[0]
     if isinstance(score, OneMinusProb):
         if not isinstance(label_space, ClassLabels):
             raise UnsupportedScoreError("probability scores need a class label space")
         probs = np.asarray(score.p_hat(X), dtype=float)[0]
         if probs.shape[0] != label_space.n_classes:
             raise ValueError("probability vector length disagrees with label space")
-        return class_set_from_radius(probs, radius)
+        return ClassBatch.from_radius(probs, radius).sets()[0]
     if isinstance(score, ClippedScore):
         if not isinstance(label_space, RealLine):
             raise UnsupportedScoreError("clipped scores need a real label space")

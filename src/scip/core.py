@@ -8,6 +8,11 @@ knows its "informativeness breakpoint" for a given nonconformity score: the
 largest score radius nu such that the sublevel set {y : V(x, y) <= nu} is
 still admissible (sets strictly inside the radius are admissible, sets at or
 beyond it are not).
+
+Procedures hold their reported sets in columns: an ``IntervalBatch`` (one
+interval per row) or a ``ClassBatch`` (one membership row per unit).  Each
+constraint judges a whole batch at once with ``admits``; the set objects are
+built from a batch only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -161,7 +166,6 @@ class IntervalUnion:
 
 PredictionSet = ClassSet | IntervalUnion
 
-EMPTY_CLASS_SET = ClassSet(())
 EMPTY_INTERVAL_UNION = IntervalUnion(())
 
 
@@ -178,18 +182,121 @@ def half_line_below(c: float) -> IntervalUnion:
     return interval(-math.inf, c, lower_open=True, upper_open=True)
 
 
-def set_contains(pset: PredictionSet, y) -> bool:
-    """Membership test respecting open/closed endpoints and label task type."""
-    return pset.contains(y)
+# ---------------------------------------------------------------------------
+# Set batches: one prediction set per row, held in columns
+# ---------------------------------------------------------------------------
 
 
-def set_measure(pset: PredictionSet) -> float:
-    """Cardinality for class sets, total Lebesgue length for interval unions."""
-    return pset.measure()
+@dataclass(frozen=True, eq=False)
+class IntervalBatch:
+    """One interval per row; every row is a valid ``Interval`` or has lower > upper (empty).
+
+    Row i is the set ``{y : lower[i] <(=) y <(=) upper[i]}``, with a strict
+    inequality at an open end.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    lower_open: np.ndarray
+    upper_open: np.ndarray
+
+    @classmethod
+    def from_radius(cls, mu, radius) -> "IntervalBatch":
+        """Closed residual sublevel intervals [mu - r, mu + r]: empty for r < 0, the open line for r = inf."""
+        mu, radius = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(radius, dtype=float))
+        empty = radius < 0.0
+        full = radius == math.inf
+        with np.errstate(invalid="ignore"):
+            lower = np.where(empty, math.inf, mu - radius)
+            upper = np.where(empty, -math.inf, mu + radius)
+        return cls(lower, upper, full, full)
+
+    @property
+    def nonempty(self) -> np.ndarray:
+        return self.lower <= self.upper
+
+    def covers(self, y) -> np.ndarray:
+        """Row i contains y[i], respecting open and closed ends."""
+        y = np.asarray(y)
+        if not np.issubdtype(y.dtype, np.floating):
+            raise TaskMismatchError(f"interval membership needs real (float) labels, got {y.dtype}")
+        above = (y > self.lower) | ((y == self.lower) & ~self.lower_open)
+        below = (y < self.upper) | ((y == self.upper) & ~self.upper_open)
+        return above & below
+
+    def measure(self) -> np.ndarray:
+        """Length per row; 0 for an empty row, inf for an unbounded one."""
+        return np.where(self.nonempty, self.upper - self.lower, 0.0)
+
+    def take(self, rows) -> "IntervalBatch":
+        return IntervalBatch(self.lower[rows], self.upper[rows], self.lower_open[rows], self.upper_open[rows])
+
+    def sets(self) -> tuple[IntervalUnion, ...]:
+        columns = (self.lower, self.upper, self.lower_open, self.upper_open)
+        return tuple(
+            interval(lo, up, lo_open, up_open) if lo <= up else EMPTY_INTERVAL_UNION
+            for lo, up, lo_open, up_open in zip(*(c.tolist() for c in columns))
+        )
 
 
-def is_empty_set(pset: PredictionSet) -> bool:
-    return pset.is_empty
+@dataclass(frozen=True, eq=False)
+class ClassBatch:
+    """One class set per row as an (m, K) membership mask; column k is class k + 1."""
+
+    member: np.ndarray
+
+    @classmethod
+    def from_radius(cls, probs, radius) -> "ClassBatch":
+        """Classes whose probability keeps 1 - p within the row's score radius."""
+        probs = np.atleast_2d(np.asarray(probs, dtype=float))
+        return cls(1.0 - probs <= np.reshape(np.asarray(radius, dtype=float), (-1, 1)))
+
+    @property
+    def nonempty(self) -> np.ndarray:
+        return self.member.any(axis=1)
+
+    def covers(self, y) -> np.ndarray:
+        """Row i contains class y[i]; labels outside 1..K are never covered."""
+        y = np.asarray(y)
+        if not np.issubdtype(y.dtype, np.integer):
+            raise TaskMismatchError(f"class set membership needs integer labels, got {y.dtype}")
+        n_classes = self.member.shape[1]
+        inside = (y >= 1) & (y <= n_classes)
+        return inside & self.member[np.arange(y.size), np.clip(y, 1, n_classes) - 1]
+
+    def measure(self) -> np.ndarray:
+        """Cardinality per row."""
+        return self.member.sum(axis=1).astype(float)
+
+    def take(self, rows) -> "ClassBatch":
+        return ClassBatch(self.member[rows])
+
+    def sets(self) -> tuple[ClassSet, ...]:
+        return tuple(ClassSet(tuple((np.flatnonzero(row) + 1).tolist())) for row in self.member)
+
+
+SetBatch = IntervalBatch | ClassBatch
+
+
+def _one_row_batch(pset: PredictionSet) -> SetBatch:
+    """A one-row batch judged like ``pset``: an interval union enters as its hull.
+
+    Every interval constraint reads only the lowest lower end and the highest
+    upper end of a sorted, disjoint union, so its hull is judged the same.
+    """
+    if isinstance(pset, ClassSet):
+        member = np.zeros((1, max(pset.members, default=0)), dtype=bool)
+        member[0, np.asarray(pset.members, dtype=int) - 1] = True
+        return ClassBatch(member)
+    if not pset.intervals:
+        return IntervalBatch.from_radius([0.0], [-1.0])  # one empty row
+    first, last = pset.intervals[0], pset.intervals[-1]
+    return IntervalBatch(
+        np.array([first.lower]),
+        np.array([last.upper]),
+        np.array([first.lower_open]),
+        np.array([last.upper_open]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +307,22 @@ def is_empty_set(pset: PredictionSet) -> bool:
 class InformativeConstraint(ABC):
     """Monotone predicate over prediction sets plus a score breakpoint.
 
-    ``contains`` must be monotone (admissibility is inherited by subsets) and
-    the empty set is always admissible.  ``breakpoint`` returns the largest
-    score radius whose sublevel set is still admissible, ``math.inf`` when no
-    radius ever violates the constraint, or ``None`` when no admissible
-    nonempty sublevel set exists at all.  ``breakpoints`` is the vectorized
-    form with NaN standing in for None.
+    Admissibility must be monotone (it is inherited by subsets) and the
+    empty set is always admissible.  ``admits`` judges every nonempty row of
+    a set batch at once (its value on an empty row is not part of the
+    contract); ``contains`` judges one set through it.  ``breakpoint``
+    returns the largest score radius whose sublevel set is still admissible,
+    ``math.inf`` when no radius ever violates the constraint, or ``None``
+    when no admissible nonempty sublevel set exists at all.  ``breakpoints``
+    is the vectorized form with NaN standing in for None.
     """
 
     @abstractmethod
-    def contains(self, pset: PredictionSet) -> bool:
+    def admits(self, batch: SetBatch) -> np.ndarray:
         ...
+
+    def contains(self, pset: PredictionSet) -> bool:
+        return bool(self.admits(_one_row_batch(pset))[0]) or pset.is_empty
 
     @abstractmethod
     def breakpoints(self, score, X: np.ndarray) -> np.ndarray:
@@ -222,10 +334,16 @@ class InformativeConstraint(ABC):
         return None if math.isnan(v) else v
 
 
-def _interval_lowers(pset: PredictionSet) -> list[tuple[float, bool]]:
-    if not isinstance(pset, IntervalUnion):
-        raise TaskMismatchError("interval constraint applied to a class set")
-    return [(iv.lower, iv.lower_open) for iv in pset.intervals]
+def _intervals(batch: SetBatch) -> IntervalBatch:
+    if not isinstance(batch, IntervalBatch):
+        raise TaskMismatchError("interval constraint applied to class sets")
+    return batch
+
+
+def _classes(batch: SetBatch) -> ClassBatch:
+    if not isinstance(batch, ClassBatch):
+        raise TaskMismatchError("class constraint applied to interval sets")
+    return batch
 
 
 def _require_residual_score(score, constraint_name: str):
@@ -250,8 +368,8 @@ def _require_class_prob_score(score, constraint_name: str):
 class PositiveInterval(InformativeConstraint):
     """Interval unions whose every interval has strictly positive lower endpoint."""
 
-    def contains(self, pset):
-        return all(lo > 0.0 for lo, _ in _interval_lowers(pset))
+    def admits(self, batch):
+        return _intervals(batch).lower > 0.0
 
     def breakpoints(self, score, X):
         mu = np.asarray(_require_residual_score(score, "PositiveInterval")(X), dtype=float)
@@ -264,8 +382,8 @@ class LowerBoundedInterval(InformativeConstraint):
 
     c: float
 
-    def contains(self, pset):
-        return all(lo >= self.c for lo, _ in _interval_lowers(pset))
+    def admits(self, batch):
+        return _intervals(batch).lower >= self.c
 
     def breakpoints(self, score, X):
         mu = np.asarray(_require_residual_score(score, "LowerBoundedInterval")(X), dtype=float)
@@ -279,11 +397,9 @@ class HalfLine(InformativeConstraint):
 
     c0: float
 
-    def contains(self, pset):
-        return all(
-            lo > self.c0 or (lo == self.c0 and lo_open)
-            for lo, lo_open in _interval_lowers(pset)
-        )
+    def admits(self, batch):
+        b = _intervals(batch)
+        return (b.lower > self.c0) | ((b.lower == self.c0) & b.lower_open)
 
     def breakpoints(self, score, X):
         mu = np.asarray(_require_residual_score(score, "HalfLine")(X), dtype=float)
@@ -302,20 +418,11 @@ class TargetHalfLines(InformativeConstraint):
         if self.c_l > self.c_u:
             raise ValueError("need c_l <= c_u")
 
-    def contains(self, pset):
-        if not isinstance(pset, IntervalUnion):
-            raise TaskMismatchError("interval constraint applied to a class set")
-        if pset.is_empty:
-            return True
-        below = all(
-            iv.upper < self.c_l or (iv.upper == self.c_l and iv.upper_open)
-            for iv in pset.intervals
-        )
-        above = all(
-            iv.lower > self.c_u or (iv.lower == self.c_u and iv.lower_open)
-            for iv in pset.intervals
-        )
-        return below or above
+    def admits(self, batch):
+        b = _intervals(batch)
+        below = (b.upper < self.c_l) | ((b.upper == self.c_l) & b.upper_open)
+        above = (b.lower > self.c_u) | ((b.lower == self.c_u) & b.lower_open)
+        return below | above
 
     def breakpoints(self, score, X):
         mu = np.asarray(_require_residual_score(score, "TargetHalfLines")(X), dtype=float)
@@ -333,10 +440,8 @@ class MaxSize(InformativeConstraint):
         if self.k0 < 1:
             raise ValueError("k0 must be >= 1")
 
-    def contains(self, pset):
-        if not isinstance(pset, ClassSet):
-            raise TaskMismatchError("class-size constraint applied to an interval union")
-        return len(pset.members) <= self.k0
+    def admits(self, batch):
+        return _classes(batch).member.sum(axis=1) <= self.k0
 
     def breakpoints(self, score, X):
         probs = np.asarray(_require_class_prob_score(score, "MaxSize")(X), dtype=float)
@@ -354,10 +459,10 @@ class SingletonClass(InformativeConstraint):
 
     y0: int
 
-    def contains(self, pset):
-        if not isinstance(pset, ClassSet):
-            raise TaskMismatchError("singleton constraint applied to an interval union")
-        return all(k == self.y0 for k in pset.members)
+    def admits(self, batch):
+        member = _classes(batch).member
+        others = np.arange(1, member.shape[1] + 1) != self.y0
+        return ~(member & others).any(axis=1)
 
     def breakpoints(self, score, X):
         probs = np.asarray(_require_class_prob_score(score, "SingletonClass")(X), dtype=float)
@@ -369,7 +474,7 @@ class SingletonClass(InformativeConstraint):
 
 
 # ---------------------------------------------------------------------------
-# Datasets and per-unit records
+# Datasets
 # ---------------------------------------------------------------------------
 
 REGRESSION = "regression"
@@ -433,34 +538,6 @@ class Dataset:
                 else:
                     row.append(str(int(self.y[i])))
                 fh.write(",".join(row) + "\n")
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """A labeled unit with its attached informative set and trust score."""
-
-    x: np.ndarray
-    y: float | int
-    pred_set: PredictionSet
-    trust: float
-
-    @property
-    def is_null(self) -> bool:
-        """True when the label falls outside the attached set."""
-        if self.pred_set.is_empty:
-            return True
-        return not set_contains(self.pred_set, self.y)
-
-
-@dataclass(frozen=True)
-class TestRecord:
-    """An unlabeled unit with its attached informative set and trust score."""
-
-    __test__ = False  # not a pytest collection target
-
-    x: np.ndarray
-    pred_set: PredictionSet
-    trust: float
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ method's output invariant to which other methods run alongside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,6 @@ from . import procedures
 from .conformal import AbsoluteResidual, OneMinusProb
 from .core import (
     CLASSIFICATION,
-    ClassSet,
     ConfigError,
     Dataset,
     HalfLine,
@@ -112,9 +111,6 @@ METHOD_IDS = {name: method.stream for name, method in METHODS.items()}
 STUDY_METHODS = {
     study: tuple(name for name, method in METHODS.items() if study in method.studies) for study in _STUDIES
 }
-REGRESSION_METHODS = STUDY_METHODS["regression"]
-CLASSIFICATION_METHODS = STUDY_METHODS["classification"]
-SYNTHETIC_METHODS = STUDY_METHODS["dti-like"]  # the cifar-like profile has all but infoscop
 
 _DATA_STREAM = 0
 _METHOD_STREAM = 1
@@ -132,7 +128,7 @@ def _run_methods(study: str, methods, splits: _Splits, rng: RngStream) -> dict[s
     for name in methods:
         method = METHODS[name]
         res = method.run(splits, rng.child(_METHOD_STREAM, method.stream))
-        out[name] = replication_metrics(res.reported, splits.test.y)
+        out[name] = replication_metrics(res.selected, res.sets, splits.test.y)
     return out
 
 
@@ -271,9 +267,10 @@ def containment_replication(
 
     Both methods run in their modified forms: the plain route cut at the
     shared truncation threshold, the truncated route with one shared tie
-    variable.  Containment is on reported (index, set) pairs; the shared
-    constructor makes the per-unit sets coincide, so index containment is the
-    binding part.
+    variable.  Containment is on reported (index, set) pairs: every plain
+    index must be reported by the truncated route with the same set (the
+    shared constructor makes the sets coincide, so index containment is the
+    binding part).
     """
     data, mu_hat = gen_regression(n_cal0 + n + m, eta, rng.child(_DATA_STREAM), noise_sd=noise_sd)
     cal0 = _slice(data.X, data.y, slice(0, n_cal0), REGRESSION)
@@ -287,9 +284,13 @@ def containment_replication(
     )
     plain = run_infosp_modified(cal, cal0, test, config)
     truncated = run_infosp_plus(cal, cal0, test, config, rng.child(_METHOD_STREAM))
-    plain_sets = dict(plain.reported)
-    trunc_sets = dict(truncated.reported)
-    return all(j in trunc_sets and trunc_sets[j] == pset for j, pset in plain_sets.items())
+    if not np.isin(plain.selected, truncated.selected).all():
+        return False
+    rows = np.searchsorted(truncated.selected, plain.selected)  # selected indices are sorted
+    trunc_sets = truncated.sets.take(rows)
+    return all(
+        np.array_equal(getattr(plain.sets, f.name), getattr(trunc_sets, f.name)) for f in fields(trunc_sets)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +455,8 @@ def check_selective_classification(seed_rng: RngStream, instances: int) -> Equiv
         )
         ref_all, ref_classes = zhao_su_select(labels[:n], probs[:n], probs[n:], alpha)
         same_sets = np.array_equal(ours_all.selected, ref_all)
-        same_classes = all(
-            pset == ClassSet((int(ref_classes[j]),)) for j, pset in ours_all.reported
-        )
+        expected = ref_classes[ours_all.selected, None] == np.arange(1, k + 1)
+        same_classes = np.array_equal(ours_all.sets.member, expected)
         if not (same_sets and same_classes):
             failures.append({"instance": i, "variant": "argmax", "alpha": alpha})
     return EquivalenceReport("selective-classification-references", instances, tuple(failures))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictionSet, ScipError, UndefinedMetricError, set_contains, set_measure
+from .core import ScipError, SetBatch, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -38,29 +38,19 @@ class AggregateMetrics:
     mfcr: float | None
 
 
-def _inverse_measure(pset: PredictionSet) -> float:
-    size = set_measure(pset)
-    if math.isinf(size):
-        return 0.0
-    if size == 0.0:
-        return math.inf
-    return 1.0 / size
-
-
-def replication_metrics(reported, truth) -> ReplicationMetrics:
-    """Score one replication's reported (index, set) pairs against the truth vector."""
+def replication_metrics(selected, sets: SetBatch, truth) -> ReplicationMetrics:
+    """Score one replication's reported sets against the truth; row i belongs to unit ``selected[i]``."""
+    selected = np.asarray(selected, dtype=int)
     truth = np.asarray(truth)
-    n_selected = len(reported)
-    n_false = 0
-    rpow = 0.0
-    for idx, pset in reported:
-        if not 0 <= idx < truth.shape[0]:
-            raise ScipError(f"no truth available for reported unit {idx}")
-        y = truth[idx]
-        label = int(y) if np.issubdtype(truth.dtype, np.integer) else float(y)
-        if not set_contains(pset, label):
-            n_false += 1
-        rpow += _inverse_measure(pset)
+    n_selected = int(selected.size)
+    outside = (selected < 0) | (selected >= truth.shape[0])
+    if outside.any():
+        raise ScipError(f"no truth available for reported unit {selected[np.argmax(outside)]}")
+    n_false = n_selected - int(np.count_nonzero(sets.covers(truth[selected])))
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / sets.measure()  # an unbounded set gives 0, a zero-length one inf
+    # a left-to-right sum: np.sum adds pairwise, which changes the last bits the CSV writes
+    rpow = float(np.cumsum(inverse)[-1]) if n_selected else 0.0
     fcp = n_false / max(1, n_selected)
     return ReplicationMetrics(fcp, float(n_selected), rpow, n_selected, n_false)
 

@@ -1,10 +1,10 @@
 """End-to-end selective prediction methods.
 
 Each ``run_*`` function takes frozen datasets plus a ProcedureConfig and
-returns a ProcedureOutput: the reported (test index, prediction set) pairs,
-the selected indices, and diagnostics.  Every reported set is checked against
-the active constraint before it leaves the procedure, and empty sets are never
-reported.
+returns a ProcedureOutput: the selected test indices, their reported sets as
+one column batch (``core.IntervalBatch`` or ``core.ClassBatch``), and
+diagnostics.  Every reported set is checked against the active constraint
+before it leaves the procedure, and empty sets are never reported.
 
 Methods
 -------
@@ -31,26 +31,22 @@ from .conformal import (
     ClippedScore,
     NonconformityScore,
     OneMinusProb,
-    class_set_from_radius,
     i_adjusted_pvalues,
-    interval_set_from_radius,
 )
 from .core import (
-    ClassSet,
+    ClassBatch,
     ConfigError,
     ConstraintViolationError,
     Dataset,
     HalfLine,
     InformativeConstraint,
-    LowerBoundedInterval,
+    IntervalBatch,
     MaxSize,
-    PositiveInterval,
     PredictionSet,
     RngStream,
+    SetBatch,
     SingletonClass,
     TargetHalfLines,
-    half_line_above,
-    half_line_below,
 )
 from .selection import (
     ScoredPool,
@@ -97,23 +93,40 @@ class ProcedureConfig:
 
 @dataclass(frozen=True)
 class ProcedureOutput:
-    """Reported sets for the selected test units plus run diagnostics."""
+    """The selected test units, the sets reported for them, and run diagnostics.
 
-    reported: tuple[tuple[int, PredictionSet], ...]
+    Row i of ``sets`` is the set reported for test unit ``selected[i]``;
+    ``reported`` builds the (index, set) objects when it is read.
+    """
+
     selected: np.ndarray
+    sets: SetBatch
     diagnostics: dict
 
     @property
+    def reported(self) -> tuple[tuple[int, PredictionSet], ...]:
+        return tuple(zip(self.selected.tolist(), self.sets.sets()))
+
+    @property
     def n_reported(self) -> int:
-        return len(self.reported)
+        return int(self.selected.size)
 
 
-def _check_reported(reported, constraint: InformativeConstraint | None):
-    for idx, pset in reported:
-        if pset.is_empty:
-            raise ConstraintViolationError(f"unit {idx}: empty set must not be reported")
-        if constraint is not None and not constraint.contains(pset):
-            raise ConstraintViolationError(f"unit {idx}: reported set violates the constraint")
+_NO_INTERVALS = IntervalBatch.from_radius(np.empty(0), np.empty(0))
+
+
+def _checked_output(
+    selected, sets: SetBatch, constraint: InformativeConstraint, diagnostics
+) -> ProcedureOutput:
+    """The output, once every reported set is known to be nonempty and admissible."""
+    checks = (
+        (~sets.nonempty, "empty set must not be reported"),
+        (~constraint.admits(sets), "reported set violates the constraint"),
+    )
+    for bad, why in checks:
+        if bad.any():
+            raise ConstraintViolationError(f"unit {selected[np.argmax(bad)]}: {why}")
+    return ProcedureOutput(selected, sets, diagnostics)
 
 
 def _require_residual(config: ProcedureConfig) -> AbsoluteResidual:
@@ -128,23 +141,20 @@ def _require_class_prob(config: ProcedureConfig) -> OneMinusProb:
     return config.score
 
 
-def _interval_lowers_uppers(mu: np.ndarray, radii: np.ndarray):
-    with np.errstate(invalid="ignore"):
-        return mu - radii, mu + radii
+def _sets_at_levels(score, cal_scores: CalibrationScores, X, levels) -> SetBatch:
+    """Level-q conformal sets {y : V(x, y) <= radius(q)}, one per row of X (q may be shared)."""
+    radii = cal_scores.score_radius(levels)
+    if isinstance(score, AbsoluteResidual):
+        return IntervalBatch.from_radius(score.mu_hat(X), radii)
+    if isinstance(score, OneMinusProb):
+        return ClassBatch.from_radius(score.p_hat(X), radii)
+    raise ConfigError("this method supports residual or class-probability scores")
 
 
-def _interval_admissible(constraint, mu: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Admissibility of the closed intervals [mu - r, mu + r] (empty ones excluded)."""
-    lower, upper = _interval_lowers_uppers(mu, radii)
-    if isinstance(constraint, PositiveInterval):
-        return lower > 0.0
-    if isinstance(constraint, LowerBoundedInterval):
-        return lower >= constraint.c
-    if isinstance(constraint, HalfLine):
-        return lower > constraint.c0
-    if isinstance(constraint, TargetHalfLines):
-        return (upper < constraint.c_l) | (lower > constraint.c_u)
-    raise ConfigError(f"no interval geometry for constraint {constraint!r}")
+def _half_lines(up: np.ndarray, c_below: float, c_above: float) -> IntervalBatch:
+    """(c_above, inf) where ``up``, else (-inf, c_below); both ends open."""
+    open_ends = np.ones(up.shape, dtype=bool)
+    return IntervalBatch(np.where(up, c_above, -np.inf), np.where(up, np.inf, c_below), open_ends, open_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -158,37 +168,10 @@ def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedure
     if score is None or constraint is None:
         raise ConfigError("naive needs a score and a constraint")
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
-    radius = cal_scores.score_radius(config.alpha)
-    if isinstance(score, AbsoluteResidual):
-        mu = np.asarray(score.mu_hat(test.X), dtype=float)
-        radii = np.full(test.n, radius)
-        keep = (radii >= 0.0) & _interval_admissible(constraint, mu, radii)
-        reported = tuple(
-            (int(j), interval_set_from_radius(float(mu[j]), float(radii[j])))
-            for j in np.flatnonzero(keep)
-        )
-    elif isinstance(score, OneMinusProb):
-        probs = np.asarray(score.p_hat(test.X), dtype=float)
-        member = 1.0 - probs <= radius
-        sizes = member.sum(axis=1)
-        keep = (sizes > 0) & _class_sizes_admissible(constraint, member, sizes)
-        reported = tuple(
-            (int(j), class_set_from_radius(probs[j], radius)) for j in np.flatnonzero(keep)
-        )
-    else:
-        raise ConfigError("naive supports residual or class-probability scores")
-    _check_reported(reported, constraint)
-    selected = np.array([j for j, _ in reported], dtype=int)
-    return ProcedureOutput(reported, selected, {"level": config.alpha, "radius": radius})
-
-
-def _class_sizes_admissible(constraint, member: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    if isinstance(constraint, MaxSize):
-        return sizes <= constraint.k0
-    if isinstance(constraint, SingletonClass):
-        only_target = member[:, constraint.y0 - 1] & (sizes == 1)
-        return only_target
-    raise ConfigError(f"no class geometry for constraint {constraint!r}")
+    sets = _sets_at_levels(score, cal_scores, test.X, config.alpha)
+    selected = np.flatnonzero(sets.nonempty & constraint.admits(sets))
+    diag = {"level": config.alpha, "radius": cal_scores.score_radius(config.alpha)}
+    return _checked_output(selected, sets.take(selected), constraint, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +199,9 @@ def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStrea
     pool = ScoredPool(v_cal, np.ones(cal.n, dtype=bool), v_test)
     pvals = generalized_conformal_pvalues(pool, config.tie_mode, rng)
     result = bh_select(pvals, config.alpha)
-    reported = tuple((int(j), half_line_above(c0)) for j in result.selected)
-    _check_reported(reported, constraint)
-    return ProcedureOutput(reported, result.selected, {"pvalues": pvals, "result": result, "big_m": big_m})
+    sets = _half_lines(np.ones(result.selected.size, dtype=bool), c0, c0)
+    diag = {"pvalues": pvals, "result": result, "big_m": big_m}
+    return _checked_output(result.selected, sets, constraint, diag)
 
 
 def _two_sided_pieces(score: AbsoluteResidual, constraint: TargetHalfLines, X, y=None):
@@ -246,25 +229,24 @@ def _select_half_lines(
     if isinstance(constraint, HalfLine):
         null = cal.y <= constraint.c0
         up_test = np.ones(test.n, dtype=bool)
-        above = below = half_line_above(constraint.c0)
+        c_below = c_above = constraint.c0
         if scorer is None:
             trust_cal = np.asarray(score.mu_hat(cal.X), dtype=float)
             trust_test = np.asarray(score.mu_hat(test.X), dtype=float)
     elif isinstance(constraint, TargetHalfLines):
         _, trust_cal, null = _two_sided_pieces(score, constraint, cal.X, cal.y)
         up_test, trust_test, _ = _two_sided_pieces(score, constraint, test.X)
-        above, below = half_line_above(constraint.c_u), half_line_below(constraint.c_l)
+        c_below, c_above = constraint.c_l, constraint.c_u
     else:
         raise ConfigError("cfbh+ needs a HalfLine or TargetHalfLines constraint")
     if scorer is not None:
         trust_cal, trust_test = scorer.predict(cal.X), scorer.predict(test.X)
     result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
-    reported = tuple((int(j), above if up_test[j] else below) for j in result.selected)
-    _check_reported(reported, constraint)
+    sets = _half_lines(up_test[result.selected], c_below, c_above)
     diag = {"pvalues": result.pvalues, "result": result}
     if scorer is not None:
         diag["scorer"] = scorer
-    return ProcedureOutput(reported, result.selected, diag)
+    return _checked_output(result.selected, sets, constraint, diag)
 
 
 def run_cfbh_plus(
@@ -299,37 +281,6 @@ def run_cfbh_plus_plus(
 # ---------------------------------------------------------------------------
 
 
-def _sets_at_levels(score, cal_scores: CalibrationScores, X, levels):
-    """CP-truncated constructor: per-unit conformal sets (radii plus task pieces) at per-unit levels."""
-    radii = np.asarray(cal_scores.score_radius(np.asarray(levels, dtype=float)))
-    if isinstance(score, AbsoluteResidual):
-        mu = np.asarray(score.mu_hat(X), dtype=float)
-        nonempty = radii >= 0.0
-        return {"radii": radii, "mu": mu, "nonempty": nonempty}
-    probs = np.asarray(score.p_hat(X), dtype=float)
-    member = 1.0 - probs <= radii[:, None]
-    sizes = member.sum(axis=1)
-    return {"radii": radii, "probs": probs, "member": member, "nonempty": sizes > 0, "sizes": sizes}
-
-
-def _covered(score, pieces, y) -> np.ndarray:
-    if isinstance(score, AbsoluteResidual):
-        return np.abs(np.asarray(y, dtype=float) - pieces["mu"]) <= pieces["radii"]
-    rows = np.arange(len(y))
-    return pieces["member"][rows, np.asarray(y) - 1]
-
-
-def _reported_from_pieces(score, pieces, selected) -> tuple:
-    out = []
-    for j in selected:
-        j = int(j)
-        if isinstance(score, AbsoluteResidual):
-            out.append((j, interval_set_from_radius(float(pieces["mu"][j]), float(pieces["radii"][j]))))
-        else:
-            out.append((j, class_set_from_radius(pieces["probs"][j], float(pieces["radii"][j]))))
-    return tuple(out)
-
-
 def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """BH over the test units' I-adjusted p-values; sets at the common BH level."""
     score, constraint = config.score, config.constraint
@@ -339,13 +290,9 @@ def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedur
     q = i_adjusted_pvalues(test.X, cal_scores, score, constraint)
     result = bh_select(q, config.alpha)
     tau = result.threshold_alpha_hat
-    if result.k_hat == 0:
-        return ProcedureOutput((), np.array([], dtype=int), {"q": q, "tau": tau})
-    pieces = _sets_at_levels(score, cal_scores, test.X, np.full(test.n, tau))
-    keep = result.selected[pieces["nonempty"][result.selected]]
-    reported = _reported_from_pieces(score, pieces, keep)
-    _check_reported(reported, constraint)
-    return ProcedureOutput(reported, keep, {"q": q, "tau": tau})
+    sets = _sets_at_levels(score, cal_scores, test.X, tau)
+    keep = result.selected[sets.nonempty[result.selected]]
+    return _checked_output(keep, sets.take(keep), constraint, {"q": q, "tau": tau})
 
 
 def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
@@ -370,22 +317,21 @@ def _infosp_plus_core(
 ):
     """Shared pipeline: truncated levels, per-unit sets, trust, generalized selection.
 
-    ``truncation`` is the output of ``_truncation``; ``trust_override(pieces,
-    X_all)`` replaces the default one-minus-level trust when the
-    estimated-oracle variant runs.
+    The CP-truncated constructor gives each pooled unit its level-q_plus
+    conformal set (``_sets_at_levels``), q_plus = max(q0, tau0).  ``truncation`` is the output of
+    ``_truncation``; ``trust_override(sets, X_all)`` replaces the default
+    one-minus-level trust when the estimated-oracle variant runs.
     """
-    score = config.score
     cal0_scores, X_all, q0, tau0 = truncation
     n = cal.n
     q_plus = np.maximum(q0, tau0)
-    pieces = _sets_at_levels(score, cal0_scores, X_all, q_plus)
-    nonempty = pieces["nonempty"]
+    sets = _sets_at_levels(config.score, cal0_scores, X_all, q_plus)
+    nonempty = sets.nonempty
     if trust_override is None:
         trust = np.where(nonempty, 1.0 - q_plus, 0.0)
     else:
-        trust = np.where(nonempty, trust_override(pieces, X_all), 0.0)
-    covered_cal = _covered(score, _slice_pieces(pieces, slice(0, n)), cal.y)
-    null = ~(covered_cal & nonempty[:n])
+        trust = np.where(nonempty, trust_override(sets, X_all), 0.0)
+    null = ~sets.take(slice(0, n)).covers(cal.y)  # an empty set covers nothing
     result = scip_select_arrays(
         trust[:n],
         null,
@@ -396,8 +342,6 @@ def _infosp_plus_core(
         test_eligible=nonempty[n:],
         shrink_m=config.shrink_m,
     )
-    reported = _reported_from_pieces(score, _slice_pieces(pieces, slice(n, None)), result.selected)
-    _check_reported(reported, config.constraint)
     diag = {
         "q0": q0,
         "tau0": tau0,
@@ -406,11 +350,7 @@ def _infosp_plus_core(
         "result": result,
         "trust": trust,
     }
-    return ProcedureOutput(reported, result.selected, diag)
-
-
-def _slice_pieces(pieces, sl):
-    return {k: v[sl] for k, v in pieces.items()}
+    return _checked_output(result.selected, sets.take(n + result.selected), config.constraint, diag)
 
 
 def run_infosp_plus(
@@ -434,8 +374,8 @@ def run_infosp_plus_plus(
     regression trains a coverage classifier on the disjoint training sample.
     """
     if isinstance(config.score, OneMinusProb):
-        def trust_override(pieces, X_all):
-            return class_membership_trust(pieces["probs"], pieces["member"])
+        def trust_override(sets, X_all):
+            return class_membership_trust(config.score.p_hat(X_all), sets.member)
 
         truncation = _truncation(cal, cal0, test, config)
         return _infosp_plus_core(cal, test, config, rng, truncation, trust_override)
@@ -445,14 +385,14 @@ def run_infosp_plus_plus(
     truncation = _truncation(cal, cal0, test, config)
     cal0_scores, _, _, tau0 = truncation
     q0_train = i_adjusted_pvalues(train.X, cal0_scores, score, config.constraint)
-    pieces_train = _sets_at_levels(score, cal0_scores, train.X, np.maximum(q0_train, tau0))
-    pos = _covered(score, pieces_train, train.y) & pieces_train["nonempty"]
+    train_sets = _sets_at_levels(score, cal0_scores, train.X, np.maximum(q0_train, tau0))
+    pos = train_sets.covers(train.y)
     labels = np.where(pos, 1, -1)
     scorer = train_trust_classifier(
         train.X, labels, lam=config.lam, config=config.optimizer, feature_degree=config.feature_degree
     )
 
-    def trust_override(pieces, X_all):
+    def trust_override(sets, X_all):
         return scorer.predict(X_all)
 
     return _infosp_plus_core(cal, test, config, rng, truncation, trust_override)
@@ -467,15 +407,12 @@ def run_infosp_modified(
     puts it on equal footing with the truncated-level method for containment
     checks.
     """
-    score = config.score
     cal0_scores, _, q0, tau0 = _truncation(cal, cal0, test, config)
     q0_test = q0[cal.n :]
     selected = np.flatnonzero(q0_test <= tau0) if tau0 > 0.0 else np.array([], dtype=int)
-    pieces = _sets_at_levels(score, cal0_scores, test.X, np.full(test.n, tau0))
-    keep = selected[pieces["nonempty"][selected]]
-    reported = _reported_from_pieces(score, pieces, keep)
-    _check_reported(reported, config.constraint)
-    return ProcedureOutput(reported, keep, {"q0": q0, "tau0": tau0})
+    sets = _sets_at_levels(config.score, cal0_scores, test.X, tau0)
+    keep = selected[sets.nonempty[selected]]
+    return _checked_output(keep, sets.take(keep), config.constraint, {"q0": q0, "tau0": tau0})
 
 
 def run_infoscop(
@@ -499,20 +436,17 @@ def run_infoscop(
     stage1 = run_cfbh(cal_a, test, screen_cfg, rng)
     survivors = stage1.selected
     if survivors.size == 0:
-        return ProcedureOutput((), np.array([], dtype=int), {"survivors": survivors})
+        return ProcedureOutput(survivors, _NO_INTERVALS, {"survivors": survivors})
     mu_test = np.asarray(score.mu_hat(test.X), dtype=float)
     tau_trust = float(mu_test[survivors].min())
     keep_cal = np.asarray(score.mu_hat(cal_b.X), dtype=float) >= tau_trust
     if not keep_cal.any():
-        return ProcedureOutput((), np.array([], dtype=int), {"survivors": survivors})
+        return ProcedureOutput(survivors[:0], _NO_INTERVALS, {"survivors": survivors})
     sub_cal = Dataset(cal_b.X[keep_cal], cal_b.y[keep_cal], cal_b.task)
     sub_test = Dataset(test.X[survivors], None if test.y is None else test.y[survivors], test.task)
-    stage2 = run_infosp(sub_cal, sub_test, config)
-    reported = tuple((int(survivors[j]), pset) for j, pset in stage2.reported)
-    _check_reported(reported, config.constraint)
-    selected = np.array([j for j, _ in reported], dtype=int)
+    stage2 = run_infosp(sub_cal, sub_test, config)  # checks every reported set
     diag = {"survivors": survivors, "trust_threshold": tau_trust, "stage2": stage2.diagnostics}
-    return ProcedureOutput(reported, selected, diag)
+    return ProcedureOutput(survivors[stage2.selected], stage2.sets, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +484,5 @@ def run_selective_classification(
     result = scip_select_arrays(
         trust_cal, null, trust_test, config.alpha, TieMode.DETERMINISTIC, rng=None
     )
-    reported = tuple((int(j), ClassSet((int(classes_test[j]),))) for j in result.selected)
-    _check_reported(reported, constraint)
-    return ProcedureOutput(reported, result.selected, {"result": result, "classes": classes_test})
+    sets = ClassBatch(classes_test[result.selected, None] == np.arange(1, probs_test.shape[1] + 1))
+    return _checked_output(result.selected, sets, constraint, {"result": result, "classes": classes_test})

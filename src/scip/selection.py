@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CalibrationRecord,
-    PredictionSet,
-    RngStream,
-    TestRecord,
-    is_empty_set,
-)
+from .core import RngStream
 
 
 class TieMode(enum.Enum):
@@ -188,14 +182,6 @@ def counting_knockoff_select(
     )
 
 
-@dataclass(frozen=True)
-class ScipSelection:
-    """Selection result plus the reported prediction sets for selected units."""
-
-    result: SelectionResult
-    reported: tuple[tuple[int, PredictionSet], ...]
-
-
 def scip_select_arrays(
     cal_trust,
     cal_null,
@@ -225,29 +211,3 @@ def scip_select_arrays(
         inner = bh_select(pvals[idx], alpha)
         return SelectionResult(idx[inner.selected], inner.threshold_alpha_hat, pvals, inner.k_hat)
     return bh_select(pvals, alpha)
-
-
-def scip_select(
-    cal: list[CalibrationRecord],
-    test: list[TestRecord],
-    alpha: float,
-    tie_mode: TieMode = TieMode.PER_UNIT,
-    rng: RngStream | None = None,
-    shrink_m: bool = False,
-) -> ScipSelection:
-    """End-to-end selector over per-unit records; reports the selected units' sets."""
-    for rec in cal + test:
-        if is_empty_set(rec.pred_set) and rec.trust != 0.0:
-            raise ValueError("empty informative sets must carry trust 0")
-    result = scip_select_arrays(
-        np.array([r.trust for r in cal]),
-        np.array([r.is_null for r in cal]),
-        np.array([r.trust for r in test]),
-        alpha,
-        tie_mode,
-        rng,
-        test_eligible=np.array([not is_empty_set(r.pred_set) for r in test]),
-        shrink_m=shrink_m,
-    )
-    reported = tuple((int(j), test[int(j)].pred_set) for j in result.selected)
-    return ScipSelection(result, reported)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scip.cli import (
@@ -176,3 +178,66 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "cli" / "per_replication.csv").exists()
     assert (tmp_path / "cli" / "aggregate.csv").exists()
+
+
+def test_unknown_profile_is_a_config_error(tmp_path, capsys):
+    code = main(
+        [
+            "--experiment", "synthetic-real", "--out", str(tmp_path / "syn"),
+            "--set", "profile=foo", "--set", "reps=1", "--set", "n=10", "--set", "m=5",
+        ]
+    )
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_method_outside_the_profile_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="infoscop"):
+        build_config({"experiment": "synthetic-real", "profile": "cifar-like", "methods": "naive,infoscop"})
+    code = main(
+        [
+            "--experiment", "synthetic-real", "--out", str(tmp_path / "syn"),
+            "--set", "profile=cifar-like", "--set", "methods=naive,infoscop",
+            "--set", "reps=1", "--set", "n=10", "--set", "m=5",
+        ]
+    )
+    assert code == 2
+    assert "infoscop" in capsys.readouterr().err
+    assert not (tmp_path / "syn").exists()
+
+
+# SHA-256 of (per_replication.csv, aggregate.csv), recorded when the reported
+# sets were still built and scored one object at a time.  These methods and the
+# dti-like profile use no matrix products or trained scorers, so the bytes do
+# not depend on the BLAS.
+_PINNED_SWEEPS = (
+    (
+        ExperimentConfig(
+            experiment="regression-sweep",
+            methods=("naive", "cfbh", "cfbh+", "infosp", "infosp+", "infoscop"),
+            n=200, m=100, reps=3, alphas=(0.2,), etas=(0.0, 1.5), seed=11,
+        ),
+        (
+            "12270d900ceb51695a950e01334a6906651e1743b1c4fd7c4e24e1172fe15573",
+            "839570a68eb7009c3fdc49cd2c8468ff4eb8a24445e33d36b5486c29abfd3930",
+        ),
+    ),
+    (
+        ExperimentConfig(
+            experiment="synthetic-real",
+            methods=("naive", "infosp", "infosp+", "infoscop"),
+            profile="dti-like", n=400, m=200, reps=3, alphas=(0.3,), seed=11,
+        ),
+        (
+            "ac09282698f2571c05cdbbf5728b3f4975b67928fb353c4fd761c981cce26033",
+            "a6a7ed899915928ac732e5e10df9b41751d5d3f9e7005ffbb63a10fb40885810",
+        ),
+    ),
+)
+
+
+def test_csv_bytes_pinned(tmp_path):
+    for config, expected in _PINNED_SWEEPS:
+        paths = run_experiment(config, tmp_path / config.experiment)
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+        assert digests == expected, config.experiment

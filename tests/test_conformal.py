@@ -16,7 +16,7 @@ from scip.conformal import (
     i_adjusted_pvalues,
     truncated_i_adjusted_pvalue,
 )
-from scip.core import MaxSize, PositiveInterval, set_contains
+from scip.core import MaxSize, PositiveInterval
 
 
 def _const_mu(value):
@@ -43,14 +43,14 @@ def test_membership_counts_match_spec_fixture():
     low = conformal_prediction_set(X0, cal, score, 0.4, RealLine())
     high = conformal_prediction_set(X0, cal, score, 0.6, RealLine())
     y = 4.0  # residual 2.5: rank ratio 3/5
-    assert set_contains(low, y) is True
-    assert set_contains(high, y) is False
+    assert low.contains(y) is True
+    assert high.contains(y) is False
 
 
 def test_level_zero_gives_full_label_space():
     cal = CalibrationScores([1.0, 2.0])
     full = conformal_prediction_set(X0, cal, AbsoluteResidual(_const_mu(0.0)), 0.0, RealLine())
-    assert set_contains(full, 1e12) and set_contains(full, -1e12)
+    assert full.contains(1e12) and full.contains(-1e12)
     all_classes = conformal_prediction_set(
         X0, CalibrationScores([0.1, 0.2]), OneMinusProb(_const_probs([0.7, 0.2, 0.1])), 0.0, ClassLabels(3)
     )
@@ -81,7 +81,7 @@ def test_set_membership_matches_brute_force_counts():
         pset = conformal_prediction_set(X0, cal, score, q, RealLine())
         ys = mu + np.concatenate([gen.normal(0, 2, 8), gen.integers(0, 33, 4) / 8.0])
         expected = _brute_force_set_members(cal_vals, np.abs(ys - mu), q)
-        got = [set_contains(pset, float(y)) for y in ys]
+        got = [pset.contains(float(y)) for y in ys]
         assert got == expected
 
 
@@ -206,4 +206,4 @@ def test_clipped_score_sets():
     cal = CalibrationScores([0.5, 0.7, -19.0, -19.5])
     # mid levels keep only the above-threshold half line
     pset = conformal_prediction_set(X0, cal, clipped, 0.5, RealLine())
-    assert set_contains(pset, 0.5) and not set_contains(pset, -0.5) and not set_contains(pset, 0.0)
+    assert pset.contains(0.5) and not pset.contains(-0.5) and not pset.contains(0.0)

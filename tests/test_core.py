@@ -6,10 +6,12 @@ import pytest
 
 from scip.conformal import AbsoluteResidual, OneMinusProb
 from scip.core import (
+    ClassBatch,
     ClassSet,
     Dataset,
     HalfLine,
     Interval,
+    IntervalBatch,
     IntervalUnion,
     LowerBoundedInterval,
     MaxSize,
@@ -20,38 +22,36 @@ from scip.core import (
     TaskMismatchError,
     half_line_above,
     interval,
-    set_contains,
-    set_measure,
 )
 
 
 def test_open_endpoint_excludes_boundary():
-    assert set_contains(half_line_above(2.0), 2.0) is False
-    assert set_contains(half_line_above(2.0), 2.0001) is True
+    assert half_line_above(2.0).contains(2.0) is False
+    assert half_line_above(2.0).contains(2.0001) is True
 
 
 def test_class_membership():
-    assert set_contains(ClassSet((1, 3)), 3) is True
-    assert set_contains(ClassSet((1, 3)), 2) is False
+    assert ClassSet((1, 3)).contains(3) is True
+    assert ClassSet((1, 3)).contains(2) is False
 
 
 def test_closed_endpoint_includes_boundary():
-    assert set_contains(interval(0.5, 2.5), 0.5) is True
+    assert interval(0.5, 2.5).contains(0.5) is True
 
 
 def test_measures():
-    assert set_measure(ClassSet((1, 2))) == 2
-    assert set_measure(interval(0.5, 2.5)) == 2.0
-    assert set_measure(ClassSet(())) == 0
-    assert set_measure(IntervalUnion(())) == 0
-    assert math.isinf(set_measure(half_line_above(0.0)))
+    assert ClassSet((1, 2)).measure() == 2
+    assert interval(0.5, 2.5).measure() == 2.0
+    assert ClassSet(()).measure() == 0
+    assert IntervalUnion(()).measure() == 0
+    assert math.isinf(half_line_above(0.0).measure())
 
 
 def test_task_mismatch_errors():
     with pytest.raises(TaskMismatchError):
-        set_contains(interval(0.0, 1.0), 1)  # integer label against an interval union
+        interval(0.0, 1.0).contains(1)  # integer label against an interval union
     with pytest.raises(TaskMismatchError):
-        set_contains(ClassSet((1, 2)), 1.5)
+        ClassSet((1, 2)).contains(1.5)
 
 
 def test_interval_invariants():
@@ -96,7 +96,7 @@ def test_contains_agrees_with_rational_oracle():
             (y_frac > lo if lo_open else y_frac >= lo) and (y_frac < up if up_open else y_frac <= up)
             for lo, up, lo_open, up_open in fracs
         )
-        assert set_contains(union, y) == oracle
+        assert union.contains(y) == oracle
 
 
 def _random_subset_interval(gen, union: IntervalUnion):
@@ -110,6 +110,124 @@ def _random_subset_interval(gen, union: IntervalUnion):
         if lo < up:
             kept.append(Interval(lo, up, bool(gen.integers(2)), bool(gen.integers(2))))
     return IntervalUnion(tuple(kept))
+
+
+def _per_interval_contains(constraint, pset) -> bool:
+    """Admissibility by the per-interval (per-member) rule of each constraint's definition."""
+    if isinstance(constraint, PositiveInterval):
+        return all(iv.lower > 0.0 for iv in pset.intervals)
+    if isinstance(constraint, LowerBoundedInterval):
+        return all(iv.lower >= constraint.c for iv in pset.intervals)
+    if isinstance(constraint, HalfLine):
+        return all(
+            iv.lower > constraint.c0 or (iv.lower == constraint.c0 and iv.lower_open) for iv in pset.intervals
+        )
+    if isinstance(constraint, TargetHalfLines):
+        c_l, c_u = constraint.c_l, constraint.c_u
+        below = all(iv.upper < c_l or (iv.upper == c_l and iv.upper_open) for iv in pset.intervals)
+        above = all(iv.lower > c_u or (iv.lower == c_u and iv.lower_open) for iv in pset.intervals)
+        return below or above
+    if isinstance(constraint, MaxSize):
+        return len(pset.members) <= constraint.k0
+    return all(k == constraint.y0 for k in pset.members)
+
+
+def test_contains_matches_per_interval_rules():
+    """An interval union judged through its hull agrees with the rule applied to every interval."""
+    gen = np.random.default_rng(4258)
+    for _ in range(6000):
+        union, _ = _rational_union(gen, int(gen.integers(0, 4)))
+        c_l, c_u = sorted(int(v) / 8.0 for v in gen.integers(-44, 45, size=2))
+        for constraint in (
+            PositiveInterval(),
+            LowerBoundedInterval(c_l),
+            HalfLine(c_u),
+            TargetHalfLines(c_l, c_u),
+        ):
+            assert constraint.contains(union) == _per_interval_contains(constraint, union)
+        with pytest.raises(TaskMismatchError):
+            MaxSize(2).contains(union)
+    for _ in range(3000):
+        members = sorted(gen.choice(np.arange(1, 7), size=int(gen.integers(0, 5)), replace=False))
+        cset = ClassSet(tuple(int(k) for k in members))
+        for constraint in (MaxSize(int(gen.integers(1, 4))), SingletonClass(int(gen.integers(1, 8)))):
+            assert constraint.contains(cset) == _per_interval_contains(constraint, cset)
+        with pytest.raises(TaskMismatchError):
+            PositiveInterval().contains(cset)
+
+
+def _random_interval_rows(gen, m):
+    """Rows with open and closed ends, zero-length, infinite and empty rows, on a 1/4 grid."""
+    lower = gen.integers(-8, 9, m) / 4.0
+    upper = lower + gen.integers(0, 5, m) / 4.0
+    lower_open = gen.random(m) < 0.5
+    upper_open = gen.random(m) < 0.5
+    point = lower == upper
+    lower_open[point] = upper_open[point] = False  # a single point must be closed
+    inf_lo, inf_up = gen.random(m) < 0.15, gen.random(m) < 0.15
+    lower[inf_lo], lower_open[inf_lo] = -np.inf, True
+    upper[inf_up], upper_open[inf_up] = np.inf, True
+    empty = gen.random(m) < 0.2
+    lower[empty], upper[empty] = upper[empty] + 0.25, lower[empty] - gen.integers(0, 3, empty.sum()) / 4.0
+    lower[empty & (gen.random(m) < 0.3)] = np.inf
+    return IntervalBatch(lower, upper, lower_open, upper_open)
+
+
+def test_interval_batch_matches_its_sets():
+    gen = np.random.default_rng(4259)
+    for _ in range(200):
+        m = int(gen.integers(0, 30))
+        batch = _random_interval_rows(gen, m)
+        sets = batch.sets()
+        assert len(sets) == m
+        y = gen.integers(-12, 13, m) / 4.0
+        y[gen.random(m) < 0.05] = np.inf
+        assert batch.covers(y).tolist() == [pset.contains(float(v)) for pset, v in zip(sets, y)]
+        assert batch.measure().tolist() == [pset.measure() for pset in sets]
+        assert batch.nonempty.tolist() == [not pset.is_empty for pset in sets]
+        rows = gen.permutation(m)[: m // 2]
+        assert batch.take(rows).sets() == tuple(sets[j] for j in rows)
+    with pytest.raises(TaskMismatchError):
+        _random_interval_rows(gen, 3).covers(np.array([1, 2, 3]))
+
+
+def test_interval_batch_from_radius():
+    """[mu - r, mu + r] for finite r >= 0, the open line at r = inf, empty for r < 0."""
+    mu = np.array([0.5, -1.0, 2.0, 3.0, 0.0, 1.5])
+    radius = np.array([0.25, 0.0, math.inf, -0.5, -math.inf, 1e-300])
+    expected = (
+        interval(0.25, 0.75),
+        interval(-1.0, -1.0),
+        interval(-math.inf, math.inf, lower_open=True, upper_open=True),
+        IntervalUnion(()),
+        IntervalUnion(()),
+        interval(1.5 - 1e-300, 1.5 + 1e-300),
+    )
+    batch = IntervalBatch.from_radius(mu, radius)
+    assert batch.sets() == expected
+    assert batch.nonempty.tolist() == [True, True, True, False, False, True]
+    shared = IntervalBatch.from_radius(mu[:2], 0.25)
+    assert shared.sets() == (interval(0.25, 0.75), interval(-1.25, -0.75))
+
+
+def test_class_batch_matches_its_sets():
+    gen = np.random.default_rng(4260)
+    for _ in range(200):
+        m, k = int(gen.integers(0, 30)), int(gen.integers(1, 6))
+        batch = ClassBatch(gen.random((m, k)) < 0.4)
+        sets = batch.sets()
+        y = gen.integers(1, k + 1, m)
+        assert batch.covers(y).tolist() == [pset.contains(int(v)) for pset, v in zip(sets, y)]
+        assert batch.measure().tolist() == [pset.measure() for pset in sets]
+        assert batch.nonempty.tolist() == [not pset.is_empty for pset in sets]
+        probs = gen.dirichlet(np.ones(k), m)
+        radius = gen.choice([-math.inf, 0.2, 0.5, 0.9, math.inf], m)
+        built = ClassBatch.from_radius(probs, radius).sets()
+        assert built == tuple(
+            ClassSet(tuple(int(c) + 1 for c in np.flatnonzero(1.0 - p <= r))) for p, r in zip(probs, radius)
+        )
+    with pytest.raises(TaskMismatchError):
+        ClassBatch(np.ones((2, 3), dtype=bool)).covers(np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize(

@@ -1,40 +1,65 @@
 import numpy as np
 import pytest
 
-from scip.core import ClassSet, ScipError, UndefinedMetricError, half_line_above, interval
+from scip.core import ClassBatch, IntervalBatch, ScipError, UndefinedMetricError
 from scip.metrics import ReplicationMetrics, aggregate, mfcr_estimate, replication_metrics
 
 
+def _closed(lower, upper) -> IntervalBatch:
+    closed = np.zeros(len(lower), dtype=bool)
+    return IntervalBatch(np.array(lower, dtype=float), np.array(upper, dtype=float), closed, closed)
+
+
 def test_hit_miss_counting():
-    reported = [(0, interval(0.0, 1.0)), (1, interval(2.0, 3.0)), (2, interval(-1.0, 0.5))]
+    sets = _closed([0.0, 2.0, -1.0], [1.0, 3.0, 0.5])
     truth = np.array([0.5, 5.0, 0.0])
-    m = replication_metrics(reported, truth)
+    m = replication_metrics(np.array([0, 1, 2]), sets, truth)
     assert m.fcp == pytest.approx(1 / 3)
     assert m.cpow == 3
     assert m.n_false == 1
 
 
 def test_empty_report_conventions():
-    m = replication_metrics([], np.array([1.0, 2.0]))
+    m = replication_metrics(np.array([], dtype=int), _closed([], []), np.array([1.0, 2.0]))
     assert m.fcp == 0.0 and m.cpow == 0.0 and m.rpow == 0.0
 
 
 def test_rpow_reciprocal_sizes():
-    reported = [(0, ClassSet((1,))), (1, ClassSet((1, 2))), (2, ClassSet((3, 4)))]
+    member = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)  # {1}, {1, 2}, {3, 4}
     truth = np.array([1, 1, 3])
-    m = replication_metrics(reported, truth)
+    m = replication_metrics(np.array([0, 1, 2]), ClassBatch(member), truth)
     assert m.rpow == pytest.approx(1.0 + 0.5 + 0.5)
 
 
 def test_rpow_unbounded_sets_contribute_zero():
-    reported = [(0, half_line_above(0.0)), (1, interval(0.0, 2.0))]
+    sets = IntervalBatch(np.array([0.0, 0.0]), np.array([np.inf, 2.0]), np.array([True, False]),
+                         np.array([True, False]))  # (0, inf) and [0, 2]
     truth = np.array([1.0, 1.0])
-    assert replication_metrics(reported, truth).rpow == pytest.approx(0.5)
+    assert replication_metrics(np.array([0, 1]), sets, truth).rpow == pytest.approx(0.5)
+
+
+def test_batch_scores_match_the_per_set_loop():
+    """Hit counts and rpow equal a left-to-right loop over the set objects, bit for bit."""
+    gen = np.random.default_rng(5)
+    for _ in range(300):
+        m = int(gen.integers(0, 25))
+        mu = gen.normal(size=m)
+        radius = np.where(gen.random(m) < 0.7, 2.0 * gen.random(m), gen.choice([-1.0, 0.0, np.inf], m))
+        sets = IntervalBatch.from_radius(mu, radius)
+        selected = gen.permutation(40)[:m]
+        truth = gen.normal(size=40)
+        n_false, rpow = 0, 0.0
+        for j, pset in zip(selected, sets.sets()):
+            n_false += not pset.contains(float(truth[j]))
+            size = pset.measure()
+            rpow += 0.0 if np.isinf(size) else (np.inf if size == 0.0 else 1.0 / size)
+        got = replication_metrics(selected, sets, truth)
+        assert (got.n_false, got.n_selected, got.rpow) == (n_false, m, rpow)
 
 
 def test_missing_truth_is_an_error():
     with pytest.raises(ScipError):
-        replication_metrics([(3, interval(0.0, 1.0))], np.array([1.0]))
+        replication_metrics(np.array([3]), _closed([0.0], [1.0]), np.array([1.0]))
 
 
 def test_mfcr_vs_mean_of_ratios():

@@ -11,9 +11,13 @@ from scip.conformal import (
 )
 from scip.core import (
     CLASSIFICATION,
+    ClassBatch,
+    ClassSet,
     ConfigError,
+    ConstraintViolationError,
     Dataset,
     HalfLine,
+    IntervalBatch,
     MaxSize,
     PositiveInterval,
     REGRESSION,
@@ -25,6 +29,7 @@ from scip.core import (
 )
 from scip.procedures import (
     ProcedureConfig,
+    _checked_output,
     run_cfbh,
     run_cfbh_plus,
     run_cfbh_plus_plus,
@@ -344,3 +349,25 @@ def test_same_seed_same_output():
     assert np.array_equal(a.selected, b.selected)
     assert a.reported == b.reported
     assert np.array_equal(a.diagnostics["pvalues"], b.diagnostics["pvalues"])
+
+
+def test_reported_set_check_rejects_empty_rows():
+    closed = np.zeros(2, dtype=bool)
+    sets = IntervalBatch(np.array([1.0, 2.0]), np.array([2.0, 1.0]), closed, closed)  # row 1 is empty
+    with pytest.raises(ConstraintViolationError, match="unit 7: empty set"):
+        _checked_output(np.array([3, 7]), sets, PositiveInterval(), {})
+    member = np.array([[True, False, False], [False, False, False]])
+    with pytest.raises(ConstraintViolationError, match="unit 7: empty set"):
+        _checked_output(np.array([3, 7]), ClassBatch(member), MaxSize(2), {})
+
+
+def test_reported_set_check_rejects_inadmissible_rows():
+    closed = np.zeros(2, dtype=bool)
+    sets = IntervalBatch(np.array([1.0, -0.5]), np.array([2.0, 1.0]), closed, closed)
+    with pytest.raises(ConstraintViolationError, match="unit 7: reported set violates"):
+        _checked_output(np.array([3, 7]), sets, PositiveInterval(), {})
+    member = np.array([[True, False, False], [True, True, True]])
+    with pytest.raises(ConstraintViolationError, match="unit 7: reported set violates"):
+        _checked_output(np.array([3, 7]), ClassBatch(member), MaxSize(2), {})
+    out = _checked_output(np.array([3]), ClassBatch(member[:1]), MaxSize(2), {})
+    assert out.reported == ((3, ClassSet((1,))),)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scip.core import CalibrationRecord, ClassSet, RngStream, TestRecord, half_line_above
+from scip.core import RngStream
 from scip.selection import (
     ScoredPool,
     TieMode,
@@ -11,7 +11,6 @@ from scip.selection import (
     counting_knockoff_fdp,
     counting_knockoff_select,
     generalized_conformal_pvalues,
-    scip_select,
     scip_select_arrays,
     self_consistent_select,
 )
@@ -143,28 +142,6 @@ def test_knockoff_rejects_per_unit_ties():
     pool = _pool([0.5], [True], [0.5])
     with pytest.raises(ValueError):
         counting_knockoff_select(pool, 0.2, TieMode.PER_UNIT, RngStream(1))
-
-
-def test_scip_select_records():
-    from scip.core import EMPTY_INTERVAL_UNION
-
-    cal = [
-        CalibrationRecord(np.array([0.0]), 5.0, half_line_above(0.0), trust=2.0),
-        CalibrationRecord(np.array([0.0]), -1.0, half_line_above(0.0), trust=0.5),
-    ]
-    test = [
-        TestRecord(np.array([0.0]), half_line_above(0.0), trust=3.0),
-        TestRecord(np.array([0.0]), EMPTY_INTERVAL_UNION, trust=0.0),
-    ]
-    out = scip_select(cal, test, alpha=0.8, tie_mode=TieMode.DETERMINISTIC)
-    assert list(out.result.selected) == [0]
-    assert all(not pset.is_empty for _, pset in out.reported)
-
-
-def test_scip_select_rejects_trusted_empty_sets():
-    test = [TestRecord(np.array([0.0]), ClassSet(()), trust=0.4)]
-    with pytest.raises(ValueError):
-        scip_select([], test, alpha=0.2)
 
 
 def test_all_empty_sets_select_nothing():
