@@ -11,6 +11,11 @@ set becomes admissible for the active constraint.  With the constraint's
 breakpoint nu(x) in hand it reduces to the tie-aware count
 ``(1 + #{i : V_i >= nu(x)}) / (n + 1)``, with the convention that it equals 1
 when no admissible nonempty set exists at any level.
+
+Both rank counts are cheap at n = m = 1e6: ``count_geq`` runs its binary
+searches over the keys in ascending order, so the sorted scores are read left
+to right, and the level count behind ``score_radius`` is arithmetic,
+``floor(q (n + 1))`` corrected by one step each way, with no level grid held.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .core import (
     ProbFn,
     ScipError,
     UnsupportedScoreError,
+    _search_in_key_order,
     interval,
     half_line_above,
 )
@@ -118,10 +124,14 @@ LabelSpace = RealLine | ClassLabels
 class CalibrationScores:
     """Frozen calibration score sample with rank/count helpers.
 
-    ``min_count_for_level(q)`` returns the smallest integer c such that a
-    candidate with c calibration scores >= its own score passes the strict
-    level-q rank test, i.e. the number of grid values (1+k)/(n+1) that are
-    <= q.  A result of 0 means every candidate passes; n+1 means none does.
+    ``count_geq(v)`` searches the keys in ascending order and scatters the
+    counts back, so a large batch of keys reads the sorted scores once from
+    left to right.  ``min_count_for_level(q)`` returns the smallest integer c
+    such that a candidate with c calibration scores >= its own score passes
+    the strict level-q rank test, i.e. the number of grid values k/(n+1),
+    k = 1..n+1, that are <= q.  It is computed arithmetically, without the
+    grid.  A result of 0 means every candidate passes; n+1 means none does
+    (NaN gives n+1).
     """
 
     def __init__(self, values):
@@ -134,8 +144,6 @@ class CalibrationScores:
         self._values.setflags(write=False)
         self._sorted = np.sort(vals)
         self._sorted.setflags(write=False)
-        self._grid = np.arange(1, vals.size + 2, dtype=float) / (vals.size + 1)
-        self._grid.setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -147,15 +155,30 @@ class CalibrationScores:
 
     def count_geq(self, v) -> np.ndarray | int:
         """#{i : V_i >= v}, vectorized over v."""
-        out = self.n - np.searchsorted(self._sorted, v, side="left")
-        return out
-
-    def count_gt(self, v) -> np.ndarray | int:
-        out = self.n - np.searchsorted(self._sorted, v, side="right")
-        return out
+        keys = np.asarray(v)
+        order, below = _search_in_key_order(self._sorted, keys.ravel(), "left")
+        np.subtract(self.n, below, out=below)
+        out = np.empty_like(below)
+        out[order] = below
+        return out.reshape(keys.shape)[()]  # [()] makes a 0-d result a scalar
 
     def min_count_for_level(self, q) -> np.ndarray | int:
-        return np.searchsorted(self._grid, q, side="right")
+        """#{k in 1..n+1 : k/(n+1) <= q}, vectorized over q.
+
+        floor(q (n+1)) is off by at most one; one step each way against the
+        grid values c/(n+1) and (c+1)/(n+1), the same correctly rounded
+        quotients as ``np.arange(1, n+2) / (n+1)``, makes the count exact.
+        """
+        q = np.asarray(q, dtype=float)
+        n1 = self.n + 1
+        with np.errstate(over="ignore"):
+            c = np.atleast_1d(q * n1)
+        np.floor(c, out=c)
+        c -= c / n1 > q
+        c += (c + 1.0) / n1 <= q
+        np.fmin(c, n1, out=c)  # caps at n+1, and turns NaN (no candidate passes) into n+1
+        counts = np.maximum(c, 0.0, out=c).astype(np.intp)
+        return counts if q.ndim else int(counts[0])
 
     def score_radius(self, q) -> np.ndarray | float:
         """Largest score value admitted at level q: +inf (all), -inf (none), or a score.
@@ -229,11 +252,15 @@ def i_adjusted_pvalues(
 ) -> np.ndarray:
     """Smallest admissible conformal level per unit; 1 when none exists."""
     nu = np.asarray(constraint.breakpoints(score, np.asarray(X, dtype=float)), dtype=float)
-    out = np.ones(nu.shape, dtype=float)
     ok = ~np.isnan(nu)
-    if np.any(ok):
-        # count_geq(+inf) = 0, so an always-admissible unit gets the floor 1/(n+1)
-        out[ok] = (1.0 + cal.count_geq(nu[ok])) / (cal.n + 1)
+    every = bool(ok.all())
+    # count_geq(+inf) = 0, so an always-admissible unit gets the floor 1/(n+1)
+    pvals = np.add(cal.count_geq(nu if every else nu[ok]), 1.0)
+    pvals /= cal.n + 1
+    if every:
+        return pvals
+    out = np.ones(nu.shape, dtype=float)
+    out[ok] = pvals
     return out
 
 

@@ -183,6 +183,26 @@ def half_line_below(c: float) -> IntervalUnion:
 
 
 # ---------------------------------------------------------------------------
+# Rank counts
+# ---------------------------------------------------------------------------
+
+
+def _search_in_key_order(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray, ...]:
+    """``np.searchsorted(table, keys, side)`` per side, run over the keys in ascending order.
+
+    Returns ``(order, *ranks)`` for 1-d ``keys``: ``order = np.argsort(keys)``
+    and ``ranks[i]`` is where ``keys[order[i]]`` goes in ``table``, the same
+    integer a plain search gives (NaN sorts last in both).  Callers work in key
+    order and scatter back once with ``out[order] = ...``.  Ascending keys walk
+    a table far larger than the cache left to right; random keys miss it on
+    nearly every probe.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    return (order, *(np.searchsorted(table, ordered, side=side) for side in sides))
+
+
+# ---------------------------------------------------------------------------
 # Set batches: one prediction set per row, held in columns
 # ---------------------------------------------------------------------------
 

@@ -6,11 +6,14 @@ own informative set):
 
     p_j = [ #{i : null_i, T_i > T_j} + (1 + #{i : null_i, T_i = T_j}) * U_j ] / (n + 1)
 
-with U_j in (0, 1] breaking ties.  Selection applies the step-up BH rule,
-whose self-consistent form  alpha_hat = max{a : (alpha/m) #{p <= a} >= a}
-produces the identical selected set.  The counting-knockoff scan over an
-estimated false discovery proportion reproduces BH on deterministic (U = 1)
-p-values and, with a single shared U, the homogeneous variant.
+with U_j in (0, 1] breaking ties.  Both counts come from binary searches of
+the sorted null trusts with the test trusts taken in ascending order; the
+formula is evaluated in that order and scattered back to the units once.
+Selection applies the step-up BH rule, whose self-consistent form
+alpha_hat = max{a : (alpha/m) #{p <= a} >= a} produces the identical
+selected set.  The counting-knockoff scan over an estimated false discovery
+proportion reproduces BH on deterministic (U = 1) p-values and, with a
+single shared U, the homogeneous variant.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, _search_in_key_order
 
 
 class TieMode(enum.Enum):
@@ -91,12 +94,29 @@ def generalized_conformal_pvalues(
     rng: RngStream | None = None,
 ) -> np.ndarray:
     """Tie-aware rank of each test trust score among null calibration trusts."""
+    return _pvalues_at(pool, _tie_draws(pool.m, tie_mode, rng))
+
+
+def _pvalues_at(pool: ScoredPool, u) -> np.ndarray:
+    """(gt + (1 + (geq - gt)) u) / (n + 1) per test unit, for tie draws u.
+
+    ``u`` holds one draw per test unit or is one shared float.  gt and geq
+    count the null calibration trusts above and at-or-above each test trust.
+    Both counts and the formula run in ascending test-trust order, and the
+    p-values are scattered back once.
+    """
     null_sorted = np.sort(pool.cal_trust[pool.cal_null])
-    n_null = null_sorted.size
-    gt = n_null - np.searchsorted(null_sorted, pool.test_trust, side="right")
-    geq = n_null - np.searchsorted(null_sorted, pool.test_trust, side="left")
-    u = _tie_draws(pool.m, tie_mode, rng)
-    return (gt + (1.0 + (geq - gt)) * u) / (pool.n + 1)
+    order, left, right = _search_in_key_order(null_sorted, pool.test_trust, "left", "right")
+    np.subtract(right, left, out=left)  # geq - gt, the null trusts tied with the key
+    pvals = np.add(left, 1.0)
+    del left
+    pvals *= u[order] if np.ndim(u) else u
+    pvals += np.subtract(null_sorted.size, right, out=right)  # gt
+    del right
+    pvals /= pool.n + 1
+    out = np.empty_like(pvals)
+    out[order] = pvals
+    return out
 
 
 def bh_select(pvalues, alpha: float) -> SelectionResult:
@@ -167,11 +187,7 @@ def counting_knockoff_select(
         tau for tau in np.unique(pool.test_trust) if counting_knockoff_fdp(pool, float(tau), u) <= alpha
     ]
     # the matching generalized p-values (same shared u), attached as diagnostics
-    null_sorted = np.sort(pool.cal_trust[pool.cal_null])
-    n_null = null_sorted.size
-    gt = n_null - np.searchsorted(null_sorted, pool.test_trust, side="right")
-    geq = n_null - np.searchsorted(null_sorted, pool.test_trust, side="left")
-    pvals = (gt + (1.0 + (geq - gt)) * u) / (pool.n + 1)
+    pvals = _pvalues_at(pool, u)
     if not feasible:
         return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0, trust_threshold=None)
     tau_hat = float(min(feasible))
@@ -203,7 +219,7 @@ def scip_select_arrays(
         np.ones(pool.m, dtype=bool) if test_eligible is None else np.asarray(test_eligible, dtype=bool)
     )
     pvals = generalized_conformal_pvalues(pool, tie_mode, rng)
-    pvals = np.where(eligible, pvals, 1.0)
+    pvals[~eligible] = 1.0
     if shrink_m and not eligible.all():
         idx = np.flatnonzero(eligible)
         if idx.size == 0:

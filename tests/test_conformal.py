@@ -68,6 +68,46 @@ def test_level_out_of_range_rejected():
         conformal_prediction_set(X0, cal, AbsoluteResidual(_const_mu(0.0)), 1.2, RealLine())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 999, 1000, 12345, 999_999, 1_000_000])
+def test_min_count_for_level_matches_grid_search(n):
+    """The arithmetic level count equals a search of the grid k/(n+1), k = 1..n+1."""
+    cal = CalibrationScores(np.zeros(n))
+    grid = np.arange(1, n + 2) / (n + 1)
+    edges = [0.0, -0.0, 1.0, -1e-300, -0.5, -math.inf, 5e-324, 1.5, 1e308, math.inf, math.nan]
+    random = np.random.default_rng(n).random(1000)
+    q = np.concatenate([grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf), edges, random])
+    got = cal.min_count_for_level(q)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.searchsorted(grid, q, side="right"))
+    for scalar in (0.0, 1.0, math.nan, -0.5, 1.5, float(grid[n // 2]), float(np.nextafter(grid[0], 0.0))):
+        count = cal.min_count_for_level(scalar)
+        assert type(count) is int
+        assert count == np.searchsorted(grid, scalar, side="right")
+
+
+def test_count_geq_matches_plain_search():
+    """Searching the keys in ascending order gives the counts of a plain search in any key order."""
+    gen = np.random.default_rng(58)
+    values = np.repeat([-1.5, 0.0, 0.25, 1.0, 3.0], [1, 400, 3, 250, 40])  # heavy ties
+    cal = CalibrationScores(gen.permutation(values))
+    table = np.sort(values)
+    keys = np.concatenate([
+        table,  # every key equal to a table value
+        [-math.inf, math.inf, math.nan, -2.0, 0.1, 5.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+        gen.choice(table, 2000) + gen.choice([-1e-12, 0.0, 1e-12], 2000),
+    ])
+    for batch in (keys, keys[::-1], gen.permutation(keys)):
+        assert np.array_equal(cal.count_geq(batch), cal.n - np.searchsorted(table, batch, side="left"))
+    grid_keys = keys[:12].reshape(3, 4)
+    assert np.array_equal(cal.count_geq(grid_keys), cal.n - np.searchsorted(table, grid_keys, side="left"))
+    empty = cal.count_geq(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == np.intp
+    for scalar in (0.0, 0.25, -math.inf, math.inf, math.nan, 2):
+        count = cal.count_geq(scalar)
+        assert np.ndim(count) == 0
+        assert count == cal.n - np.searchsorted(table, scalar, side="left")
+
+
 def test_set_membership_matches_brute_force_counts():
     gen = np.random.default_rng(52)
     for _ in range(400):

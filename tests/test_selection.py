@@ -58,6 +58,41 @@ def test_shared_u_mode_uses_one_draw():
     assert np.all(p == p[0])
 
 
+def _plain_search_pvalues(pool, u):
+    """The generalized p-value formula with the test trusts searched in unit order."""
+    null_sorted = np.sort(pool.cal_trust[pool.cal_null])
+    n_null = null_sorted.size
+    gt = n_null - np.searchsorted(null_sorted, pool.test_trust, side="right")
+    geq = n_null - np.searchsorted(null_sorted, pool.test_trust, side="left")
+    return (gt + (1.0 + (geq - gt)) * u) / (pool.n + 1)
+
+
+@pytest.mark.parametrize("tie_mode", list(TieMode))
+def test_pvalues_bit_equal_to_plain_search(tie_mode):
+    gen = np.random.default_rng(15)
+    pools = [
+        _pool([0.9, 0.7], [False, False], [0.5, 0.9, 2.0]),  # no null units
+        _pool([0.9, 0.7, 0.5], [True, True, False], [0.7]),  # m = 1
+        _pool(np.full(6, 0.5), np.ones(6, dtype=bool), np.full(4, 0.5)),  # all trusts tied
+    ]
+    for _ in range(40):
+        n, m = int(gen.integers(1, 300)), int(gen.integers(1, 300))
+        coarse = gen.random() < 0.5
+        cal_t = gen.integers(0, 6, n) / 5.0 if coarse else gen.random(n)
+        test_t = gen.integers(0, 6, m) / 5.0 if coarse else gen.random(m)
+        pools.append(_pool(cal_t, gen.random(n) < 0.6, test_t))
+    for i, pool in enumerate(pools):
+        rng = None if tie_mode is TieMode.DETERMINISTIC else RngStream(17).child(i)
+        if tie_mode is TieMode.PER_UNIT:
+            u = rng.uniform_open_closed(pool.m)
+        else:
+            u = 1.0 if rng is None else float(rng.uniform_open_closed())
+            ck = counting_knockoff_select(pool, 0.2, tie_mode, rng)
+            assert np.array_equal(ck.pvalues, _plain_search_pvalues(pool, u))
+        p = generalized_conformal_pvalues(pool, tie_mode, rng)
+        assert np.array_equal(p, _plain_search_pvalues(pool, u))
+
+
 def test_bh_fixtures():
     r = bh_select([0.01, 0.5, 0.02], 0.1)
     assert list(r.selected) == [0, 2]
