@@ -5,12 +5,7 @@ from .conformal import (
     CalibrationScores,
     ClippedScore,
     OneMinusProb,
-    ClassLabels,
-    RealLine,
-    conformal_prediction_set,
-    i_adjusted_pvalue,
     i_adjusted_pvalues,
-    truncated_i_adjusted_pvalue,
 )
 from .core import (
     ClassBatch,
@@ -28,8 +23,6 @@ from .core import (
     ScipError,
     SingletonClass,
     TargetHalfLines,
-    half_line_above,
-    half_line_below,
     interval,
 )
 from .metrics import aggregate, mfcr_estimate, replication_metrics
@@ -57,6 +50,6 @@ from .selection import (
     self_consistent_select,
 )
 from .simgen import gen_classification, gen_regression, gen_synthetic_scores, mu_star
-from .trust import diversity_scores, train_pu_classifier, train_trust_classifier
+from .trust import diversity_scores, train_trust_classifier
 
 __version__ = "0.1.0"

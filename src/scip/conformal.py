@@ -26,18 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EMPTY_INTERVAL_UNION,
-    ClassBatch,
     InformativeConstraint,
-    IntervalBatch,
     MuHatFn,
-    PredictionSet,
     ProbFn,
     ScipError,
-    UnsupportedScoreError,
     _search_in_key_order,
-    interval,
-    half_line_above,
 )
 
 
@@ -94,26 +87,6 @@ class ClippedScore:
 
 
 NonconformityScore = AbsoluteResidual | OneMinusProb | ClippedScore
-
-
-# ---------------------------------------------------------------------------
-# Label spaces
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealLine:
-    """Regression label space."""
-
-
-@dataclass(frozen=True)
-class ClassLabels:
-    """Classification label space 1..K."""
-
-    n_classes: int
-
-
-LabelSpace = RealLine | ClassLabels
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +174,6 @@ class CalibrationScores:
 
 
 # ---------------------------------------------------------------------------
-# Prediction sets
-# ---------------------------------------------------------------------------
-
-
-def conformal_prediction_set(
-    x_row: np.ndarray,
-    cal: CalibrationScores,
-    score: NonconformityScore,
-    q: float,
-    label_space: LabelSpace,
-) -> PredictionSet:
-    """Level-q split conformal set for one feature vector."""
-    radius = cal.score_radius(q)
-    X = np.atleast_2d(np.asarray(x_row, dtype=float))
-    if isinstance(score, AbsoluteResidual):
-        if not isinstance(label_space, RealLine):
-            raise UnsupportedScoreError("absolute-residual scores need a real label space")
-        return IntervalBatch.from_radius(score.mu_hat(X), radius).sets()[0]
-    if isinstance(score, OneMinusProb):
-        if not isinstance(label_space, ClassLabels):
-            raise UnsupportedScoreError("probability scores need a class label space")
-        probs = np.asarray(score.p_hat(X), dtype=float)[0]
-        if probs.shape[0] != label_space.n_classes:
-            raise ValueError("probability vector length disagrees with label space")
-        return ClassBatch.from_radius(probs, radius).sets()[0]
-    if isinstance(score, ClippedScore):
-        if not isinstance(label_space, RealLine):
-            raise UnsupportedScoreError("clipped scores need a real label space")
-        mu = float(np.asarray(score.mu_hat(X), dtype=float)[0])
-        base = mu - score.c0
-        if base <= radius:
-            return interval(-math.inf, math.inf, lower_open=True, upper_open=True)
-        if base - 2.0 * score.big_m <= radius:
-            return half_line_above(score.c0)
-        return EMPTY_INTERVAL_UNION
-    raise UnsupportedScoreError(f"unknown score {score!r}")
-
-
-# ---------------------------------------------------------------------------
 # I-adjusted p-values
 # ---------------------------------------------------------------------------
 
@@ -263,21 +197,3 @@ def i_adjusted_pvalues(
     out[ok] = pvals
     return out
 
-
-def i_adjusted_pvalue(
-    x_row: np.ndarray,
-    cal: CalibrationScores,
-    score: NonconformityScore,
-    constraint: InformativeConstraint,
-) -> float:
-    return float(i_adjusted_pvalues(np.atleast_2d(np.asarray(x_row, dtype=float)), cal, score, constraint)[0])
-
-
-def truncated_i_adjusted_pvalue(q_tilde, tau):
-    """max(tau, q_tilde), elementwise."""
-    q_arr = np.asarray(q_tilde, dtype=float)
-    t_arr = np.asarray(tau, dtype=float)
-    if np.any(q_arr < 0.0) or np.any(q_arr > 1.0) or np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise LevelError("levels must lie in [0, 1]")
-    out = np.maximum(t_arr, q_arr)
-    return out if (np.ndim(q_tilde) or np.ndim(tau)) else float(out)

@@ -174,14 +174,6 @@ def interval(lower, upper, lower_open=False, upper_open=False) -> IntervalUnion:
     return IntervalUnion((Interval(lower, upper, lower_open, upper_open),))
 
 
-def half_line_above(c: float) -> IntervalUnion:
-    return interval(c, math.inf, lower_open=True, upper_open=True)
-
-
-def half_line_below(c: float) -> IntervalUnion:
-    return interval(-math.inf, c, lower_open=True, upper_open=True)
-
-
 # ---------------------------------------------------------------------------
 # Rank counts
 # ---------------------------------------------------------------------------
@@ -330,11 +322,11 @@ class InformativeConstraint(ABC):
     Admissibility must be monotone (it is inherited by subsets) and the
     empty set is always admissible.  ``admits`` judges every nonempty row of
     a set batch at once (its value on an empty row is not part of the
-    contract); ``contains`` judges one set through it.  ``breakpoint``
-    returns the largest score radius whose sublevel set is still admissible,
-    ``math.inf`` when no radius ever violates the constraint, or ``None``
-    when no admissible nonempty sublevel set exists at all.  ``breakpoints``
-    is the vectorized form with NaN standing in for None.
+    contract); ``contains`` judges one set through it.  ``breakpoints(score,
+    X)`` gives, per row of X, the largest score radius whose sublevel set is
+    still admissible: ``math.inf`` when no radius ever violates the
+    constraint, and NaN when no admissible nonempty sublevel set exists at
+    all.
     """
 
     @abstractmethod
@@ -347,11 +339,6 @@ class InformativeConstraint(ABC):
     @abstractmethod
     def breakpoints(self, score, X: np.ndarray) -> np.ndarray:
         ...
-
-    def breakpoint(self, x_row: np.ndarray, score) -> float | None:
-        out = self.breakpoints(score, np.atleast_2d(np.asarray(x_row, dtype=float)))
-        v = float(out[0])
-        return None if math.isnan(v) else v
 
 
 def _intervals(batch: SetBatch) -> IntervalBatch:
@@ -540,24 +527,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    def to_csv(self, path) -> None:
-        """Write x columns then y (blank when unlabeled), UTF-8, LF endings."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join([f"x{j + 1}" for j in range(self.d)] + ["y"]) + "\n")
-            for i in range(self.n):
-                row = [repr(float(v)) for v in self.X[i]]
-                if self.y is None:
-                    row.append("")
-                elif self.task == REGRESSION:
-                    row.append(repr(float(self.y[i])))
-                else:
-                    row.append(str(int(self.y[i])))
-                fh.write(",".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

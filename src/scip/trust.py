@@ -3,24 +3,18 @@
 The class-sum trust scores a class set by its estimated probability mass and
 sends the empty set to 0.  The trained variants approximate the oracle score
 pr{Y in C(X) | X = x} by a linear-logistic classifier fit with a
-class-weighted cross-entropy risk (weight lambda on the positive class),
-either on a disjoint labeled training sample or on the positive/unlabeled
-split of the mixed sample.
+class-weighted cross-entropy risk (weight lambda on the positive class)
+on a disjoint labeled training sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import DegenerateLabelsError, NotPositiveDefiniteError
-
-
-def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return X[:, None] if X.ndim == 1 else X
 
 
 def class_membership_trust(probs: np.ndarray, member_mask: np.ndarray) -> np.ndarray:
@@ -140,55 +134,15 @@ class TrainedScorer:
 
     weights: np.ndarray
     bias: float
-    lam: float
     feature_degree: int
     loss_trace: np.ndarray
     converged: bool
-    pu_learned: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         phi = polynomial_features(X, self.feature_degree)
         z = phi @ self.weights + self.bias
         # keep the output inside the open interval even when the link saturates
         return np.clip(_sigmoid(z), 1e-300, np.nextafter(1.0, 0.0))
-
-    def to_text(self) -> str:
-        lines = [
-            f"kind {'pu-logistic' if self.pu_learned else 'logistic'}",
-            f"feature_map poly {self.feature_degree}",
-            f"lambda {float(self.lam)!r}",
-            f"bias {float(self.bias)!r}",
-        ]
-        lines += [f"weight {i} {float(w)!r}" for i, w in enumerate(self.weights)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TrainedScorer":
-        kind, degree, lam, bias = None, None, None, None
-        weights = {}
-        for line in text.strip().splitlines():
-            parts = line.split()
-            if parts[0] == "kind":
-                kind = parts[1]
-            elif parts[0] == "feature_map":
-                degree = int(parts[2])
-            elif parts[0] == "lambda":
-                lam = float(parts[1])
-            elif parts[0] == "bias":
-                bias = float(parts[1])
-            elif parts[0] == "weight":
-                weights[int(parts[1])] = float(parts[2])
-        w = np.array([weights[i] for i in range(len(weights))])
-        return cls(
-            weights=w,
-            bias=bias,
-            lam=lam,
-            feature_degree=degree,
-            loss_trace=np.array([]),
-            converged=True,
-            pu_learned=kind == "pu-logistic",
-        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -242,49 +196,9 @@ def train_trust_classifier(
     return TrainedScorer(
         weights=theta[:-1],
         bias=float(theta[-1]),
-        lam=lam,
         feature_degree=feature_degree,
         loss_trace=trace,
         converged=converged,
-    )
-
-
-def train_pu_classifier(
-    cal_X: np.ndarray,
-    cal_positive: np.ndarray,
-    test_X: np.ndarray,
-    lam: float = 1.0,
-    config: OptimizerConfig = OptimizerConfig(),
-    feature_degree: int = 1,
-) -> TrainedScorer:
-    """Positive/unlabeled risk over the mixed sample.
-
-    Calibration units whose label lies in their informative set are the
-    positives; every other mixed unit (calibration misses and all unlabeled
-    test units) is treated as negative.  The result is not permutation
-    invariant over the mixed sample; its validity for selection needs the
-    null indicators to be independent Bernoulli draws, which is recorded in
-    the metadata.
-    """
-    cal_positive = np.asarray(cal_positive, dtype=bool)
-    if not cal_positive.any():
-        raise DegenerateLabelsError("PU training needs at least one covered calibration unit")
-    cal_X = _as_matrix(cal_X)
-    test_X = _as_matrix(test_X)
-    X = np.vstack([cal_X, test_X])
-    labels = np.concatenate([np.where(cal_positive, 1, -1), -np.ones(test_X.shape[0], dtype=int)])
-    phi = polynomial_features(X, feature_degree)
-    value_and_grad = _weighted_logistic_objective(phi, labels, lam)
-    theta, trace, converged = _gd_minimize(value_and_grad, np.zeros(phi.shape[1] + 1), config)
-    return TrainedScorer(
-        weights=theta[:-1],
-        bias=float(theta[-1]),
-        lam=lam,
-        feature_degree=feature_degree,
-        loss_trace=trace,
-        converged=converged,
-        pu_learned=True,
-        metadata={"validity": "requires independent Bernoulli null indicators"},
     )
 
 

@@ -6,17 +6,11 @@ import pytest
 from scip.conformal import (
     AbsoluteResidual,
     CalibrationScores,
-    ClassLabels,
-    ClippedScore,
     LevelError,
     OneMinusProb,
-    RealLine,
-    conformal_prediction_set,
-    i_adjusted_pvalue,
     i_adjusted_pvalues,
-    truncated_i_adjusted_pvalue,
 )
-from scip.core import MaxSize, PositiveInterval
+from scip.core import ClassBatch, IntervalBatch, MaxSize, PositiveInterval, SingletonClass
 
 
 def _const_mu(value):
@@ -27,7 +21,17 @@ def _const_probs(probs):
     return lambda X: np.tile(np.asarray(probs, dtype=float), (np.atleast_2d(X).shape[0], 1))
 
 
-X0 = np.array([0.0])
+X0 = np.zeros((1, 1))
+
+
+def _level_sets(cal, mu, q):
+    """Level-q residual sets [mu - r(q), mu + r(q)], one batch row per (mu, q) pair."""
+    return IntervalBatch.from_radius(mu, cal.score_radius(q))
+
+
+def _admitted(constraint, batch):
+    """Per row: the set satisfies the constraint (the empty set always does)."""
+    return constraint.admits(batch) | ~batch.nonempty
 
 
 def _brute_force_set_members(cal_values, v_candidates, q):
@@ -39,33 +43,29 @@ def _brute_force_set_members(cal_values, v_candidates, q):
 
 def test_membership_counts_match_spec_fixture():
     cal = CalibrationScores([1.0, 2.0, 3.0, 4.0])
-    score = AbsoluteResidual(_const_mu(1.5))
-    low = conformal_prediction_set(X0, cal, score, 0.4, RealLine())
-    high = conformal_prediction_set(X0, cal, score, 0.6, RealLine())
-    y = 4.0  # residual 2.5: rank ratio 3/5
-    assert low.contains(y) is True
-    assert high.contains(y) is False
+    y = np.array([4.0, 4.0])  # residual 2.5: rank ratio 3/5
+    assert _level_sets(cal, 1.5, np.array([0.4, 0.6])).covers(y).tolist() == [True, False]
 
 
 def test_level_zero_gives_full_label_space():
     cal = CalibrationScores([1.0, 2.0])
-    full = conformal_prediction_set(X0, cal, AbsoluteResidual(_const_mu(0.0)), 0.0, RealLine())
-    assert full.contains(1e12) and full.contains(-1e12)
-    all_classes = conformal_prediction_set(
-        X0, CalibrationScores([0.1, 0.2]), OneMinusProb(_const_probs([0.7, 0.2, 0.1])), 0.0, ClassLabels(3)
-    )
-    assert all_classes.members == (1, 2, 3)
+    full = _level_sets(cal, np.zeros(2), 0.0)
+    assert full.covers(np.array([1e12, -1e12])).all()
+    all_classes = ClassBatch.from_radius([[0.7, 0.2, 0.1]], CalibrationScores([0.1, 0.2]).score_radius(0.0))
+    assert all_classes.member.tolist() == [[True, True, True]]
 
 
 def test_level_one_gives_empty_set():
     cal = CalibrationScores([1.0, 2.0])
-    assert conformal_prediction_set(X0, cal, AbsoluteResidual(_const_mu(0.0)), 1.0, RealLine()).is_empty
+    assert not _level_sets(cal, 0.0, 1.0).nonempty
+    assert not ClassBatch.from_radius([[1.0, 0.0]], cal.score_radius(1.0)).nonempty.any()
 
 
 def test_level_out_of_range_rejected():
     cal = CalibrationScores([1.0])
-    with pytest.raises(LevelError):
-        conformal_prediction_set(X0, cal, AbsoluteResidual(_const_mu(0.0)), 1.2, RealLine())
+    for q in (1.2, -0.1, math.nan, np.array([0.5, 1.2])):
+        with pytest.raises(LevelError):
+            cal.score_radius(q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 999, 1000, 12345, 999_999, 1_000_000])
@@ -116,13 +116,11 @@ def test_set_membership_matches_brute_force_counts():
         cal_vals = gen.integers(0, 33, n) / 8.0
         cal = CalibrationScores(cal_vals)
         mu = float(gen.integers(-16, 17)) / 8.0
-        score = AbsoluteResidual(_const_mu(mu))
         q = float(gen.random())
-        pset = conformal_prediction_set(X0, cal, score, q, RealLine())
         ys = mu + np.concatenate([gen.normal(0, 2, 8), gen.integers(0, 33, 4) / 8.0])
         expected = _brute_force_set_members(cal_vals, np.abs(ys - mu), q)
-        got = [pset.contains(float(y)) for y in ys]
-        assert got == expected
+        got = _level_sets(cal, np.full(ys.size, mu), q).covers(ys)
+        assert got.tolist() == expected
 
 
 def test_monotone_nesting():
@@ -131,16 +129,12 @@ def test_monotone_nesting():
         n = int(gen.integers(1, 40))
         cal = CalibrationScores(gen.random(n))
         mu = float(gen.normal())
-        score = AbsoluteResidual(_const_mu(mu))
         q1, q2 = sorted(gen.random(2))
-        inner = conformal_prediction_set(X0, cal, score, q2, RealLine())
-        outer = conformal_prediction_set(X0, cal, score, q1, RealLine())
-        if inner.is_empty:
+        inner = _level_sets(cal, mu, q2)
+        outer = _level_sets(cal, mu, q1)
+        if not inner.nonempty:
             continue
-        for iv in inner.intervals:
-            assert any(
-                o.lower <= iv.lower and iv.upper <= o.upper for o in outer.intervals
-            )
+        assert outer.lower <= inner.lower and inner.upper <= outer.upper
 
 
 def test_marginal_coverage():
@@ -172,14 +166,14 @@ def test_marginal_coverage():
 def test_i_adjusted_pvalue_spec_fixtures():
     score = AbsoluteResidual(_const_mu(1.5))
     cal = CalibrationScores([0.5, 1.0, 2.0, 3.0])
-    assert i_adjusted_pvalue(X0, cal, score, PositiveInterval()) == pytest.approx(0.6)
+    assert i_adjusted_pvalues(X0, cal, score, PositiveInterval())[0] == pytest.approx(0.6)
     neg = AbsoluteResidual(_const_mu(-0.2))
-    assert i_adjusted_pvalue(X0, cal, neg, PositiveInterval()) == 1.0
+    assert i_adjusted_pvalues(X0, cal, neg, PositiveInterval())[0] == 1.0
     cscore = OneMinusProb(_const_probs([0.5, 0.3, 0.2]))
     ccal = CalibrationScores([0.1, 0.4, 0.6, 0.9])
-    assert i_adjusted_pvalue(X0, ccal, cscore, MaxSize(2)) == pytest.approx(0.4)
+    assert i_adjusted_pvalues(X0, ccal, cscore, MaxSize(2))[0] == pytest.approx(0.4)
     # every set is admissible when the size bound covers the label space
-    assert i_adjusted_pvalue(X0, ccal, cscore, MaxSize(3)) == pytest.approx(1 / 5)
+    assert i_adjusted_pvalues(X0, ccal, cscore, MaxSize(3))[0] == pytest.approx(1 / 5)
 
 
 def test_i_adjusted_pvalue_matches_grid_scan():
@@ -191,14 +185,10 @@ def test_i_adjusted_pvalue_matches_grid_scan():
         cal = CalibrationScores(np.round(gen.random(n) * 3, 1))
         mu = float(gen.normal(0.8, 1.2))
         score = AbsoluteResidual(_const_mu(mu))
-        got = i_adjusted_pvalue(X0, cal, score, constraint)
+        got = i_adjusted_pvalues(X0, cal, score, constraint)[0]
         grid = np.arange(1, n + 2) / (n + 1)
-        admissible = [
-            q
-            for q in grid
-            if constraint.contains(conformal_prediction_set(X0, cal, score, float(q), RealLine()))
-        ]
-        expected = min(admissible) if admissible and min(admissible) < 1.0 else 1.0
+        admissible = grid[_admitted(constraint, _level_sets(cal, np.full(grid.size, mu), grid))]
+        expected = admissible.min() if admissible.min() < 1.0 else 1.0  # level 1 gives the empty set
         assert got == pytest.approx(expected)
 
 
@@ -211,14 +201,13 @@ def test_i_adjusted_pvalue_feedback_consistency():
         cal = CalibrationScores(gen.random(n) * 2)
         mu = float(gen.normal(0.8, 1.0))
         score = AbsoluteResidual(_const_mu(mu))
-        q = i_adjusted_pvalue(X0, cal, score, constraint)
+        q = i_adjusted_pvalues(X0, cal, score, constraint)[0]
         if q == 1.0:
             continue
-        assert constraint.contains(conformal_prediction_set(X0, cal, score, q, RealLine()))
+        assert _admitted(constraint, _level_sets(cal, mu, q))
         smaller = q - 1.0 / (n + 1)
         if smaller > 0:
-            below = conformal_prediction_set(X0, cal, score, smaller, RealLine())
-            assert not constraint.contains(below)
+            assert not _admitted(constraint, _level_sets(cal, mu, smaller))
 
 
 def test_vectorized_matches_scalar():
@@ -229,21 +218,16 @@ def test_vectorized_matches_scalar():
     X = gen.normal(size=(50, 1))
     vec = i_adjusted_pvalues(X, cal, score, PositiveInterval())
     for i in range(50):
-        assert vec[i] == i_adjusted_pvalue(X[i], cal, score, PositiveInterval())
+        assert vec[i] == i_adjusted_pvalues(X[i : i + 1], cal, score, PositiveInterval())[0]
 
 
-def test_truncation():
-    assert truncated_i_adjusted_pvalue(0.6, 0.1) == 0.6
-    assert truncated_i_adjusted_pvalue(0.05, 0.1) == 0.1
-    assert truncated_i_adjusted_pvalue(1.0, 0.1) == 1.0
-    with pytest.raises(LevelError):
-        truncated_i_adjusted_pvalue(1.4, 0.1)
-
-
-def test_clipped_score_sets():
-    mu = _const_mu(1.0)
-    clipped = ClippedScore(mu, c0=0.0, big_m=10.0)
-    cal = CalibrationScores([0.5, 0.7, -19.0, -19.5])
-    # mid levels keep only the above-threshold half line
-    pset = conformal_prediction_set(X0, cal, clipped, 0.5, RealLine())
-    assert pset.contains(0.5) and not pset.contains(-0.5) and not pset.contains(0.0)
+def test_nan_probabilities_get_level_one():
+    """A row of NaN probabilities has no admissible set at any level; a NaN calibration score is rejected."""
+    table = np.array([[0.5, 0.3, 0.2], [np.nan, np.nan, np.nan]])
+    score = OneMinusProb(lambda X: table[np.asarray(X, dtype=int)[:, 0]])
+    cal = CalibrationScores([0.1, 0.4, 0.6, 0.9])
+    X = np.array([[0], [1]])
+    assert i_adjusted_pvalues(X, cal, score, MaxSize(2)).tolist() == [pytest.approx(0.4), 1.0]
+    assert i_adjusted_pvalues(X, cal, score, SingletonClass(1)).tolist() == [pytest.approx(0.4), 1.0]
+    with pytest.raises(ValueError, match="calibration scores must be finite"):
+        CalibrationScores(score.eval(X, np.array([1, 1])))

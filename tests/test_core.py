@@ -20,14 +20,14 @@ from scip.core import (
     SingletonClass,
     TargetHalfLines,
     TaskMismatchError,
-    half_line_above,
     interval,
 )
 
 
 def test_open_endpoint_excludes_boundary():
-    assert half_line_above(2.0).contains(2.0) is False
-    assert half_line_above(2.0).contains(2.0001) is True
+    above = interval(2.0, math.inf, lower_open=True, upper_open=True)
+    assert above.contains(2.0) is False
+    assert above.contains(2.0001) is True
 
 
 def test_class_membership():
@@ -44,7 +44,7 @@ def test_measures():
     assert interval(0.5, 2.5).measure() == 2.0
     assert ClassSet(()).measure() == 0
     assert IntervalUnion(()).measure() == 0
-    assert math.isinf(half_line_above(0.0).measure())
+    assert math.isinf(interval(0.0, math.inf, lower_open=True, upper_open=True).measure())
 
 
 def test_task_mismatch_errors():
@@ -260,19 +260,18 @@ def test_class_constraints_monotone(constraint):
 def test_breakpoint_values():
     mu = lambda X: np.asarray(X, dtype=float).reshape(-1)
     score = AbsoluteResidual(mu)
-    assert PositiveInterval().breakpoint(np.array([1.5]), score) == pytest.approx(1.5)
-    assert PositiveInterval().breakpoint(np.array([-0.2]), score) is None
-    assert LowerBoundedInterval(1.0).breakpoint(np.array([1.5]), score) == pytest.approx(0.5)
-    assert LowerBoundedInterval(2.0).breakpoint(np.array([2.0]), score) is None
-    assert TargetHalfLines(-1.0, 1.0).breakpoint(np.array([2.5]), score) == pytest.approx(1.5)
-    assert TargetHalfLines(-1.0, 1.0).breakpoint(np.array([0.0]), score) is None
+    X = np.array([[1.5], [-0.2], [2.0], [2.5], [0.0]])
+    np.testing.assert_allclose(PositiveInterval().breakpoints(score, X), [1.5, np.nan, 2.0, 2.5, np.nan])
+    np.testing.assert_allclose(LowerBoundedInterval(2.0).breakpoints(score, X), [np.nan, np.nan, np.nan, 0.5, np.nan])
+    np.testing.assert_allclose(TargetHalfLines(-1.0, 1.0).breakpoints(score, X), [0.5, np.nan, 1.0, 1.5, np.nan])
 
     p_hat = lambda X: np.tile([0.5, 0.3, 0.2], (np.atleast_2d(X).shape[0], 1))
     cscore = OneMinusProb(p_hat)
-    assert MaxSize(2).breakpoint(np.array([0.0]), cscore) == pytest.approx(0.8)
-    assert MaxSize(3).breakpoint(np.array([0.0]), cscore) == math.inf
-    assert SingletonClass(1).breakpoint(np.array([0.0]), cscore) == pytest.approx(0.7)
-    assert SingletonClass(2).breakpoint(np.array([0.0]), cscore) is None
+    X0 = np.zeros((1, 1))
+    np.testing.assert_allclose(MaxSize(2).breakpoints(cscore, X0), [0.8])
+    assert MaxSize(3).breakpoints(cscore, X0).tolist() == [math.inf]
+    np.testing.assert_allclose(SingletonClass(1).breakpoints(cscore, X0), [0.7])
+    assert np.isnan(SingletonClass(2).breakpoints(cscore, X0)).all()
 
 
 def test_dataset_validation():

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from scip.conformal import (
-    AbsoluteResidual,
-    CalibrationScores,
-    ClassLabels,
-    OneMinusProb,
-    RealLine,
-    conformal_prediction_set,
-)
+from scip.conformal import AbsoluteResidual, OneMinusProb
 from scip.core import (
     CLASSIFICATION,
     ClassBatch,
@@ -24,8 +17,7 @@ from scip.core import (
     RngStream,
     SingletonClass,
     TargetHalfLines,
-    half_line_above,
-    half_line_below,
+    interval,
 )
 from scip.procedures import (
     ProcedureConfig,
@@ -43,6 +35,8 @@ from scip.procedures import (
 )
 from scip.selection import TieMode
 from scip.simgen import MuHatEta, gen_regression, true_class_probs
+
+from conformal_reference import conformal_set
 
 
 def _regression_bundle(seed, n=80, m=50, eta=0.5):
@@ -127,7 +121,8 @@ def test_midpoint_tie_goes_to_upper_half_line():
     cfg = ProcedureConfig(
         alpha=0.5, score=AbsoluteResidual(mu_hat), constraint=constraint, tie_mode=TieMode.DETERMINISTIC
     )
-    expected = {0: half_line_above(2.0), 1: half_line_above(2.0), 2: half_line_below(0.0)}
+    above = interval(2.0, np.inf, lower_open=True, upper_open=True)
+    expected = {0: above, 1: above, 2: interval(-np.inf, 0.0, lower_open=True, upper_open=True)}
     for out in (
         run_cfbh_plus(cal, test, cfg, RngStream(40)),
         run_cfbh_plus_plus(train, cal, test, cfg, RngStream(40)),
@@ -188,6 +183,45 @@ def test_infosp_all_levels_one_reports_nothing():
     assert run_infosp(cal, test, cfg).n_reported == 0
 
 
+def test_infosp_never_reports_nan_probability_rows():
+    cal, test, _ = _classification_bundle(20, n=100, m=60)
+    table = true_class_probs(np.vstack([cal.X, test.X]))
+    p_hat = lambda X: table[np.asarray(X, dtype=int)[:, 0]]
+    ids = np.arange(cal.n + test.n, dtype=float)[:, None]  # each row's features are its table index
+    cal_ids = Dataset(ids[: cal.n], cal.y, CLASSIFICATION)
+    test_ids = Dataset(ids[cal.n :], test.y, CLASSIFICATION)
+    cfg = ProcedureConfig(alpha=0.3, score=OneMinusProb(p_hat), constraint=MaxSize(2))
+    nan_rows = [0, 10, 20, 30]
+    assert set(nan_rows) <= set(run_infosp(cal_ids, test_ids, cfg).selected.tolist())
+    table[cal.n + np.array(nan_rows)] = np.nan
+    out = run_infosp(cal_ids, test_ids, cfg)
+    assert np.all(out.diagnostics["q"][nan_rows] == 1.0)
+    assert out.n_reported > 0
+    assert not set(nan_rows) & set(out.selected.tolist())
+
+
+def test_single_test_unit_reports_one_admitted_row():
+    """m = 1: naive and the infosp variants each report the one strong unit."""
+    gen = RngStream(41).generator()
+    x = gen.uniform(0.0, 4.0, 60)
+    cal = Dataset(x[:, None], x + 0.5 * gen.standard_normal(60), REGRESSION)
+    cal0 = Dataset(cal.X[:30], cal.y[:30], REGRESSION)
+    cal1 = Dataset(cal.X[30:], cal.y[30:], REGRESSION)
+    test = Dataset(np.array([[3.5]]), None, REGRESSION)
+    mu_hat = lambda X: np.asarray(X, dtype=float)[:, 0]
+    constraint = PositiveInterval()
+    cfg = ProcedureConfig(alpha=0.2, score=AbsoluteResidual(mu_hat), constraint=constraint)
+    for out in (
+        run_naive(cal, test, cfg),
+        run_infosp(cal, test, cfg),
+        run_infosp_plus(cal1, cal0, test, cfg, RngStream(5)),
+        run_infosp_modified(cal1, cal0, test, cfg),
+    ):
+        assert out.selected.tolist() == [0]
+        assert out.sets.nonempty.tolist() == [True]
+        assert constraint.admits(out.sets).tolist() == [True]
+
+
 def test_infosp_plus_pipeline_invariants():
     cal, test, _, mu_hat = _regression_bundle(10, n=120, m=80)
     cal0 = Dataset(cal.X[:60], cal.y[:60], REGRESSION)
@@ -209,19 +243,19 @@ def test_infosp_plus_sets_match_per_row_sets_at_truncated_levels():
     cal, test, _, mu_hat = _regression_bundle(16, n=120, m=80)
     cls_cal, cls_test, p_hat = _classification_bundle(18, n=120, m=80)
     cases = (
-        (cal, test, AbsoluteResidual(mu_hat), PositiveInterval(), RealLine()),
-        (cls_cal, cls_test, OneMinusProb(p_hat), MaxSize(2), ClassLabels(4)),
+        (cal, test, AbsoluteResidual(mu_hat), PositiveInterval()),
+        (cls_cal, cls_test, OneMinusProb(p_hat), MaxSize(2)),
     )
-    for cal, test, score, constraint, labels in cases:
+    for cal, test, score, constraint in cases:
         cal0 = Dataset(cal.X[:60], cal.y[:60], cal.task)
         cal1 = Dataset(cal.X[60:], cal.y[60:], cal.task)
         cfg = ProcedureConfig(alpha=0.3, score=score, constraint=constraint)
         out = run_infosp_plus(cal1, cal0, test, cfg, RngStream(18))
         assert out.n_reported > 0
-        cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
+        cal0_scores = score.eval(cal0.X, cal0.y)
         q_plus = out.diagnostics["q_plus"][cal1.n :]
         for j, pset in out.reported:
-            assert pset == conformal_prediction_set(test.X[j], cal0_scores, score, q_plus[j], labels)
+            assert pset == conformal_set(test.X[j], cal0_scores, score, q_plus[j])
 
 
 def test_infosp_plus_zero_truncation_keeps_raw_levels():

@@ -30,11 +30,24 @@ def test_pvalue_hand_count():
 
 
 def test_pvalue_no_nulls_reduces_to_u_over_n1():
-    pool = _pool([0.9, 0.7], [False, False], [0.5, 2.0])
-    rng = RngStream(3).child(1)
-    p = generalized_conformal_pvalues(pool, TieMode.PER_UNIT, rng)
-    u = rng.uniform_open_closed(2)
-    assert np.allclose(p, u / 3)
+    """With no null calibration unit p_j = U_j / (n + 1) in every tie mode, and BH cuts those."""
+    pool = _pool([0.9, 0.7], [False, False], [0.5, 2.0, 0.7, -1.0])
+    draws = {
+        TieMode.PER_UNIT: lambda rng: rng.uniform_open_closed(4),
+        TieMode.SHARED_U: lambda rng: np.full(4, rng.uniform_open_closed()),
+        TieMode.DETERMINISTIC: lambda rng: np.ones(4),
+    }
+    for tie_mode, draw in draws.items():
+        rng = RngStream(3).child(1)
+        p = generalized_conformal_pvalues(pool, tie_mode, rng)
+        assert np.array_equal(p, draw(rng) / 3)
+        for alpha in (0.05, 0.1, 0.2, 0.3, 0.5):
+            # step-up BH with m = 4: k_hat = max{k : p_(k) <= alpha k / m}; select p <= alpha k_hat / m
+            k_hat = max((k for k in range(1, 5) if np.sort(p)[k - 1] <= alpha * k / 4), default=0)
+            assert bh_select(p, alpha).selected.tolist() == np.flatnonzero(p <= alpha * k_hat / 4).tolist()
+    deterministic = generalized_conformal_pvalues(pool, TieMode.DETERMINISTIC)  # all 1/3
+    assert bh_select(deterministic, 0.34).selected.tolist() == [0, 1, 2, 3]
+    assert bh_select(deterministic, 0.33).selected.size == 0
 
 
 def test_pvalue_deterministic_tie():
@@ -216,6 +229,8 @@ def test_shrink_m_changes_only_denominator():
 
 
 def test_single_unit_bh_threshold_is_alpha():
+    for p in (0.0, 0.1, 0.4, np.nextafter(0.4, 1.0), 1.0):
+        assert bh_select(np.array([p]), 0.4).selected.tolist() == ([0] if p <= 0.4 else [])
     out = scip_select_arrays(
         np.array([0.5, 0.4]),
         np.array([True, True]),

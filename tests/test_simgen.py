@@ -83,14 +83,3 @@ def test_synthetic_profiles():
     assert probs.shape == (300, 3) and np.allclose(probs.sum(axis=1), 1.0)
     with pytest.raises(ValueError):
         gen_synthetic_scores("unknown", 10, RngStream(38))
-
-
-def test_dataset_csv_export(tmp_path):
-    data, _ = gen_regression(20, 0.0, RngStream(39))
-    path = tmp_path / "data.csv"
-    data.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,y"
-    assert len(lines) == 21
-    x0, y0 = lines[1].split(",")
-    assert float(x0) == data.X[0, 0] and float(y0) == data.y[0]

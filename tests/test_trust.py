@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from scip.core import DegenerateLabelsError, NotPositiveDefiniteError, RngStream
+from scip.core import DegenerateLabelsError, NotPositiveDefiniteError
 from scip.trust import (
     GaussianKernel,
     IdentityKernel,
     OptimizerConfig,
-    TrainedScorer,
     diversity_scores,
-    train_pu_classifier,
     train_softmax_classifier,
     train_trust_classifier,
 )
@@ -144,71 +142,6 @@ def test_trained_scorer_range():
     scorer = train_trust_classifier(x[:, None], labels, config=OptimizerConfig(max_iter=200))
     vals = scorer.predict(gen.normal(size=(30, 1)))
     assert np.all((vals > 0) & (vals < 1))
-
-
-def test_serialization_roundtrip():
-    gen = np.random.default_rng(21)
-    x = gen.normal(size=50)
-    labels = np.where(x + 0.2 * gen.normal(size=50) > 0, 1, -1)
-    scorer = train_trust_classifier(x[:, None], labels, lam=2.5, feature_degree=2,
-                                    config=OptimizerConfig(max_iter=150))
-    text = scorer.to_text()
-    back = TrainedScorer.from_text(text)
-    pts = gen.normal(size=(20, 1))
-    assert np.array_equal(back.predict(pts), scorer.predict(pts))
-    assert back.lam == scorer.lam and back.feature_degree == scorer.feature_degree
-
-
-def test_pu_training():
-    gen = np.random.default_rng(22)
-    cal_x = gen.normal(size=200)
-    positives = cal_x > 0
-    test_x = gen.normal(size=150)
-    scorer = train_pu_classifier(cal_x[:, None], positives, test_x[:, None],
-                                 config=OptimizerConfig(max_iter=300))
-    assert scorer.pu_learned
-    vals = scorer.predict(test_x[:, None])
-    assert np.all((vals > 0) & (vals < 1))
-    with pytest.raises(DegenerateLabelsError):
-        train_pu_classifier(cal_x[:, None], np.zeros(200, dtype=bool), test_x[:, None])
-    # all-covered calibration still trains: positives against unlabeled negatives
-    full = train_pu_classifier(cal_x[:, None], np.ones(200, dtype=bool), test_x[:, None],
-                               config=OptimizerConfig(max_iter=100))
-    v = full.predict(test_x[:, None])
-    assert np.all((v > 0) & (v < 1))
-
-
-def test_pu_scored_selection_controls_fcr():
-    """PU-learned trust on the quadratic regression model keeps FCR at the target."""
-    from scip.selection import TieMode, scip_select_arrays
-    from scip.simgen import gen_regression
-
-    gen_root = RngStream(404)
-    alpha, reps = 0.1, 500
-    n = m = 300
-    fcps = []
-    for r in range(reps):
-        data, _ = gen_regression(n + m, eta=1.0, rng=gen_root.child(r, 0))
-        cal_x, cal_y = data.X[:n], data.y[:n]
-        test_x, test_y = data.X[n:], data.y[n:]
-        # fixed half-line sets (0, inf): positives are the covered calibration units
-        scorer = train_pu_classifier(
-            cal_x, cal_y > 0, test_x, feature_degree=2,
-            config=OptimizerConfig(max_iter=120, grad_tol=1e-5),
-        )
-        res = scip_select_arrays(
-            scorer.predict(cal_x),
-            cal_y <= 0,
-            scorer.predict(test_x),
-            alpha,
-            TieMode.PER_UNIT,
-            gen_root.child(r, 1),
-        )
-        miss = (test_y[res.selected] <= 0).sum()
-        fcps.append(miss / max(1, res.selected.size))
-    fcps = np.asarray(fcps)
-    stderr = fcps.std(ddof=1) / math.sqrt(reps)
-    assert fcps.mean() <= alpha + 3 * stderr
 
 
 def test_softmax_classifier_learns_probabilities():
