@@ -2,9 +2,9 @@
 
 Configuration is a flat key=value text file ('#' starts a comment) with
 command-line overrides.  Outputs are two CSV files per run: a per-replication
-table and an aggregate table whose rows can be reproduced exactly by
-re-aggregating the per-replication file (floats are written with shortest
-round-trip precision).
+table and an aggregate table, both written in one pass over the replication
+results.  Floats are written with shortest round-trip precision, so
+re-aggregating the per-replication file reproduces the aggregate table exactly.
 
     scip-experiments --experiment regression-sweep --set reps=50 --out results/
 
@@ -20,25 +20,54 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
 
+from . import experiments
 from .core import ConfigError, RngStream, ScipError
-from .experiments import (
-    STUDY_METHODS,
-    classification_replication,
-    regression_replication,
-    run_equivalence_checks,
-    synthetic_replication,
-)
-from .metrics import ReplicationMetrics, aggregate
+from .experiments import check_methods, run_equivalence_checks
+from .metrics import aggregate
 
-_EXPERIMENTS = ("regression-sweep", "classification-sweep", "equivalence-suite", "synthetic-real")
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One replication sweep: its study, runner, defaults and the config keys its runner takes."""
+
+    study: str | None  # None: the config's profile names the study
+    runner: str  # looked up on ``scip.experiments`` per call, so a wrapper set there sees every call
+    methods: str
+    alphas: tuple[float, ...]
+    etas: tuple[float, ...] | None  # None: the sweep has no eta axis
+    keys: tuple[str, ...]
+
+
+_SWEEPS = {
+    "regression-sweep": _Sweep(
+        "regression",
+        "regression_replication",
+        "naive,infosp,infoscop,infosp+",
+        (0.1,),
+        (0.0, 0.5, 1.0, 1.5),
+        ("noise_sd", "split_ratio", "screening_alpha", "screening_threshold", "lam", "feature_degree"),
+    ),
+    "classification-sweep": _Sweep(
+        "classification",
+        "classification_replication",
+        "naive,infosp,infosp+,infosp++",
+        (0.05, 0.1, 0.15, 0.2),
+        None,
+        ("max_size", "train_size", "split_ratio"),
+    ),
+    "synthetic-real": _Sweep(
+        None,
+        "synthetic_replication",
+        "naive,infosp,infosp+",
+        (0.1,),
+        None,
+        ("profile", "feasible_frac", "sharpness", "max_size", "split_ratio", "screening_alpha"),
+    ),
+}
+
+_EXPERIMENTS = (*_SWEEPS, "equivalence-suite")
 
 _PROFILES = ("dti-like", "cifar-like")
-
-_DEFAULT_METHODS = {
-    "regression-sweep": "naive,infosp,infoscop,infosp+",
-    "classification-sweep": "naive,infosp,infosp+,infosp++",
-    "synthetic-real": "naive,infosp,infosp+",
-}
 
 _KEYS = {
     "experiment": str,
@@ -109,16 +138,11 @@ class ExperimentConfig:
             raise ConfigError("split ratio must lie in (0, 1)")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.experiment == "synthetic-real" and self.profile not in _PROFILES:
+        sweep = _SWEEPS.get(self.experiment)
+        if sweep and sweep.study is None and self.profile not in _PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}; expected one of {', '.join(_PROFILES)}")
-        study = {
-            "regression-sweep": "regression",
-            "classification-sweep": "classification",
-            "synthetic-real": self.profile,
-        }.get(self.experiment)
-        for name in self.methods:
-            if name not in STUDY_METHODS.get(study, ()):
-                raise ConfigError(f"method {name!r} is not available in {self.experiment} ({study})")
+        # the equivalence suite is no study, so it takes no method names
+        check_methods(sweep.study or self.profile if sweep else self.experiment, self.methods)
 
 
 def _parse_value(key: str, raw: str):
@@ -143,38 +167,30 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _grid(raw: str, caster=float) -> tuple:
-    try:
-        return tuple(caster(tok) for tok in raw.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {raw!r}") from exc
+def _axis(values: dict, key: str, default: tuple) -> tuple[float, ...]:
+    """The ``<key>_grid`` list if given, else the single ``<key>``, else the default."""
+    if f"{key}_grid" in values:
+        raw = values[f"{key}_grid"]
+        try:
+            return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+        except ValueError as exc:
+            raise ConfigError(f"bad grid {raw!r}") from exc
+    if key in values:
+        return (float(values[key]),)
+    return default
 
 
 def build_config(values: dict) -> ExperimentConfig:
     experiment = values.get("experiment")
     if experiment is None:
         raise ConfigError("an experiment name is required")
-    methods_raw = values.get("methods", _DEFAULT_METHODS.get(experiment, ""))
-    methods = tuple(tok.strip() for tok in methods_raw.split(",") if tok.strip())
-    default_alphas = (0.05, 0.1, 0.15, 0.2) if experiment == "classification-sweep" else (0.1,)
-    default_etas = (0.0, 0.5, 1.0, 1.5) if experiment == "regression-sweep" else (0.0,)
-    if "alpha_grid" in values:
-        alphas = _grid(values["alpha_grid"])
-    elif "alpha" in values:
-        alphas = (values["alpha"],)
-    else:
-        alphas = default_alphas
-    if "eta_grid" in values:
-        etas = _grid(values["eta_grid"])
-    elif "eta" in values:
-        etas = (values["eta"],)
-    else:
-        etas = default_etas
+    sweep = _SWEEPS.get(experiment)
+    methods_raw = values.get("methods", sweep.methods if sweep else "")
     config = ExperimentConfig(
         experiment=experiment,
-        methods=methods,
-        alphas=tuple(float(a) for a in alphas),
-        etas=tuple(float(e) for e in etas),
+        methods=tuple(tok.strip() for tok in methods_raw.split(",") if tok.strip()),
+        alphas=_axis(values, "alpha", sweep.alphas if sweep else (0.1,)),
+        etas=_axis(values, "eta", sweep.etas if sweep and sweep.etas else (0.0,)),
     )
     for key in _KEYS.keys() - _SPECIAL_KEYS:
         if key in values:
@@ -199,62 +215,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _row(*fields) -> str:
+    return ",".join(_fmt(f) for f in fields) + "\n"
+
+
+def _cells(config: ExperimentConfig) -> list[tuple[float, float | None]]:
+    """The (alpha, eta) cells in output order: eta outermost; eta is None without an eta axis."""
+    etas = config.etas if _SWEEPS[config.experiment].etas else (None,)
+    return [(float(alpha), None if eta is None else float(eta)) for eta in etas for alpha in config.alphas]
+
+
 def _cell_task(args):
+    """One replication of one cell: {method: ReplicationMetrics}."""
     config, cell_index, alpha, eta, rep = args
-    rng = RngStream(config.seed).child(cell_index, rep)
-    if config.experiment == "regression-sweep":
-        rows = regression_replication(
-            config.methods,
-            config.n,
-            config.m,
-            eta,
-            alpha,
-            rng,
-            noise_sd=config.noise_sd,
-            split_ratio=config.split_ratio,
-            screening_alpha=config.screening_alpha,
-            screening_threshold=config.screening_threshold,
-            lam=config.lam,
-            feature_degree=config.feature_degree,
-        )
-    elif config.experiment == "classification-sweep":
-        rows = classification_replication(
-            config.methods,
-            config.n,
-            config.m,
-            alpha,
-            rng,
-            max_size=config.max_size,
-            train_size=config.train_size,
-            split_ratio=config.split_ratio,
-        )
-    else:
-        rows = synthetic_replication(
-            config.methods,
-            config.profile,
-            config.n,
-            config.m,
-            alpha,
-            rng,
-            feasible_frac=config.feasible_frac,
-            sharpness=config.sharpness,
-            max_size=config.max_size,
-            split_ratio=config.split_ratio,
-            screening_alpha=config.screening_alpha,
-        )
-    return cell_index, alpha, eta, rep, rows
-
-
-def _cells(config: ExperimentConfig):
-    if config.experiment == "regression-sweep":
-        ci = 0
-        for eta in config.etas:
-            for alpha in config.alphas:
-                yield ci, alpha, eta
-                ci += 1
-    else:
-        for ci, alpha in enumerate(config.alphas):
-            yield ci, alpha, None
+    sweep = _SWEEPS[config.experiment]
+    runner = getattr(experiments, sweep.runner)
+    cell = {"alpha": alpha} if eta is None else {"alpha": alpha, "eta": eta}
+    return runner(
+        methods=config.methods,
+        n=config.n,
+        m=config.m,
+        rng=RngStream(config.seed).child(cell_index, rep),
+        **cell,
+        **{key: getattr(config, key) for key in sweep.keys},
+    )
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None = None) -> tuple[Path, Path]:
@@ -266,11 +250,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     """
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (config, ci, alpha, eta, rep)
-        for ci, alpha, eta in _cells(config)
-        for rep in range(config.reps)
-    ]
+    cells = _cells(config)
+    tasks = [(config, ci, alpha, eta, rep) for ci, (alpha, eta) in enumerate(cells) for rep in range(config.reps)]
     if config.jobs > 1:
         with Pool(config.jobs) as pool:
             results = pool.map(_cell_task, tasks, chunksize=max(1, len(tasks) // (4 * config.jobs)))
@@ -279,85 +260,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
 
     per_rep_path = out / "per_replication.csv"
     agg_path = out / "aggregate.csv"
-    # deterministic order: cell, then method order as configured, then rep
-    keyed: dict[tuple, ReplicationMetrics] = {}
-    for cell_index, alpha, eta, rep, rows in results:
-        for method, metric in rows.items():
-            keyed[(cell_index, alpha, eta, method, rep)] = metric
-
-    with open(per_rep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_PER_REP_HEADER)
-        for ci, alpha, eta in _cells(config):
+    exp = config.experiment
+    # rows in order of cell, then method as configured, then rep; results come in task order
+    with open(per_rep_path, "w", encoding="utf-8", newline="") as per_fh, \
+            open(agg_path, "w", encoding="utf-8", newline="") as agg_fh:
+        per_fh.write(_PER_REP_HEADER)
+        agg_fh.write(_AGG_HEADER)
+        for ci, (alpha, eta) in enumerate(cells):
+            cell_results = results[ci * config.reps : (ci + 1) * config.reps]
             for method in config.methods:
-                for rep in range(config.reps):
-                    r = keyed[(ci, alpha, eta, method, rep)]
-                    fh.write(
-                        ",".join(
-                            [
-                                config.experiment,
-                                method,
-                                str(rep),
-                                _fmt(float(alpha)),
-                                _fmt(None if eta is None else float(eta)),
-                                _fmt(r.fcp),
-                                _fmt(r.cpow),
-                                _fmt(r.rpow),
-                                str(r.n_selected),
-                            ]
-                        )
-                        + "\n"
-                    )
-
-    # aggregate from the round-tripped per-replication values so that
-    # re-aggregating the CSV reproduces this file byte for byte
-    parsed = _parse_per_rep(per_rep_path)
-    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_AGG_HEADER)
-        for ci, alpha, eta in _cells(config):
-            for method in config.methods:
-                rows = parsed[(_fmt(float(alpha)), _fmt(None if eta is None else float(eta)), method)]
-                agg = aggregate(rows)
-                fh.write(
-                    ",".join(
-                        [
-                            config.experiment,
-                            method,
-                            _fmt(float(alpha)),
-                            _fmt(None if eta is None else float(eta)),
-                            str(agg.reps),
-                            _fmt(agg.fcr),
-                            _fmt(agg.fcr_stderr),
-                            _fmt(agg.cpow),
-                            _fmt(agg.cpow_stderr),
-                            _fmt(agg.rpow),
-                            _fmt(agg.rpow_stderr),
-                            _fmt(agg.mfcr),
-                        ]
-                    )
-                    + "\n"
-                )
+                rows = [by_method[method] for by_method in cell_results]
+                for rep, r in enumerate(rows):
+                    per_fh.write(_row(exp, method, rep, alpha, eta, r.fcp, r.cpow, r.rpow, r.n_selected))
+                a = aggregate(rows)
+                agg_fh.write(_row(exp, method, alpha, eta, a.reps, a.fcr, a.fcr_stderr, a.cpow,
+                                  a.cpow_stderr, a.rpow, a.rpow_stderr, a.mfcr))
     return per_rep_path, agg_path
-
-
-def _parse_per_rep(path: Path) -> dict:
-    """Group the per-replication CSV rows for re-aggregation."""
-    groups: dict[tuple, list[ReplicationMetrics]] = {}
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            exp, method, rep, alpha, eta, fcp, cpow, rpow, n_sel = line.rstrip("\n").split(",")
-            n_selected = int(n_sel)
-            fcp_val = float(fcp)
-            groups.setdefault((alpha, eta, method), []).append(
-                ReplicationMetrics(
-                    fcp=fcp_val,
-                    cpow=float(cpow),
-                    rpow=float(rpow),
-                    n_selected=n_selected,
-                    n_false=int(round(fcp_val * max(1, n_selected))),
-                )
-            )
-    return groups
 
 
 def run_equivalence_suite(seed: int, instances: int) -> tuple[bool, str]:

@@ -119,11 +119,16 @@ _METHOD_STREAM = 1
 MC_OPTIMIZER = OptimizerConfig(max_iter=400, grad_tol=1e-6)
 
 
-def _run_methods(study: str, methods, splits: _Splits, rng: RngStream) -> dict[str, ReplicationMetrics]:
-    """Run each named method of ``study`` on one replication's splits; unknown names fail first."""
+def check_methods(study: str, methods) -> None:
+    """Raise ConfigError naming the first method that ``study`` does not run."""
     for name in methods:
         if name not in STUDY_METHODS.get(study, ()):
             raise ConfigError(f"method {name!r} is not part of the {study} study")
+
+
+def _run_methods(study: str, methods, splits: _Splits, rng: RngStream) -> dict[str, ReplicationMetrics]:
+    """Run each named method of ``study`` on one replication's splits; unknown names fail first."""
+    check_methods(study, methods)
     out: dict[str, ReplicationMetrics] = {}
     for name in methods:
         method = METHODS[name]
@@ -133,6 +138,8 @@ def _run_methods(study: str, methods, splits: _Splits, rng: RngStream) -> dict[s
 
 
 def _split_halves(data: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
+    if not 0.0 < ratio < 1.0:  # NaN fails here, not as the ValueError of int(round(nan))
+        raise ConfigError("split ratio must lie in (0, 1)")
     cut = int(round(data.n * ratio))
     if cut < 1 or cut >= data.n:
         raise ConfigError("split ratio leaves an empty calibration half")
@@ -141,8 +148,8 @@ def _split_halves(data: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
     return first, second
 
 
-def _splits(cal: Dataset, test: Dataset, base: ProcedureConfig, **extra) -> _Splits:
-    cal0, cal1 = _split_halves(cal, base.split_ratio)
+def _splits(cal: Dataset, test: Dataset, base: ProcedureConfig, split_ratio: float, **extra) -> _Splits:
+    cal0, cal1 = _split_halves(cal, split_ratio)
     return _Splits(cal, test, cal0, cal1, base, **extra)
 
 
@@ -174,7 +181,6 @@ def regression_replication(
         alpha=alpha,
         score=AbsoluteResidual(mu_hat),
         constraint=PositiveInterval(),
-        split_ratio=split_ratio,
         screening_alpha=alpha / 2 if screening_alpha is None else screening_alpha,
         screening_threshold=screening_threshold,
         lam=lam,
@@ -182,7 +188,7 @@ def regression_replication(
         optimizer=optimizer,
     )
     one_sided = replace(base, constraint=HalfLine(screening_threshold))
-    splits = _splits(cal, test, base, train=train, one_sided=one_sided)
+    splits = _splits(cal, test, base, split_ratio, train=train, one_sided=one_sided)
     return _run_methods("regression", methods, splits, rng)
 
 
@@ -208,9 +214,8 @@ def classification_replication(
         alpha=alpha,
         score=OneMinusProb(p_hat),
         constraint=MaxSize(max_size),
-        split_ratio=split_ratio,
     )
-    return _run_methods("classification", methods, _splits(cal, test, base), rng)
+    return _run_methods("classification", methods, _splits(cal, test, base, split_ratio), rng)
 
 
 def synthetic_replication(
@@ -238,7 +243,6 @@ def synthetic_replication(
             alpha=alpha,
             score=AbsoluteResidual(bundle.predictor),
             constraint=LowerBoundedInterval(bundle.threshold),
-            split_ratio=split_ratio,
             screening_alpha=alpha / 2 if screening_alpha is None else screening_alpha,
             screening_threshold=bundle.threshold,
         )
@@ -249,9 +253,8 @@ def synthetic_replication(
             alpha=alpha,
             score=OneMinusProb(bundle.predictor),
             constraint=MaxSize(min(max_size, bundle.n_classes - 2)),
-            split_ratio=split_ratio,
         )
-    return _run_methods(profile, methods, _splits(cal, test, base), rng)
+    return _run_methods(profile, methods, _splits(cal, test, base, split_ratio), rng)
 
 
 def containment_replication(

@@ -2,9 +2,10 @@
 
 Per replication: FCP = (# reported sets missing their label) / max(1, # reported),
 counting power = # reported, resolution-adjusted power = sum of reciprocal set
-measures (an unbounded set contributes 0).  Across replications, FCR is the
-mean FCP; the marginal rate mFCR is the ratio of totals, not the mean of
-ratios.
+measures (an unbounded set contributes 0, a zero-length interval inf).
+Across replications, FCR is the mean FCP; the marginal rate mFCR is the ratio
+of totals, not the mean of ratios.  An infinite rpow makes the aggregate rpow
+inf and, from two replications on, its stderr nan.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     mean = math.fsum(values) / n
     if n < 2:
         return mean, 0.0
+    if math.isinf(mean):  # inf - inf leaves no spread to measure
+        return mean, math.nan
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n)
 

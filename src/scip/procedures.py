@@ -67,16 +67,14 @@ class ProcedureConfig:
     """Everything a method needs beyond the data.
 
     ``screening_alpha``/``screening_threshold`` drive the infoscop screening
-    stage; ``split_ratio`` is how the experiment harness carves the extra
-    calibration half for methods that need one; ``shrink_m`` removes
-    empty-set units from the BH denominator instead of freezing them out.
+    stage; ``shrink_m`` removes empty-set units from the BH denominator
+    instead of freezing them out.
     """
 
     alpha: float
-    constraint: InformativeConstraint | None = None
-    score: NonconformityScore | None = None
+    constraint: InformativeConstraint
+    score: NonconformityScore
     tie_mode: TieMode = TieMode.PER_UNIT
-    split_ratio: float = 0.5
     screening_alpha: float | None = None
     screening_threshold: float = 0.0
     shrink_m: bool = False
@@ -87,8 +85,8 @@ class ProcedureConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError("split ratio must lie in (0, 1)")
+        if self.score is None or self.constraint is None:
+            raise ConfigError("a method needs a score and a constraint")
 
 
 @dataclass(frozen=True)
@@ -165,8 +163,6 @@ def _half_lines(up: np.ndarray, c_below: float, c_above: float) -> IntervalBatch
 def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """Level-alpha conformal sets for every unit; keep the admissible nonempty ones."""
     score, constraint = config.score, config.constraint
-    if score is None or constraint is None:
-        raise ConfigError("naive needs a score and a constraint")
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
     sets = _sets_at_levels(score, cal_scores, test.X, config.alpha)
     selected = np.flatnonzero(sets.nonempty & constraint.admits(sets))
@@ -284,8 +280,6 @@ def run_cfbh_plus_plus(
 def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """BH over the test units' I-adjusted p-values; sets at the common BH level."""
     score, constraint = config.score, config.constraint
-    if score is None or constraint is None:
-        raise ConfigError("infosp needs a score and a constraint")
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
     q = i_adjusted_pvalues(test.X, cal_scores, score, constraint)
     result = bh_select(q, config.alpha)
@@ -298,8 +292,6 @@ def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedur
 def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
     """Truncation step: cal0 scores, pooled cal+test X, their I-adjusted p-values q0, BH level tau0."""
     score, constraint = config.score, config.constraint
-    if score is None or constraint is None:
-        raise ConfigError("infosp+ needs a score and a constraint")
     cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
     X_all = np.vstack([cal.X, test.X])
     q0 = i_adjusted_pvalues(X_all, cal0_scores, score, constraint)

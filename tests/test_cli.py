@@ -1,18 +1,21 @@
 import hashlib
+import importlib
+import pkgutil
 
 import pytest
 
+import scip
+import scip.experiments
 from scip.cli import (
     ExperimentConfig,
     build_config,
     main,
     run_equivalence_suite,
     run_experiment,
-    _parse_per_rep,
     _read_config_file,
 )
 from scip.core import ConfigError
-from scip.metrics import aggregate
+from scip.metrics import ReplicationMetrics, aggregate
 
 
 def _tiny_regression(out, jobs=1, reps=4):
@@ -107,16 +110,56 @@ def test_serial_parallel_and_rerun_identical(tmp_path):
 
 def test_aggregate_reproducible_from_per_rep_rows(tmp_path):
     per_rep, agg_path = run_experiment(_tiny_regression(tmp_path / "agg"))
-    groups = _parse_per_rep(per_rep)
+    groups = {}
+    for line in per_rep.read_text(encoding="utf-8").splitlines()[1:]:
+        _, method, _, alpha, eta, fcp, cpow, rpow, n_sel = line.split(",")
+        n_false = round(float(fcp) * max(1, int(n_sel)))
+        row = ReplicationMetrics(float(fcp), float(cpow), float(rpow), int(n_sel), n_false)
+        groups.setdefault((alpha, eta, method), []).append(row)
     agg_lines = agg_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(agg_lines) == len(groups)
     for line in agg_lines:
         parts = line.split(",")
         method, alpha, eta = parts[1], parts[2], parts[3]
-        rows = groups[(alpha, eta, method)]
-        fresh = aggregate(rows)
-        assert repr(fresh.fcr) == parts[5]
-        assert repr(fresh.cpow) == parts[7]
-        assert repr(fresh.rpow) == parts[9]
+        a = aggregate(groups[(alpha, eta, method)])
+        fresh = [a.reps, a.fcr, a.fcr_stderr, a.cpow, a.cpow_stderr, a.rpow, a.rpow_stderr, a.mfcr]
+        assert parts[4:] == ["" if v is None else repr(v) for v in fresh]
+
+
+_OP_FUNCTIONS = ("regression_replication", "classification_replication", "synthetic_replication")
+
+
+def _count_replications(monkeypatch) -> list[str]:
+    """Wrap each replication runner under every scip module name that holds it.
+
+    This is how the benchmark's span recorder times one op, so a sweep that
+    called a runner it captured at import time would bypass the counter.
+    """
+    calls = []
+    runners = {name: getattr(scip.experiments, name) for name in _OP_FUNCTIONS}
+    modules = [scip] + [importlib.import_module(f"scip.{info.name}") for info in pkgutil.iter_modules(scip.__path__)]
+    for module in modules:
+        for attr, obj in list(vars(module).items()):
+            for name, fn in runners.items():
+                if obj is fn:
+                    def counted(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_replication_calls_the_module_runner_once(tmp_path, monkeypatch):
+    calls = _count_replications(monkeypatch)
+    run_experiment(_tiny_regression(tmp_path / "reg", reps=3))
+    assert calls == ["regression_replication"] * 2 * 3  # cells x reps
+    calls.clear()
+    config = ExperimentConfig(
+        experiment="classification-sweep", methods=("naive",), n=40, m=20, reps=2, alphas=(0.1, 0.2), seed=5
+    )
+    run_experiment(config, tmp_path / "cls")
+    assert calls == ["classification_replication"] * 2 * 2
 
 
 def test_classification_experiment_runs(tmp_path):

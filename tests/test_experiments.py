@@ -56,6 +56,12 @@ def test_synthetic_unknown_method_is_a_config_error(monkeypatch):
         synthetic_replication(["naive", "infoscop"], "cifar-like", 20, 20, 0.1, RngStream(1))
 
 
+def test_nan_split_ratio_is_a_config_error():
+    for ratio in (float("nan"), 0.0, 1.0):
+        with pytest.raises(ConfigError, match="split ratio"):
+            classification_replication(["naive"], 20, 20, 0.1, RngStream(1), split_ratio=ratio)
+
+
 def _mean_se(values):
     arr = np.asarray(values, dtype=float)
     return arr.mean(), arr.std(ddof=1) / math.sqrt(arr.size)

@@ -38,6 +38,18 @@ def test_rpow_unbounded_sets_contribute_zero():
     assert replication_metrics(np.array([0, 1]), sets, truth).rpow == pytest.approx(0.5)
 
 
+def test_zero_length_interval_gives_inf_rpow_and_nan_stderr():
+    """A zero-length reported interval: rpow inf, then aggregate mean inf and stderr nan, with no warning."""
+    point = replication_metrics(np.array([0]), IntervalBatch.from_radius([1.0], [0.0]), np.array([1.0]))
+    assert point.rpow == np.inf and point.n_false == 0
+    finite = ReplicationMetrics(fcp=0.0, cpow=1.0, rpow=0.5, n_selected=1, n_false=0)
+    for rows in ([point, point], [point, finite]):
+        agg = aggregate(rows)
+        assert agg.rpow == np.inf and np.isnan(agg.rpow_stderr)
+        assert agg.fcr == 0.0 and agg.fcr_stderr == 0.0
+    assert aggregate([point]).rpow_stderr == 0.0  # one replication has no spread
+
+
 def test_batch_scores_match_the_per_set_loop():
     """Hit counts and rpow equal a left-to-right loop over the set objects, bit for bit."""
     gen = np.random.default_rng(5)

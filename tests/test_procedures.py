@@ -154,7 +154,6 @@ def test_cfbh_plus_plus_runs_and_controls_shape():
 
 def test_infosp_hand_fixture():
     """Three test units with hand-computed adjusted levels and BH threshold."""
-    mu_vals = {0.0: 1.0}
     mu_hat = lambda X: np.asarray(X, dtype=float).reshape(-1)  # mu(x) = x
     cal = Dataset(
         np.array([[1.0], [1.0], [1.0], [1.0]]),
@@ -371,6 +370,13 @@ def test_selective_classification_modes():
         run_selective_classification(
             cal, test, ProcedureConfig(alpha=0.2, score=OneMinusProb(true_class_probs), constraint=MaxSize(2))
         )
+
+
+def test_config_needs_a_score_and_a_constraint():
+    with pytest.raises(ConfigError, match="score and a constraint"):
+        ProcedureConfig(alpha=0.1, score=None, constraint=PositiveInterval())
+    with pytest.raises(ConfigError, match="score and a constraint"):
+        ProcedureConfig(alpha=0.1, score=AbsoluteResidual(lambda X: X[:, 0]), constraint=None)
 
 
 def test_same_seed_same_output():

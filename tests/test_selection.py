@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scip import selection
 from scip.core import RngStream
 from scip.selection import (
     ScoredPool,
@@ -26,7 +27,7 @@ def test_pvalue_hand_count():
     p = generalized_conformal_pvalues(pool, TieMode.DETERMINISTIC)
     assert p[0] == pytest.approx((1 + 1) / 5)
     # a midpoint tie draw U = 0.5 lands the same count at 0.3
-    assert (1 + 1 * 0.5) / 5 == pytest.approx(0.3)
+    assert selection._pvalues_at(pool, np.array([0.5]))[0] == pytest.approx(0.3)
 
 
 def test_pvalue_no_nulls_reduces_to_u_over_n1():
