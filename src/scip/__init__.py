@@ -3,7 +3,6 @@
 from .conformal import (
     AbsoluteResidual,
     CalibrationScores,
-    ClippedScore,
     OneMinusProb,
     i_adjusted_pvalues,
 )

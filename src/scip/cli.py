@@ -196,6 +196,8 @@ def build_config(values: dict) -> ExperimentConfig:
         if key in values:
             setattr(config, key, values[key])
     config.validate()
+    if not (sweep and sweep.etas) and values.keys() & {"eta", "eta_grid"}:
+        raise ConfigError(f"{experiment} has no eta axis")
     return config
 
 

@@ -48,7 +48,6 @@ class AbsoluteResidual:
     """V(x, y) = |y - mu_hat(x)| for a frozen point predictor."""
 
     mu_hat: MuHatFn
-    kind: str = "absolute_residual"
 
     def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(y, dtype=float) - np.asarray(self.mu_hat(X), dtype=float))
@@ -59,7 +58,6 @@ class OneMinusProb:
     """V(x, y) = 1 - p_hat(Y = y | x) for a frozen class-probability estimator."""
 
     p_hat: ProbFn
-    kind: str = "one_minus_prob"
 
     def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         probs = np.asarray(self.p_hat(X), dtype=float)
@@ -67,26 +65,7 @@ class OneMinusProb:
         return 1.0 - probs[np.arange(probs.shape[0]), labels - 1]
 
 
-@dataclass(frozen=True)
-class ClippedScore:
-    """mu_hat(x) - c0 - 2M * 1{y > c0}, with M exceeding sup |mu_hat|.
-
-    The clip drops every label above c0 far below every label at or under it,
-    which turns rank comparisons into comparisons of mu_hat among sub-threshold
-    units only.
-    """
-
-    mu_hat: MuHatFn
-    c0: float
-    big_m: float
-    kind: str = "clipped"
-
-    def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        mu = np.asarray(self.mu_hat(X), dtype=float)
-        return mu - self.c0 - 2.0 * self.big_m * (np.asarray(y, dtype=float) > self.c0)
-
-
-NonconformityScore = AbsoluteResidual | OneMinusProb | ClippedScore
+NonconformityScore = AbsoluteResidual | OneMinusProb
 
 
 # ---------------------------------------------------------------------------

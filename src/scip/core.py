@@ -353,22 +353,17 @@ def _classes(batch: SetBatch) -> ClassBatch:
     return batch
 
 
-def _require_residual_score(score, constraint_name: str):
-    mu_hat = getattr(score, "mu_hat", None)
-    if mu_hat is None or getattr(score, "kind", "") != "absolute_residual":
-        raise UnsupportedScoreError(
-            f"{constraint_name} has a closed-form breakpoint only for absolute-residual scores"
-        )
-    return mu_hat
+_SCORE_KINDS = {"mu_hat": "absolute-residual", "p_hat": "one-minus-probability"}
 
 
-def _require_class_prob_score(score, constraint_name: str):
-    p_hat = getattr(score, "p_hat", None)
-    if p_hat is None or getattr(score, "kind", "") != "one_minus_prob":
+def _score_fn(score, attr: str, constraint_name: str):
+    """The score's fitted ``mu_hat`` or ``p_hat``, the one input a closed-form breakpoint reads."""
+    fn = getattr(score, attr, None)
+    if fn is None:
         raise UnsupportedScoreError(
-            f"{constraint_name} has a closed-form breakpoint only for one-minus-probability scores"
+            f"{constraint_name} has a closed-form breakpoint only for {_SCORE_KINDS[attr]} scores"
         )
-    return p_hat
+    return fn
 
 
 @dataclass(frozen=True)
@@ -379,7 +374,7 @@ class PositiveInterval(InformativeConstraint):
         return _intervals(batch).lower > 0.0
 
     def breakpoints(self, score, X):
-        mu = np.asarray(_require_residual_score(score, "PositiveInterval")(X), dtype=float)
+        mu = np.asarray(_score_fn(score, "mu_hat", "PositiveInterval")(X), dtype=float)
         return np.where(mu > 0.0, mu, np.nan)
 
 
@@ -393,7 +388,7 @@ class LowerBoundedInterval(InformativeConstraint):
         return _intervals(batch).lower >= self.c
 
     def breakpoints(self, score, X):
-        mu = np.asarray(_require_residual_score(score, "LowerBoundedInterval")(X), dtype=float)
+        mu = np.asarray(_score_fn(score, "mu_hat", "LowerBoundedInterval")(X), dtype=float)
         v = mu - self.c
         return np.where(v > 0.0, v, np.nan)
 
@@ -409,7 +404,7 @@ class HalfLine(InformativeConstraint):
         return (b.lower > self.c0) | ((b.lower == self.c0) & b.lower_open)
 
     def breakpoints(self, score, X):
-        mu = np.asarray(_require_residual_score(score, "HalfLine")(X), dtype=float)
+        mu = np.asarray(_score_fn(score, "mu_hat", "HalfLine")(X), dtype=float)
         v = mu - self.c0
         return np.where(v > 0.0, v, np.nan)
 
@@ -432,7 +427,7 @@ class TargetHalfLines(InformativeConstraint):
         return below | above
 
     def breakpoints(self, score, X):
-        mu = np.asarray(_require_residual_score(score, "TargetHalfLines")(X), dtype=float)
+        mu = np.asarray(_score_fn(score, "mu_hat", "TargetHalfLines")(X), dtype=float)
         v = np.maximum(self.c_l - mu, mu - self.c_u)
         return np.where(v > 0.0, v, np.nan)
 
@@ -451,7 +446,7 @@ class MaxSize(InformativeConstraint):
         return _classes(batch).member.sum(axis=1) <= self.k0
 
     def breakpoints(self, score, X):
-        probs = np.asarray(_require_class_prob_score(score, "MaxSize")(X), dtype=float)
+        probs = np.asarray(_score_fn(score, "p_hat", "MaxSize")(X), dtype=float)
         n, n_classes = probs.shape
         if n_classes <= self.k0:
             return np.full(n, math.inf)
@@ -472,7 +467,7 @@ class SingletonClass(InformativeConstraint):
         return ~(member & others).any(axis=1)
 
     def breakpoints(self, score, X):
-        probs = np.asarray(_require_class_prob_score(score, "SingletonClass")(X), dtype=float)
+        probs = np.asarray(_score_fn(score, "p_hat", "SingletonClass")(X), dtype=float)
         if probs.shape[1] < 2:
             return np.full(probs.shape[0], math.inf)
         top = np.argmax(probs, axis=1)  # smallest index wins ties
@@ -514,6 +509,8 @@ class Dataset:
         if self.y is not None:
             if self.task == REGRESSION:
                 y = np.asarray(self.y, dtype=float)
+                if not np.all(np.isfinite(y)):
+                    raise ValueError("regression labels must be finite")
             else:
                 y = np.asarray(self.y)
                 if not np.issubdtype(y.dtype, np.integer):

@@ -47,6 +47,7 @@ from .selection import (
 )
 from .simgen import (
     NOISE_SD,
+    StoredProbs,
     gen_classification,
     gen_regression,
     gen_synthetic_scores,
@@ -420,16 +421,6 @@ def _random_probs(gen: np.random.Generator, n: int, k: int, coarse: bool) -> np.
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class _TableProbs:
-    table: np.ndarray
-
-    def __call__(self, X) -> np.ndarray:
-        idx = np.asarray(X, dtype=float)
-        idx = idx[:, 0] if idx.ndim == 2 else idx
-        return self.table[idx.astype(int)]
-
-
 def check_selective_classification(seed_rng: RngStream, instances: int) -> EquivalenceReport:
     failures = []
     for i in range(instances):
@@ -441,7 +432,7 @@ def check_selective_classification(seed_rng: RngStream, instances: int) -> Equiv
         cum = probs.cumsum(axis=1)
         labels = 1 + (gen.random((n + m, 1)) > cum[:, :-1]).sum(axis=1)
         alpha = float(gen.uniform(0.05, 0.5))
-        p_hat = _TableProbs(probs)
+        p_hat = StoredProbs(probs)
         idx = np.arange(n + m, dtype=float)[:, None]
         cal = Dataset(idx[:n], labels[:n].astype(int), CLASSIFICATION)
         test = Dataset(idx[n:], None, CLASSIFICATION)

@@ -3,8 +3,16 @@
 Each ``run_*`` function takes frozen datasets plus a ProcedureConfig and
 returns a ProcedureOutput: the selected test indices, their reported sets as
 one column batch (``core.IntervalBatch`` or ``core.ClassBatch``), and
-diagnostics.  Every reported set is checked against the active constraint
-before it leaves the procedure, and empty sets are never reported.
+diagnostics.
+
+The trust-score methods (cfbh+, cfbh++, infosp+, infosp++ and selective
+classification) differ only in their informative-set constructor and their
+trust, and share one selection step, ``_select``: a calibration unit is null
+exactly when its label falls outside its own informative set, and BH over the
+generalized conformal p-values selects among the test units whose set is
+nonempty.  The other methods leave through ``_report``, which keeps the
+candidate units whose set is nonempty.  Both exits check every reported set
+against the active constraint, and empty sets are never reported.
 
 Methods
 -------
@@ -28,7 +36,6 @@ import numpy as np
 from .conformal import (
     AbsoluteResidual,
     CalibrationScores,
-    ClippedScore,
     NonconformityScore,
     OneMinusProb,
     i_adjusted_pvalues,
@@ -57,6 +64,7 @@ from .selection import (
 )
 from .trust import (
     OptimizerConfig,
+    TrainedScorer,
     class_membership_trust,
     train_trust_classifier,
 )
@@ -127,6 +135,38 @@ def _checked_output(
     return ProcedureOutput(selected, sets, diagnostics)
 
 
+def _report(config: ProcedureConfig, candidates, sets: SetBatch, diagnostics) -> ProcedureOutput:
+    """Exit of the methods without a trust score: the candidates whose set (row of ``sets``) is nonempty."""
+    keep = candidates[sets.nonempty[candidates]]
+    return _checked_output(keep, sets.take(keep), config.constraint, diagnostics)
+
+
+def _select(
+    config: ProcedureConfig, rng: RngStream | None, cal_sets: SetBatch, cal_y, trust_cal,
+    test_sets: SetBatch, trust_test, **diagnostics,
+) -> ProcedureOutput:
+    """The shared selection step: null = label outside its own set, generalized p-values, BH.
+
+    Test units with an empty set are never selected; ``shrink_m`` drops them
+    from the BH denominator.
+    """
+    null = ~cal_sets.covers(cal_y)  # an empty set covers nothing
+    result = scip_select_arrays(
+        trust_cal, null, trust_test, config.alpha, config.tie_mode, rng,
+        test_eligible=test_sets.nonempty, shrink_m=config.shrink_m,
+    )
+    diag = {"pvalues": result.pvalues, "result": result, **diagnostics}
+    return _checked_output(result.selected, test_sets.take(result.selected), config.constraint, diag)
+
+
+def _trained_trust(config: ProcedureConfig, train: Dataset, train_sets: SetBatch) -> TrainedScorer:
+    """The trust classifier fit to whether each training label lies in its own informative set."""
+    labels = np.where(train_sets.covers(train.y), 1, -1)
+    return train_trust_classifier(
+        train.X, labels, lam=config.lam, config=config.optimizer, feature_degree=config.feature_degree
+    )
+
+
 def _require_residual(config: ProcedureConfig) -> AbsoluteResidual:
     if not isinstance(config.score, AbsoluteResidual):
         raise ConfigError("this method needs an absolute-residual score")
@@ -149,10 +189,25 @@ def _sets_at_levels(score, cal_scores: CalibrationScores, X, levels) -> SetBatch
     raise ConfigError("this method supports residual or class-probability scores")
 
 
-def _half_lines(up: np.ndarray, c_below: float, c_above: float) -> IntervalBatch:
-    """(c_above, inf) where ``up``, else (-inf, c_below); both ends open."""
-    open_ends = np.ones(up.shape, dtype=bool)
-    return IntervalBatch(np.where(up, c_above, -np.inf), np.where(up, np.inf, c_below), open_ends, open_ends)
+def _half_line_sets(config: ProcedureConfig, X) -> tuple[IntervalBatch, np.ndarray]:
+    """cfbh+'s constructor and mu-based trust, per row of X; both ends of each set are open.
+
+    HalfLine(c0): (c0, inf) with trust mu_hat.  TargetHalfLines(c_l, c_u):
+    (c_u, inf) when mu_hat >= (c_l + c_u)/2, else (-inf, c_l), with trust
+    the distance of mu_hat from that midpoint.
+    """
+    constraint = config.constraint
+    mu = np.asarray(_require_residual(config).mu_hat(X), dtype=float)
+    if isinstance(constraint, HalfLine):
+        up, c_below, c_above, trust = np.ones(mu.shape, dtype=bool), constraint.c0, constraint.c0, mu
+    elif isinstance(constraint, TargetHalfLines):
+        mid = (constraint.c_l + constraint.c_u) / 2.0
+        up, c_below, c_above, trust = mid - mu <= 0.0, constraint.c_l, constraint.c_u, np.abs(mid - mu)
+    else:
+        raise ConfigError("cfbh+ and cfbh++ need a HalfLine or TargetHalfLines constraint")
+    lower, upper = np.where(up, c_above, -np.inf), np.where(up, np.inf, c_below)
+    open_ends = np.ones(mu.shape, dtype=bool)
+    return IntervalBatch(lower, upper, open_ends, open_ends), trust
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +217,11 @@ def _half_lines(up: np.ndarray, c_below: float, c_above: float) -> IntervalBatch
 
 def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """Level-alpha conformal sets for every unit; keep the admissible nonempty ones."""
-    score, constraint = config.score, config.constraint
+    score = config.score
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
     sets = _sets_at_levels(score, cal_scores, test.X, config.alpha)
-    selected = np.flatnonzero(sets.nonempty & constraint.admits(sets))
     diag = {"level": config.alpha, "radius": cal_scores.score_radius(config.alpha)}
-    return _checked_output(selected, sets.take(selected), constraint, diag)
+    return _report(config, np.flatnonzero(config.constraint.admits(sets)), sets, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -178,98 +232,44 @@ def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedure
 def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream) -> ProcedureOutput:
     """Clipped-score conformal p-values + BH; reports the half line above the threshold.
 
-    The clip constant exceeds the realized sup of |mu_hat| over the pooled
-    sample, which is all the equivalence with the trust-score route needs.
+    The clipped score mu_hat(x) - c0 - 2M 1{y > c0} drops every calibration
+    label above c0 below every test unit.  The clip constant M exceeds the
+    realized sup of |mu_hat| over the pooled sample, which is all the
+    equivalence with the trust-score route needs.
     """
-    constraint = config.constraint
-    if not isinstance(constraint, HalfLine):
+    if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
-    score = _require_residual(config)
-    c0 = constraint.c0
-    mu_cal = np.asarray(score.mu_hat(cal.X), dtype=float)
-    mu_test = np.asarray(score.mu_hat(test.X), dtype=float)
+    c0 = config.constraint.c0
+    mu_cal = np.asarray(_require_residual(config).mu_hat(cal.X), dtype=float)
+    sets, mu_test = _half_line_sets(config, test.X)
     big_m = float(max(np.abs(mu_cal).max(), np.abs(mu_test).max())) + 1.0
-    clipped = ClippedScore(score.mu_hat, c0, big_m)
-    v_cal = np.asarray(clipped.eval(cal.X, cal.y), dtype=float)
+    v_cal = mu_cal - c0 - 2.0 * big_m * (cal.y > c0)
     v_test = mu_test - c0  # clip indicator is 0 at the boundary label
     pool = ScoredPool(v_cal, np.ones(cal.n, dtype=bool), v_test)
     pvals = generalized_conformal_pvalues(pool, config.tie_mode, rng)
     result = bh_select(pvals, config.alpha)
-    sets = _half_lines(np.ones(result.selected.size, dtype=bool), c0, c0)
-    diag = {"pvalues": pvals, "result": result, "big_m": big_m}
-    return _checked_output(result.selected, sets, constraint, diag)
-
-
-def _two_sided_pieces(score: AbsoluteResidual, constraint: TargetHalfLines, X, y=None):
-    """Directional constructor: (c_u, inf) when mu_hat >= (c_l + c_u)/2, else (-inf, c_l)."""
-    mu = np.asarray(score.mu_hat(X), dtype=float)
-    mid = (constraint.c_l + constraint.c_u) / 2.0
-    up = mid - mu <= 0.0
-    trust = np.abs(mid - mu)
-    null = None
-    if y is not None:
-        null = np.where(up, y <= constraint.c_u, y >= constraint.c_l)
-    return up, trust, null
-
-
-def _select_half_lines(
-    cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream, scorer=None
-) -> ProcedureOutput:
-    """cfbh+/cfbh++ route: null flags, generalized selection, one half line per selected unit.
-
-    The trust is mu_hat (one-sided) or the distance from the band midpoint
-    (two-sided) unless a trained ``scorer`` supplies it.
-    """
-    constraint = config.constraint
-    score = _require_residual(config)
-    if isinstance(constraint, HalfLine):
-        null = cal.y <= constraint.c0
-        up_test = np.ones(test.n, dtype=bool)
-        c_below = c_above = constraint.c0
-        if scorer is None:
-            trust_cal = np.asarray(score.mu_hat(cal.X), dtype=float)
-            trust_test = np.asarray(score.mu_hat(test.X), dtype=float)
-    elif isinstance(constraint, TargetHalfLines):
-        _, trust_cal, null = _two_sided_pieces(score, constraint, cal.X, cal.y)
-        up_test, trust_test, _ = _two_sided_pieces(score, constraint, test.X)
-        c_below, c_above = constraint.c_l, constraint.c_u
-    else:
-        raise ConfigError("cfbh+ needs a HalfLine or TargetHalfLines constraint")
-    if scorer is not None:
-        trust_cal, trust_test = scorer.predict(cal.X), scorer.predict(test.X)
-    result = scip_select_arrays(trust_cal, null, trust_test, config.alpha, config.tie_mode, rng)
-    sets = _half_lines(up_test[result.selected], c_below, c_above)
-    diag = {"pvalues": result.pvalues, "result": result}
-    if scorer is not None:
-        diag["scorer"] = scorer
-    return _checked_output(result.selected, sets, constraint, diag)
+    return _report(config, result.selected, sets, {"pvalues": pvals, "result": result, "big_m": big_m})
 
 
 def run_cfbh_plus(
     cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """Trust-score route: fixed half line (one-sided) or estimated direction (two-sided)."""
-    return _select_half_lines(cal, test, config, rng)
+    cal_sets, trust_cal = _half_line_sets(config, cal.X)
+    test_sets, trust_test = _half_line_sets(config, test.X)
+    return _select(config, rng, cal_sets, cal.y, trust_cal, test_sets, trust_test)
 
 
 def run_cfbh_plus_plus(
     train: Dataset, cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
-    """cfbh+ with a trust score trained to separate interesting from boring labels."""
-    constraint = config.constraint
-    score = _require_residual(config)
-    if isinstance(constraint, HalfLine):
-        pos = train.y > constraint.c0
-    elif isinstance(constraint, TargetHalfLines):
-        up, _, _ = _two_sided_pieces(score, constraint, train.X)
-        pos = np.where(up, train.y >= constraint.c_u, train.y <= constraint.c_l)
-    else:
-        raise ConfigError("cfbh++ needs a HalfLine or TargetHalfLines constraint")
-    scorer = train_trust_classifier(
-        train.X, np.where(pos, 1, -1), lam=config.lam, config=config.optimizer,
-        feature_degree=config.feature_degree,
+    """cfbh+ with a trust score trained to tell labels inside their half line from the rest."""
+    scorer = _trained_trust(config, train, _half_line_sets(config, train.X)[0])
+    cal_sets, _ = _half_line_sets(config, cal.X)
+    test_sets, _ = _half_line_sets(config, test.X)
+    return _select(
+        config, rng, cal_sets, cal.y, scorer.predict(cal.X), test_sets, scorer.predict(test.X), scorer=scorer
     )
-    return _select_half_lines(cal, test, config, rng, scorer)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +279,13 @@ def run_cfbh_plus_plus(
 
 def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """BH over the test units' I-adjusted p-values; sets at the common BH level."""
-    score, constraint = config.score, config.constraint
+    score = config.score
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
-    q = i_adjusted_pvalues(test.X, cal_scores, score, constraint)
+    q = i_adjusted_pvalues(test.X, cal_scores, score, config.constraint)
     result = bh_select(q, config.alpha)
     tau = result.threshold_alpha_hat
     sets = _sets_at_levels(score, cal_scores, test.X, tau)
-    keep = result.selected[sets.nonempty[result.selected]]
-    return _checked_output(keep, sets.take(keep), constraint, {"q": q, "tau": tau})
+    return _report(config, result.selected, sets, {"q": q, "tau": tau})
 
 
 def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
@@ -300,49 +299,24 @@ def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureCon
 
 
 def _infosp_plus_core(
-    cal: Dataset,
-    test: Dataset,
-    config: ProcedureConfig,
-    rng: RngStream,
-    truncation,
-    trust_override=None,
-):
-    """Shared pipeline: truncated levels, per-unit sets, trust, generalized selection.
+    cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream, truncation, trust=None
+) -> ProcedureOutput:
+    """Truncated levels, per-unit sets, trust, then the shared selection step.
 
     The CP-truncated constructor gives each pooled unit its level-q_plus
-    conformal set (``_sets_at_levels``), q_plus = max(q0, tau0).  ``truncation`` is the output of
-    ``_truncation``; ``trust_override(sets, X_all)`` replaces the default
-    one-minus-level trust when the estimated-oracle variant runs.
+    conformal set, q_plus = max(q0, tau0).  ``truncation`` is the output of
+    ``_truncation``; ``trust(sets, X_all)`` gives the pooled units' trust in
+    place of the default 1 - q_plus.  An empty set gets trust 0 either way.
     """
     cal0_scores, X_all, q0, tau0 = truncation
     n = cal.n
     q_plus = np.maximum(q0, tau0)
     sets = _sets_at_levels(config.score, cal0_scores, X_all, q_plus)
-    nonempty = sets.nonempty
-    if trust_override is None:
-        trust = np.where(nonempty, 1.0 - q_plus, 0.0)
-    else:
-        trust = np.where(nonempty, trust_override(sets, X_all), 0.0)
-    null = ~sets.take(slice(0, n)).covers(cal.y)  # an empty set covers nothing
-    result = scip_select_arrays(
-        trust[:n],
-        null,
-        trust[n:],
-        config.alpha,
-        config.tie_mode,
-        rng,
-        test_eligible=nonempty[n:],
-        shrink_m=config.shrink_m,
+    pooled = np.where(sets.nonempty, 1.0 - q_plus if trust is None else trust(sets, X_all), 0.0)
+    return _select(
+        config, rng, sets.take(slice(0, n)), cal.y, pooled[:n], sets.take(slice(n, None)), pooled[n:],
+        q0=q0, tau0=tau0, q_plus=q_plus, trust=pooled,
     )
-    diag = {
-        "q0": q0,
-        "tau0": tau0,
-        "q_plus": q_plus,
-        "pvalues": result.pvalues,
-        "result": result,
-        "trust": trust,
-    }
-    return _checked_output(result.selected, sets.take(n + result.selected), config.constraint, diag)
 
 
 def run_infosp_plus(
@@ -366,11 +340,10 @@ def run_infosp_plus_plus(
     regression trains a coverage classifier on the disjoint training sample.
     """
     if isinstance(config.score, OneMinusProb):
-        def trust_override(sets, X_all):
+        def trust(sets, X_all):
             return class_membership_trust(config.score.p_hat(X_all), sets.member)
 
-        truncation = _truncation(cal, cal0, test, config)
-        return _infosp_plus_core(cal, test, config, rng, truncation, trust_override)
+        return _infosp_plus_core(cal, test, config, rng, _truncation(cal, cal0, test, config), trust)
     score = _require_residual(config)
     if train is None:
         raise ConfigError("regression infosp++ needs a training sample")
@@ -378,16 +351,8 @@ def run_infosp_plus_plus(
     cal0_scores, _, _, tau0 = truncation
     q0_train = i_adjusted_pvalues(train.X, cal0_scores, score, config.constraint)
     train_sets = _sets_at_levels(score, cal0_scores, train.X, np.maximum(q0_train, tau0))
-    pos = train_sets.covers(train.y)
-    labels = np.where(pos, 1, -1)
-    scorer = train_trust_classifier(
-        train.X, labels, lam=config.lam, config=config.optimizer, feature_degree=config.feature_degree
-    )
-
-    def trust_override(sets, X_all):
-        return scorer.predict(X_all)
-
-    return _infosp_plus_core(cal, test, config, rng, truncation, trust_override)
+    scorer = _trained_trust(config, train, train_sets)
+    return _infosp_plus_core(cal, test, config, rng, truncation, lambda sets, X_all: scorer.predict(X_all))
 
 
 def run_infosp_modified(
@@ -397,14 +362,12 @@ def run_infosp_modified(
 
     Shares the threshold computed over the pooled truncation p-values, which
     puts it on equal footing with the truncated-level method for containment
-    checks.
+    checks.  No I-adjusted p-value is below 1/(n+1), so tau0 = 0 selects
+    nothing.
     """
     cal0_scores, _, q0, tau0 = _truncation(cal, cal0, test, config)
-    q0_test = q0[cal.n :]
-    selected = np.flatnonzero(q0_test <= tau0) if tau0 > 0.0 else np.array([], dtype=int)
     sets = _sets_at_levels(config.score, cal0_scores, test.X, tau0)
-    keep = selected[sets.nonempty[selected]]
-    return _checked_output(keep, sets.take(keep), config.constraint, {"q0": q0, "tau0": tau0})
+    return _report(config, np.flatnonzero(q0[cal.n :] <= tau0), sets, {"q0": q0, "tau0": tau0})
 
 
 def run_infoscop(
@@ -453,28 +416,23 @@ def run_selective_classification(
 
     A SingletonClass constraint targets one fixed class; a MaxSize(1)
     constraint uses the argmax-class constructor (ties go to the smallest
-    class index).  Deterministic ties make the
-    selection coincide with the mirror-process style references.
+    class index).  The trust is the probability of the reported class.
+    Deterministic ties make the selection coincide with the mirror-process
+    style references.
     """
     score = _require_class_prob(config)
     constraint = config.constraint
-    probs_cal = np.asarray(score.p_hat(cal.X), dtype=float)
-    probs_test = np.asarray(score.p_hat(test.X), dtype=float)
-    if isinstance(constraint, SingletonClass):
-        y0 = constraint.y0
-        trust_cal = probs_cal[:, y0 - 1]
-        trust_test = probs_test[:, y0 - 1]
-        null = cal.y != y0
-        classes_test = np.full(test.n, y0)
-    elif isinstance(constraint, MaxSize) and constraint.k0 == 1:
-        trust_cal = probs_cal.max(axis=1)
-        trust_test = probs_test.max(axis=1)
-        null = cal.y != (np.argmax(probs_cal, axis=1) + 1)
-        classes_test = np.argmax(probs_test, axis=1) + 1
-    else:
+    fixed = isinstance(constraint, SingletonClass)
+    if not (fixed or (isinstance(constraint, MaxSize) and constraint.k0 == 1)):
         raise ConfigError("selective classification needs SingletonClass or MaxSize(1)")
-    result = scip_select_arrays(
-        trust_cal, null, trust_test, config.alpha, TieMode.DETERMINISTIC, rng=None
-    )
-    sets = ClassBatch(classes_test[result.selected, None] == np.arange(1, probs_test.shape[1] + 1))
-    return _checked_output(result.selected, sets, constraint, {"result": result, "classes": classes_test})
+
+    def singletons(X):
+        probs = np.asarray(score.p_hat(X), dtype=float)
+        rows = np.arange(probs.shape[0])
+        classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
+        return ClassBatch(classes[:, None] == np.arange(1, probs.shape[1] + 1)), probs[rows, classes - 1]
+
+    cal_sets, trust_cal = singletons(cal.X)
+    test_sets, trust_test = singletons(test.X)
+    deterministic = replace(config, tie_mode=TieMode.DETERMINISTIC)
+    return _select(deterministic, None, cal_sets, cal.y, trust_cal, test_sets, trust_test)

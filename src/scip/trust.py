@@ -86,21 +86,19 @@ class OptimizerConfig:
 
     max_iter: int = 5000
     grad_tol: float = 1e-8
-    init_step: float = 1.0
-    shrink: float = 0.5
 
 
 def _gd_minimize(value_and_grad, w0: np.ndarray, config: OptimizerConfig):
     """Descend until the gradient sup-norm passes tol or the budget runs out.
 
-    Step sizes warm-start from the previously accepted step (doubled), then
-    halve until the loss decreases; the loss trace is non-increasing by
-    construction.
+    Step sizes warm-start from the previously accepted step (doubled; from 1
+    before the first), then halve until the loss decreases; the loss trace is
+    non-increasing by construction.
     """
     w = w0.astype(float).copy()
     loss, grad = value_and_grad(w)
     trace = [float(loss)]
-    step = config.init_step
+    step = 1.0
     converged = False
     for _ in range(config.max_iter):
         if np.max(np.abs(grad)) < config.grad_tol:
@@ -112,7 +110,7 @@ def _gd_minimize(value_and_grad, w0: np.ndarray, config: OptimizerConfig):
             cand_loss, cand_grad = value_and_grad(cand)
             if cand_loss < loss:
                 break
-            step *= config.shrink
+            step *= 0.5
         else:
             break  # no descent direction at float resolution
         w, loss, grad = cand, cand_loss, cand_grad

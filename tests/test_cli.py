@@ -62,6 +62,20 @@ def test_invalid_values_rejected():
         build_config({"experiment": "classification-sweep", "methods": "cfbh"})
 
 
+def test_eta_on_a_sweep_without_an_eta_axis_is_a_config_error():
+    cases = (
+        {"experiment": "classification-sweep", "methods": "naive"},
+        {"experiment": "synthetic-real", "methods": "naive"},
+        {"experiment": "equivalence-suite"},
+    )
+    for values in cases:
+        for key, raw in (("eta", 1.0), ("eta_grid", "0,1,2")):
+            with pytest.raises(ConfigError, match=f"{values['experiment']} has no eta axis"):
+                build_config({**values, key: raw})
+            assert main(["--experiment", values["experiment"], "--set", f"{key}={raw}"]) == 2
+    assert build_config({"experiment": "regression-sweep", "eta_grid": "0,1,2"}).etas == (0.0, 1.0, 2.0)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["--set", "bogus=1", "--experiment", "regression-sweep"]) == 2
     assert main(["--set", "garbage"]) == 2

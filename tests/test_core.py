@@ -20,6 +20,7 @@ from scip.core import (
     SingletonClass,
     TargetHalfLines,
     TaskMismatchError,
+    UnsupportedScoreError,
     interval,
 )
 
@@ -274,12 +275,27 @@ def test_breakpoint_values():
     assert np.isnan(SingletonClass(2).breakpoints(cscore, X0)).all()
 
 
+def test_breakpoint_needs_the_matching_score():
+    X = np.zeros((2, 1))
+    residual = AbsoluteResidual(lambda X: np.ones(np.atleast_2d(X).shape[0]))
+    class_prob = OneMinusProb(lambda X: np.tile([0.5, 0.3, 0.2], (np.atleast_2d(X).shape[0], 1)))
+    for constraint in (PositiveInterval(), LowerBoundedInterval(0.0), HalfLine(0.0), TargetHalfLines(-1.0, 1.0)):
+        with pytest.raises(UnsupportedScoreError, match="absolute-residual"):
+            constraint.breakpoints(class_prob, X)
+    for constraint in (MaxSize(1), SingletonClass(1)):
+        with pytest.raises(UnsupportedScoreError, match="one-minus-probability"):
+            constraint.breakpoints(residual, X)
+
+
 def test_dataset_validation():
     Dataset(np.zeros((3, 2)), np.zeros(3), "regression")
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(2), "regression")
     with pytest.raises(TaskMismatchError):
         Dataset(np.zeros((3, 2)), np.zeros(3), "classification")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="regression labels must be finite"):
+            Dataset(np.zeros((3, 2)), np.array([0.0, bad, 1.0]), "regression")
     ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([1, 2, 1]), "classification")
     with pytest.raises(ValueError):
         ds.X[0, 0] = 5.0  # frozen

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scip.conformal import AbsoluteResidual, OneMinusProb
 from scip.core import (
@@ -33,8 +34,9 @@ from scip.procedures import (
     run_naive,
     run_selective_classification,
 )
-from scip.selection import TieMode
-from scip.simgen import MuHatEta, gen_regression, true_class_probs
+from scip.selection import ScoredPool, TieMode, bh_select, generalized_conformal_pvalues
+from scip.simgen import MuHatEta, StoredProbs, gen_regression, true_class_probs
+from scip.trust import train_trust_classifier
 
 from conformal_reference import conformal_set
 
@@ -128,6 +130,97 @@ def test_midpoint_tie_goes_to_upper_half_line():
         run_cfbh_plus_plus(train, cal, test, cfg, RngStream(40)),
     ):
         assert dict(out.reported) == expected
+
+
+def test_cfbh_plus_plus_boundary_training_label_is_negative():
+    """A training label exactly at c_u (up side) or c_l (down side) lies outside its open half line."""
+    constraint = TargetHalfLines(0.0, 2.0)
+    mu_hat = lambda X: np.asarray(X, dtype=float).reshape(-1)
+    x_train = np.array([-4.0, -3.0, -1.0, 1.0, 1.5, 3.0, 4.0] * 4)
+    y_train = np.array([-1.0, 0.0, 0.5, 2.0, 2.0, 3.0, 1.0] * 4)  # 0.0 = c_l below, 2.0 = c_u above
+    train = Dataset(x_train[:, None], y_train, REGRESSION)
+    cal = Dataset(np.array([[-5.0], [5.0]] * 10), np.array([-10.0, 10.0] * 10), REGRESSION)
+    test = Dataset(np.array([[1.0], [3.0], [-1.0]]), None, REGRESSION)
+    cfg = ProcedureConfig(alpha=0.5, score=AbsoluteResidual(mu_hat), constraint=constraint)
+    scorer = run_cfbh_plus_plus(train, cal, test, cfg, RngStream(3)).diagnostics["scorer"]
+    up = 1.0 - x_train <= 0.0
+    inside = np.where(up, y_train > 2.0, y_train < 0.0)
+    expected = train_trust_classifier(x_train[:, None], np.where(inside, 1, -1), lam=cfg.lam, config=cfg.optimizer)
+    assert np.array_equal(scorer.weights, expected.weights) and scorer.bias == expected.bias
+    closed = np.where(up, y_train >= 2.0, y_train <= 0.0)  # the closed rule counts the boundary labels in
+    other = train_trust_classifier(x_train[:, None], np.where(closed, 1, -1), lam=cfg.lam, config=cfg.optimizer)
+    assert not np.array_equal(scorer.weights, other.weights)
+
+
+_GRID = st.integers(-12, 12).map(lambda k: k / 4.0)  # coarse values force ties among trusts and labels
+
+
+@st.composite
+def _half_line_case(draw):
+    c_l = draw(_GRID)
+    c_u = c_l + draw(st.integers(0, 8)) / 4.0
+    c0 = draw(_GRID)
+    n, m = draw(st.integers(1, 25)), draw(st.integers(1, 15))
+    value = st.one_of(_GRID, st.floats(-1e3, 1e3))
+    mu = np.array(draw(st.lists(value, min_size=n + m, max_size=n + m)))
+    boundary = st.sampled_from([c0, c_l, c_u, (c_l + c_u) / 2.0])
+    y = np.array(draw(st.lists(st.one_of(boundary, value), min_size=n, max_size=n)))
+    return mu, y, c0, c_l, c_u, draw(st.sampled_from([0.1, 0.3, 0.6]))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_half_line_case())
+def test_cfbh_plus_pvalues_follow_the_half_line_null_formulas(case):
+    """cfbh+ equals generalized p-values on y <= c0, and on y <= c_u / y >= c_l by direction."""
+    mu, y, c0, c_l, c_u, alpha = case
+    n = y.size
+    cal = Dataset(mu[:n, None], y, REGRESSION)
+    test = Dataset(mu[n:, None], None, REGRESSION)
+    mu_hat = lambda X: np.asarray(X, dtype=float)[:, 0]
+    mid = (c_l + c_u) / 2.0
+    up = mid - mu[:n] <= 0.0
+    references = (
+        (HalfLine(c0), mu, y <= c0),
+        (TargetHalfLines(c_l, c_u), np.abs(mid - mu), np.where(up, y <= c_u, y >= c_l)),
+    )
+    for constraint, trust, null in references:
+        cfg = ProcedureConfig(
+            alpha=alpha, score=AbsoluteResidual(mu_hat), constraint=constraint, tie_mode=TieMode.DETERMINISTIC
+        )
+        result = run_cfbh_plus(cal, test, cfg, RngStream(0)).diagnostics["result"]
+        ref = generalized_conformal_pvalues(ScoredPool(trust[:n], null, trust[n:]), TieMode.DETERMINISTIC)
+        assert np.array_equal(result.pvalues, ref)
+        assert np.array_equal(result.selected, bh_select(ref, alpha).selected)
+
+
+@st.composite
+def _class_case(draw):
+    n, m, k = draw(st.integers(1, 25)), draw(st.integers(1, 15)), draw(st.integers(2, 4))
+    raw = np.array(draw(st.lists(st.integers(1, 5), min_size=(n + m) * k, max_size=(n + m) * k)), dtype=float)
+    probs = raw.reshape(n + m, k) / raw.reshape(n + m, k).sum(axis=1, keepdims=True)
+    y = np.array(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    return probs, y, draw(st.integers(1, k)), draw(st.sampled_from([0.1, 0.3, 0.6]))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_class_case())
+def test_selective_classification_pvalues_follow_the_class_null_formulas(case):
+    """Singletons equal generalized p-values on y != y0 (fixed class) and y != argmax (MaxSize(1))."""
+    probs, y, y0, alpha = case
+    n = y.size
+    ids = np.arange(probs.shape[0], dtype=float)[:, None]
+    cal = Dataset(ids[:n], y, CLASSIFICATION)
+    test = Dataset(ids[n:], None, CLASSIFICATION)
+    references = (
+        (SingletonClass(y0), probs[:, y0 - 1], y != y0),
+        (MaxSize(1), probs.max(axis=1), y != np.argmax(probs[:n], axis=1) + 1),
+    )
+    for constraint, trust, null in references:
+        cfg = ProcedureConfig(alpha=alpha, score=OneMinusProb(StoredProbs(probs)), constraint=constraint)
+        result = run_selective_classification(cal, test, cfg).diagnostics["result"]
+        ref = generalized_conformal_pvalues(ScoredPool(trust[:n], null, trust[n:]), TieMode.DETERMINISTIC)
+        assert np.array_equal(result.pvalues, ref)
+        assert np.array_equal(result.selected, bh_select(ref, alpha).selected)
 
 
 def test_argmax_ties_go_to_smallest_index():
