@@ -8,13 +8,10 @@ from .conformal import (
 )
 from .core import (
     ClassBatch,
-    ClassSet,
     Dataset,
     HalfLine,
     InformativeConstraint,
-    Interval,
     IntervalBatch,
-    IntervalUnion,
     LowerBoundedInterval,
     MaxSize,
     PositiveInterval,
@@ -22,7 +19,6 @@ from .core import (
     ScipError,
     SingletonClass,
     TargetHalfLines,
-    interval,
 )
 from .metrics import aggregate, mfcr_estimate, replication_metrics
 from .procedures import (

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -130,14 +131,22 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.n < 4 or self.m < 1 or self.reps < 1:
-            raise ConfigError("need n >= 4, m >= 1, reps >= 1")
-        if not all(0.0 < a < 1.0 for a in self.alphas):
-            raise ConfigError("alpha values must lie in (0, 1)")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError("split ratio must lie in (0, 1)")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        checks = (
+            (self.n >= 4 and self.m >= 1 and self.reps >= 1, "need n >= 4, m >= 1, reps >= 1"),
+            (all(0.0 < a < 1.0 for a in self.alphas), "alpha values must lie in (0, 1)"),
+            (0.0 < self.split_ratio < 1.0, "split ratio must lie in (0, 1)"),
+            (self.jobs >= 1, "jobs must be >= 1"),
+            (math.isfinite(self.lam) and self.lam > 0.0, "lam must be finite and > 0"),
+            (self.feature_degree >= 1, "feature_degree must be >= 1"),
+            (self.max_size >= 1, "max_size must be >= 1"),
+            (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0, "noise_sd must be finite and >= 0"),
+            (math.isfinite(self.sharpness), "sharpness must be finite"),
+            (0.0 <= self.feasible_frac <= 1.0, "feasible_frac must lie in [0, 1]"),
+            (math.isfinite(self.screening_threshold), "screening_threshold must be finite"),
+        )
+        for ok, why in checks:
+            if not ok:
+                raise ConfigError(why)
         sweep = _SWEEPS.get(self.experiment)
         if sweep and sweep.study is None and self.profile not in _PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}; expected one of {', '.join(_PROFILES)}")

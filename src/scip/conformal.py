@@ -92,18 +92,12 @@ class CalibrationScores:
             raise ValueError("calibration scores must be nonempty")
         if not np.all(np.isfinite(vals)):
             raise ValueError("calibration scores must be finite")
-        self._values = vals.copy()
-        self._values.setflags(write=False)
         self._sorted = np.sort(vals)
         self._sorted.setflags(write=False)
 
     @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
     def n(self) -> int:
-        return self._values.size
+        return self._sorted.size
 
     def count_geq(self, v) -> np.ndarray | int:
         """#{i : V_i >= v}, vectorized over v."""

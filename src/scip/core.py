@@ -1,18 +1,15 @@
 """Shared domain types: prediction sets, informativeness constraints, datasets, RNG streams.
 
-Prediction sets are either finite class subsets (classification) or finite
-unions of real intervals (regression).  Informativeness constraints are
-monotone set predicates: whenever a set is admissible, every subset of it is
-admissible too, and the empty set is always admissible.  Each constraint also
-knows its "informativeness breakpoint" for a given nonconformity score: the
-largest score radius nu such that the sublevel set {y : V(x, y) <= nu} is
-still admissible (sets strictly inside the radius are admissible, sets at or
+Prediction sets are held in columns, one set per row: an ``IntervalBatch``
+(one real interval per row, for regression) or a ``ClassBatch`` (one
+membership row over the classes 1..K per unit, for classification).
+Informativeness constraints are monotone set predicates: whenever a set is
+admissible, every nonempty subset of it is admissible too.  Each constraint
+judges a whole batch at once with ``admits``, and knows its
+"informativeness breakpoint" for a given nonconformity score: the largest
+score radius nu such that the sublevel set {y : V(x, y) <= nu} is still
+admissible (sets strictly inside the radius are admissible, sets at or
 beyond it are not).
-
-Procedures hold their reported sets in columns: an ``IntervalBatch`` (one
-interval per row) or a ``ClassBatch`` (one membership row per unit).  Each
-constraint judges a whole batch at once with ``admits``; the set objects are
-built from a batch only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -58,123 +55,6 @@ class ConfigError(ScipError):
 
 
 # ---------------------------------------------------------------------------
-# Prediction sets
-# ---------------------------------------------------------------------------
-
-
-def _is_int_label(y) -> bool:
-    return isinstance(y, (int, np.integer)) and not isinstance(y, (bool, np.bool_))
-
-
-def _is_real_label(y) -> bool:
-    return isinstance(y, (float, np.floating))
-
-
-@dataclass(frozen=True)
-class ClassSet:
-    """A finite subset of class indices 1..K; ``members`` is sorted and unique."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        for k in self.members:
-            if not _is_int_label(k) or k < 1:
-                raise ValueError(f"class indices must be integers >= 1, got {k!r}")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
-            raise ValueError("class members must be strictly increasing")
-        object.__setattr__(self, "members", tuple(int(k) for k in self.members))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def contains(self, y) -> bool:
-        if not _is_int_label(y):
-            raise TaskMismatchError(f"class set membership needs an integer label, got {y!r}")
-        return int(y) in self.members
-
-    def measure(self) -> float:
-        return float(len(self.members))
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One real interval with explicit open/closed endpoints; infinite ends are open."""
-
-    lower: float
-    upper: float
-    lower_open: bool = False
-    upper_open: bool = False
-
-    def __post_init__(self):
-        lo, up = float(self.lower), float(self.upper)
-        if math.isnan(lo) or math.isnan(up):
-            raise ValueError("interval endpoints must not be NaN")
-        if math.isinf(lo) and not self.lower_open:
-            raise ValueError("an infinite lower endpoint must be open")
-        if math.isinf(up) and not self.upper_open:
-            raise ValueError("an infinite upper endpoint must be open")
-        if lo > up or (lo == up and (self.lower_open or self.upper_open)):
-            raise ValueError(f"empty interval ({lo}, {up})")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    def contains(self, y: float) -> bool:
-        if self.lower_open:
-            if y <= self.lower:
-                return False
-        elif y < self.lower:
-            return False
-        if self.upper_open:
-            if y >= self.upper:
-                return False
-        elif y > self.upper:
-            return False
-        return True
-
-    def length(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """A finite union of disjoint, sorted, non-mergeable intervals (possibly empty)."""
-
-    intervals: tuple[Interval, ...] = ()
-
-    def __post_init__(self):
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if a.upper > b.lower:
-                raise ValueError("intervals must be disjoint and sorted by lower endpoint")
-            if a.upper == b.lower and not (a.upper_open and b.lower_open):
-                raise ValueError("adjacent intervals sharing a covered endpoint must be merged")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def contains(self, y) -> bool:
-        if _is_int_label(y) or not _is_real_label(y):
-            raise TaskMismatchError(
-                f"interval membership needs a real (float) label, got {y!r}"
-            )
-        return any(iv.contains(float(y)) for iv in self.intervals)
-
-    def measure(self) -> float:
-        return float(sum(iv.length() for iv in self.intervals))
-
-
-PredictionSet = ClassSet | IntervalUnion
-
-EMPTY_INTERVAL_UNION = IntervalUnion(())
-
-
-def interval(lower, upper, lower_open=False, upper_open=False) -> IntervalUnion:
-    """Convenience constructor for a single-interval prediction set."""
-    return IntervalUnion((Interval(lower, upper, lower_open, upper_open),))
-
-
-# ---------------------------------------------------------------------------
 # Rank counts
 # ---------------------------------------------------------------------------
 
@@ -201,10 +81,10 @@ def _search_in_key_order(table: np.ndarray, keys: np.ndarray, *sides: str) -> tu
 
 @dataclass(frozen=True, eq=False)
 class IntervalBatch:
-    """One interval per row; every row is a valid ``Interval`` or has lower > upper (empty).
+    """One interval per row: the set ``{y : lower[i] <(=) y <(=) upper[i]}``, strict at an open end.
 
-    Row i is the set ``{y : lower[i] <(=) y <(=) upper[i]}``, with a strict
-    inequality at an open end.
+    A row is empty when lower > upper, or when lower == upper and either
+    end is open.
     """
 
     lower: np.ndarray
@@ -225,7 +105,7 @@ class IntervalBatch:
 
     @property
     def nonempty(self) -> np.ndarray:
-        return self.lower <= self.upper
+        return (self.lower < self.upper) | ((self.lower == self.upper) & ~(self.lower_open | self.upper_open))
 
     def covers(self, y) -> np.ndarray:
         """Row i contains y[i], respecting open and closed ends."""
@@ -238,17 +118,10 @@ class IntervalBatch:
 
     def measure(self) -> np.ndarray:
         """Length per row; 0 for an empty row, inf for an unbounded one."""
-        return np.where(self.nonempty, self.upper - self.lower, 0.0)
+        return np.subtract(self.upper, self.lower, out=np.zeros(self.lower.shape), where=self.nonempty)
 
     def take(self, rows) -> "IntervalBatch":
         return IntervalBatch(self.lower[rows], self.upper[rows], self.lower_open[rows], self.upper_open[rows])
-
-    def sets(self) -> tuple[IntervalUnion, ...]:
-        columns = (self.lower, self.upper, self.lower_open, self.upper_open)
-        return tuple(
-            interval(lo, up, lo_open, up_open) if lo <= up else EMPTY_INTERVAL_UNION
-            for lo, up, lo_open, up_open in zip(*(c.tolist() for c in columns))
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,32 +156,8 @@ class ClassBatch:
     def take(self, rows) -> "ClassBatch":
         return ClassBatch(self.member[rows])
 
-    def sets(self) -> tuple[ClassSet, ...]:
-        return tuple(ClassSet(tuple((np.flatnonzero(row) + 1).tolist())) for row in self.member)
-
 
 SetBatch = IntervalBatch | ClassBatch
-
-
-def _one_row_batch(pset: PredictionSet) -> SetBatch:
-    """A one-row batch judged like ``pset``: an interval union enters as its hull.
-
-    Every interval constraint reads only the lowest lower end and the highest
-    upper end of a sorted, disjoint union, so its hull is judged the same.
-    """
-    if isinstance(pset, ClassSet):
-        member = np.zeros((1, max(pset.members, default=0)), dtype=bool)
-        member[0, np.asarray(pset.members, dtype=int) - 1] = True
-        return ClassBatch(member)
-    if not pset.intervals:
-        return IntervalBatch.from_radius([0.0], [-1.0])  # one empty row
-    first, last = pset.intervals[0], pset.intervals[-1]
-    return IntervalBatch(
-        np.array([first.lower]),
-        np.array([last.upper]),
-        np.array([first.lower_open]),
-        np.array([last.upper_open]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +168,18 @@ def _one_row_batch(pset: PredictionSet) -> SetBatch:
 class InformativeConstraint(ABC):
     """Monotone predicate over prediction sets plus a score breakpoint.
 
-    Admissibility must be monotone (it is inherited by subsets) and the
-    empty set is always admissible.  ``admits`` judges every nonempty row of
-    a set batch at once (its value on an empty row is not part of the
-    contract); ``contains`` judges one set through it.  ``breakpoints(score,
-    X)`` gives, per row of X, the largest score radius whose sublevel set is
-    still admissible: ``math.inf`` when no radius ever violates the
-    constraint, and NaN when no admissible nonempty sublevel set exists at
-    all.
+    ``admits(batch)`` judges each row's set; admissibility is inherited by
+    every nonempty subset of an admitted set, and the value on an empty row
+    is not part of the contract (empty sets are never reported).
+    ``breakpoints(score, X)`` gives, per row of X, the largest score radius
+    whose sublevel set is still admissible: ``math.inf`` when no radius ever
+    violates the constraint, and NaN when no admissible nonempty sublevel set
+    exists at all.
     """
 
     @abstractmethod
     def admits(self, batch: SetBatch) -> np.ndarray:
         ...
-
-    def contains(self, pset: PredictionSet) -> bool:
-        return bool(self.admits(_one_row_batch(pset))[0]) or pset.is_empty
 
     @abstractmethod
     def breakpoints(self, score, X: np.ndarray) -> np.ndarray:
@@ -368,7 +213,7 @@ def _score_fn(score, attr: str, constraint_name: str):
 
 @dataclass(frozen=True)
 class PositiveInterval(InformativeConstraint):
-    """Interval unions whose every interval has strictly positive lower endpoint."""
+    """Intervals with a strictly positive lower end."""
 
     def admits(self, batch):
         return _intervals(batch).lower > 0.0
@@ -380,7 +225,7 @@ class PositiveInterval(InformativeConstraint):
 
 @dataclass(frozen=True)
 class LowerBoundedInterval(InformativeConstraint):
-    """Interval unions lying within [c, inf)."""
+    """Intervals lying within [c, inf)."""
 
     c: float
 

@@ -49,7 +49,6 @@ from .core import (
     InformativeConstraint,
     IntervalBatch,
     MaxSize,
-    PredictionSet,
     RngStream,
     SetBatch,
     SingletonClass,
@@ -101,17 +100,12 @@ class ProcedureConfig:
 class ProcedureOutput:
     """The selected test units, the sets reported for them, and run diagnostics.
 
-    Row i of ``sets`` is the set reported for test unit ``selected[i]``;
-    ``reported`` builds the (index, set) objects when it is read.
+    Row i of ``sets`` is the set reported for test unit ``selected[i]``.
     """
 
     selected: np.ndarray
     sets: SetBatch
     diagnostics: dict
-
-    @property
-    def reported(self) -> tuple[tuple[int, PredictionSet], ...]:
-        return tuple(zip(self.selected.tolist(), self.sets.sets()))
 
     @property
     def n_reported(self) -> int:
@@ -232,19 +226,20 @@ def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedure
 def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream) -> ProcedureOutput:
     """Clipped-score conformal p-values + BH; reports the half line above the threshold.
 
-    The clipped score mu_hat(x) - c0 - 2M 1{y > c0} drops every calibration
-    label above c0 below every test unit.  The clip constant M exceeds the
-    realized sup of |mu_hat| over the pooled sample, which is all the
-    equivalence with the trust-score route needs.
+    The clipped score mu_hat(x) - 2M 1{y > c0} drops every calibration label
+    above c0 below every test unit, whose score is mu_hat(x).  The clip
+    constant M exceeds the realized sup of |mu_hat| over the pooled sample,
+    which is all the equivalence with the trust-score route needs.  The
+    paper's score also subtracts c0: a common shift changes no rank (rounded,
+    it can only merge near-ties), and leaving it out keeps the scores finite
+    for c0 = inf.
     """
     if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
-    c0 = config.constraint.c0
     mu_cal = np.asarray(_require_residual(config).mu_hat(cal.X), dtype=float)
-    sets, mu_test = _half_line_sets(config, test.X)
-    big_m = float(max(np.abs(mu_cal).max(), np.abs(mu_test).max())) + 1.0
-    v_cal = mu_cal - c0 - 2.0 * big_m * (cal.y > c0)
-    v_test = mu_test - c0  # clip indicator is 0 at the boundary label
+    sets, v_test = _half_line_sets(config, test.X)
+    big_m = float(max(np.abs(mu_cal).max(), np.abs(v_test).max())) + 1.0
+    v_cal = mu_cal - 2.0 * big_m * (cal.y > config.constraint.c0)
     pool = ScoredPool(v_cal, np.ones(cal.n, dtype=bool), v_test)
     pvals = generalized_conformal_pvalues(pool, config.tie_mode, rng)
     result = bh_select(pvals, config.alpha)
@@ -418,7 +413,9 @@ def run_selective_classification(
     constraint uses the argmax-class constructor (ties go to the smallest
     class index).  The trust is the probability of the reported class.
     Deterministic ties make the selection coincide with the mirror-process
-    style references.
+    style references.  A test row with a NaN or infinite probability gets the
+    empty set and trust 0, so it is never reported; such a calibration row
+    raises ``ValueError``, as it does for infosp.
     """
     score = _require_class_prob(config)
     constraint = config.constraint
@@ -427,12 +424,17 @@ def run_selective_classification(
         raise ConfigError("selective classification needs SingletonClass or MaxSize(1)")
 
     def singletons(X):
+        """Each row's singleton, its trust, and whether the row's probabilities are finite."""
         probs = np.asarray(score.p_hat(X), dtype=float)
+        finite = np.isfinite(probs).all(axis=1)
         rows = np.arange(probs.shape[0])
         classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
-        return ClassBatch(classes[:, None] == np.arange(1, probs.shape[1] + 1)), probs[rows, classes - 1]
+        member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & finite[:, None]
+        return ClassBatch(member), np.where(finite, probs[rows, classes - 1], 0.0), finite
 
-    cal_sets, trust_cal = singletons(cal.X)
-    test_sets, trust_test = singletons(test.X)
+    cal_sets, trust_cal, cal_finite = singletons(cal.X)
+    if not cal_finite.all():
+        raise ValueError("calibration scores must be finite")
+    test_sets, trust_test, _ = singletons(test.X)
     deterministic = replace(config, tie_mode=TieMode.DETERMINISTIC)
     return _select(deterministic, None, cal_sets, cal.y, trust_cal, test_sets, trust_test)

@@ -65,17 +65,12 @@ class ScoredPool:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Selected indices (0-based), the BH threshold, and the p-values used.
-
-    ``trust_threshold`` is populated only by the counting-knockoff route,
-    where selection is a trust-score cut rather than a p-value cut.
-    """
+    """Selected indices (0-based), the BH threshold, and the p-values used."""
 
     selected: np.ndarray
     threshold_alpha_hat: float
     pvalues: np.ndarray
     k_hat: int
-    trust_threshold: float | None = None
 
 
 def _tie_draws(m: int, tie_mode: TieMode, rng: RngStream | None) -> np.ndarray:
@@ -189,13 +184,10 @@ def counting_knockoff_select(
     # the matching generalized p-values (same shared u), attached as diagnostics
     pvals = _pvalues_at(pool, u)
     if not feasible:
-        return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0, trust_threshold=None)
-    tau_hat = float(min(feasible))
-    selected = np.flatnonzero(pool.test_trust >= tau_hat)
+        return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0)
+    selected = np.flatnonzero(pool.test_trust >= min(feasible))
     k_hat = int(selected.size)
-    return SelectionResult(
-        selected, alpha * k_hat / pool.m, pvals, k_hat, trust_threshold=tau_hat
-    )
+    return SelectionResult(selected, alpha * k_hat / pool.m, pvals, k_hat)
 
 
 def scip_select_arrays(

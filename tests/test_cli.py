@@ -263,6 +263,41 @@ def test_method_outside_the_profile_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "syn").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, setting",
+    [
+        ("regression-sweep", "lam=0"),
+        ("regression-sweep", "lam=-1"),
+        ("regression-sweep", "lam=nan"),
+        ("regression-sweep", "lam=inf"),
+        ("regression-sweep", "feature_degree=0"),
+        ("regression-sweep", "noise_sd=nan"),
+        ("regression-sweep", "noise_sd=-0.5"),
+        ("regression-sweep", "noise_sd=inf"),
+        ("regression-sweep", "screening_threshold=inf"),
+        ("regression-sweep", "screening_threshold=nan"),
+        ("classification-sweep", "max_size=0"),
+        ("synthetic-real", "max_size=0"),
+        ("synthetic-real", "sharpness=nan"),
+        ("synthetic-real", "sharpness=inf"),
+        ("synthetic-real", "feasible_frac=nan"),
+        ("synthetic-real", "feasible_frac=-0.1"),
+        ("synthetic-real", "feasible_frac=1.5"),
+    ],
+)
+def test_out_of_range_numeric_keys_are_config_errors(tmp_path, capsys, experiment, setting):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "--experiment", experiment, "--out", str(out), "--set", setting,
+            "--set", "reps=1", "--set", "n=20", "--set", "m=10",
+        ]
+    )
+    assert code == 2
+    assert f"{setting.split('=')[0]} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of (per_replication.csv, aggregate.csv), recorded when the reported
 # sets were still built and scored one object at a time.  These methods and the
 # dti-like profile use no matrix products or trained scorers, so the bytes do

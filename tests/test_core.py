@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scip.conformal import AbsoluteResidual, OneMinusProb
 from scip.core import (
     ClassBatch,
-    ClassSet,
     Dataset,
     HalfLine,
-    Interval,
     IntervalBatch,
-    IntervalUnion,
     LowerBoundedInterval,
     MaxSize,
     PositiveInterval,
@@ -21,150 +19,158 @@ from scip.core import (
     TargetHalfLines,
     TaskMismatchError,
     UnsupportedScoreError,
-    interval,
 )
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def _intervals(lower, upper, lower_open=False, upper_open=False) -> IntervalBatch:
+    """An interval batch from per-row ends; scalar open flags apply to every row."""
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    flags = (np.broadcast_to(np.asarray(f, dtype=bool), lower.shape).copy() for f in (lower_open, upper_open))
+    return IntervalBatch(lower, upper, *flags)
+
+
+def _class_sets(rows, n_classes) -> ClassBatch:
+    """A class batch from per-row tuples of 1-based classes."""
+    member = np.zeros((len(rows), n_classes), dtype=bool)
+    for i, classes in enumerate(rows):
+        member[i, np.asarray(classes, dtype=int) - 1] = True
+    return ClassBatch(member)
 
 
 def test_open_endpoint_excludes_boundary():
-    above = interval(2.0, math.inf, lower_open=True, upper_open=True)
-    assert above.contains(2.0) is False
-    assert above.contains(2.0001) is True
+    above = _intervals([2.0, 2.0], [math.inf, math.inf], lower_open=True, upper_open=True)
+    assert above.covers(np.array([2.0, 2.0001])).tolist() == [False, True]
 
 
 def test_class_membership():
-    assert ClassSet((1, 3)).contains(3) is True
-    assert ClassSet((1, 3)).contains(2) is False
+    assert _class_sets([(1, 3), (1, 3)], 3).covers(np.array([3, 2])).tolist() == [True, False]
 
 
 def test_closed_endpoint_includes_boundary():
-    assert interval(0.5, 2.5).contains(0.5) is True
+    assert _intervals([0.5, 0.5], [2.5, 2.5]).covers(np.array([0.5, 2.5])).tolist() == [True, True]
 
 
 def test_measures():
-    assert ClassSet((1, 2)).measure() == 2
-    assert interval(0.5, 2.5).measure() == 2.0
-    assert ClassSet(()).measure() == 0
-    assert IntervalUnion(()).measure() == 0
-    assert math.isinf(interval(0.0, math.inf, lower_open=True, upper_open=True).measure())
+    assert _class_sets([(1, 2), ()], 3).measure().tolist() == [2.0, 0.0]
+    lower, upper = [0.5, 1.0, 0.0], [2.5, 0.0, math.inf]  # [0.5, 2.5], an empty row, (0, inf)
+    measure = _intervals(lower, upper, [False, False, True], [False, False, True]).measure()
+    assert measure.tolist() == [2.0, 0.0, math.inf]
+
+
+def test_open_point_row_is_empty():
+    """(c, c) with an open end holds no point: empty, measure 0, covers nothing; [c, c] holds c."""
+    c = np.array([1.0, 1.0, 1.0, 1.0, math.inf, -math.inf])
+    batch = _intervals(c, c, [True, False, True, False, True, True], [False, True, True, False, True, True])
+    assert batch.nonempty.tolist() == [False, False, False, True, False, False]
+    assert batch.measure().tolist() == [0.0] * 6
+    assert batch.covers(c).tolist() == [False, False, False, True, False, False]
 
 
 def test_task_mismatch_errors():
     with pytest.raises(TaskMismatchError):
-        interval(0.0, 1.0).contains(1)  # integer label against an interval union
+        _intervals(0.0, 1.0).covers(np.array([1]))  # integer label against an interval row
     with pytest.raises(TaskMismatchError):
-        ClassSet((1, 2)).contains(1.5)
+        _class_sets([(1, 2)], 2).covers(np.array([1.5]))
 
 
-def test_interval_invariants():
-    with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(1.0, 1.0, lower_open=True)
-    with pytest.raises(ValueError):
-        Interval(-math.inf, 1.0, lower_open=False)
-    with pytest.raises(ValueError):
-        IntervalUnion((Interval(0, 2), Interval(1, 3)))
-    with pytest.raises(ValueError):
-        IntervalUnion((Interval(0, 1), Interval(1, 2)))  # mergeable at the shared endpoint
-    # both-open junction leaves a gap: legal
-    IntervalUnion((Interval(0, 1, upper_open=True), Interval(1, 2, lower_open=True)))
-    with pytest.raises(ValueError):
-        ClassSet((2, 1))
-    with pytest.raises(ValueError):
-        ClassSet((0,))
+# Interval rows on a 1/8 grid, exactly representable in floats; None marks an infinite (open) end.
+_END = st.one_of(st.none(), st.integers(-40, 40))
 
 
-def _rational_union(gen, n_parts):
-    """Random interval union with exact rational endpoints on a 1/8 grid."""
-    points = sorted(gen.choice(np.arange(-40, 41), size=2 * n_parts, replace=False))
-    ivs, fracs = [], []
-    for k in range(n_parts):
-        lo, up = points[2 * k] / 8.0, points[2 * k + 1] / 8.0
-        lo_open, up_open = bool(gen.integers(2)), bool(gen.integers(2))
-        ivs.append(Interval(lo, up, lo_open, up_open))
-        fracs.append((Fraction(int(points[2 * k]), 8), Fraction(int(points[2 * k + 1]), 8), lo_open, up_open))
-    return IntervalUnion(tuple(ivs)), fracs
+@st.composite
+def _interval_rows(draw):
+    """Random rows (open and closed ends, points, empty and unbounded rows): their exact ends and the batch."""
+    drawn = draw(st.lists(st.tuples(_END, _END, st.booleans(), st.booleans()), max_size=12))
+    exact = [
+        (None if lo is None else Fraction(lo, 8), None if up is None else Fraction(up, 8),
+         lo_open or lo is None, up_open or up is None)
+        for lo, up, lo_open, up_open in drawn
+    ]
+    lower = [-math.inf if lo is None else float(lo) for lo, _, _, _ in exact]
+    upper = [math.inf if up is None else float(up) for _, up, _, _ in exact]
+    return exact, _intervals(lower, upper, [r[2] for r in exact], [r[3] for r in exact])
 
 
-def test_contains_agrees_with_rational_oracle():
-    gen = np.random.default_rng(4257)
-    for _ in range(10_000):
-        union, fracs = _rational_union(gen, int(gen.integers(1, 4)))
-        y_num = int(gen.integers(-42, 43))
-        y = y_num / 8.0
-        y_frac = Fraction(y_num, 8)
-        oracle = any(
-            (y_frac > lo if lo_open else y_frac >= lo) and (y_frac < up if up_open else y_frac <= up)
-            for lo, up, lo_open, up_open in fracs
-        )
-        assert union.contains(y) == oracle
+def _exact_nonempty(row) -> bool:
+    lo, up, lo_open, up_open = row
+    return lo is None or up is None or lo < up or (lo == up and not (lo_open or up_open))
 
 
-def _random_subset_interval(gen, union: IntervalUnion):
-    """A random interval union nested inside the given one."""
-    kept = []
-    for iv in union.intervals:
-        if gen.random() < 0.35 or math.isinf(iv.length()):
-            continue
-        lo = iv.lower + gen.random() * iv.length() * 0.4
-        up = iv.upper - gen.random() * iv.length() * 0.4
-        if lo < up:
-            kept.append(Interval(lo, up, bool(gen.integers(2)), bool(gen.integers(2))))
-    return IntervalUnion(tuple(kept))
+def _exact_covers(row, y: Fraction) -> bool:
+    lo, up, lo_open, up_open = row
+    above = lo is None or (y > lo if lo_open else y >= lo)
+    below = up is None or (y < up if up_open else y <= up)
+    return above and below
 
 
-def _per_interval_contains(constraint, pset) -> bool:
-    """Admissibility by the per-interval (per-member) rule of each constraint's definition."""
+@_PROPERTY
+@given(_interval_rows(), st.data())
+def test_contains_agrees_with_rational_oracle(rows, data):
+    """``covers`` and ``nonempty`` on each row agree with the exact rule on rational ends."""
+    exact, batch = rows
+    y = data.draw(st.lists(st.integers(-42, 42), min_size=len(exact), max_size=len(exact)))
+    expected = [_exact_covers(row, Fraction(v, 8)) for row, v in zip(exact, y)]
+    assert batch.covers(np.array(y, dtype=float) / 8.0).tolist() == expected
+    assert batch.nonempty.tolist() == [_exact_nonempty(row) for row in exact]
+
+
+def _exact_admits(constraint, row) -> bool:
+    """Admissibility of one nonempty interval by the rule of each constraint's definition."""
+    lo, up, lo_open, up_open = row
+
+    def above(c):
+        return lo is not None and (lo > c or (lo == c and lo_open))
+
+    def below(c):
+        return up is not None and (up < c or (up == c and up_open))
+
     if isinstance(constraint, PositiveInterval):
-        return all(iv.lower > 0.0 for iv in pset.intervals)
+        return lo is not None and lo > 0
     if isinstance(constraint, LowerBoundedInterval):
-        return all(iv.lower >= constraint.c for iv in pset.intervals)
+        return lo is not None and lo >= Fraction(constraint.c)
     if isinstance(constraint, HalfLine):
-        return all(
-            iv.lower > constraint.c0 or (iv.lower == constraint.c0 and iv.lower_open) for iv in pset.intervals
-        )
-    if isinstance(constraint, TargetHalfLines):
-        c_l, c_u = constraint.c_l, constraint.c_u
-        below = all(iv.upper < c_l or (iv.upper == c_l and iv.upper_open) for iv in pset.intervals)
-        above = all(iv.lower > c_u or (iv.lower == c_u and iv.lower_open) for iv in pset.intervals)
-        return below or above
-    if isinstance(constraint, MaxSize):
-        return len(pset.members) <= constraint.k0
-    return all(k == constraint.y0 for k in pset.members)
+        return above(Fraction(constraint.c0))
+    return below(Fraction(constraint.c_l)) or above(Fraction(constraint.c_u))
 
 
-def test_contains_matches_per_interval_rules():
-    """An interval union judged through its hull agrees with the rule applied to every interval."""
-    gen = np.random.default_rng(4258)
-    for _ in range(6000):
-        union, _ = _rational_union(gen, int(gen.integers(0, 4)))
-        c_l, c_u = sorted(int(v) / 8.0 for v in gen.integers(-44, 45, size=2))
-        for constraint in (
-            PositiveInterval(),
-            LowerBoundedInterval(c_l),
-            HalfLine(c_u),
-            TargetHalfLines(c_l, c_u),
-        ):
-            assert constraint.contains(union) == _per_interval_contains(constraint, union)
-        with pytest.raises(TaskMismatchError):
-            MaxSize(2).contains(union)
-    for _ in range(3000):
-        members = sorted(gen.choice(np.arange(1, 7), size=int(gen.integers(0, 5)), replace=False))
-        cset = ClassSet(tuple(int(k) for k in members))
-        for constraint in (MaxSize(int(gen.integers(1, 4))), SingletonClass(int(gen.integers(1, 8)))):
-            assert constraint.contains(cset) == _per_interval_contains(constraint, cset)
-        with pytest.raises(TaskMismatchError):
-            PositiveInterval().contains(cset)
+@st.composite
+def _class_rows(draw):
+    n_classes = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n_classes, max_size=n_classes), max_size=12))
+    return ClassBatch(np.array(rows, dtype=bool).reshape(len(rows), n_classes))
+
+
+@_PROPERTY
+@given(_interval_rows(), st.integers(-44, 44), st.integers(-44, 44), _class_rows(), st.integers(1, 3),
+       st.integers(1, 7))
+def test_contains_matches_per_interval_rules(rows, a, b, classes, k0, y0):
+    """``admits`` on each nonempty row agrees with the constraint's rule written out per row."""
+    exact, batch = rows
+    c_l, c_u = sorted((a / 8.0, b / 8.0))
+    nonempty = [i for i, row in enumerate(exact) if _exact_nonempty(row)]
+    for constraint in (PositiveInterval(), LowerBoundedInterval(c_l), HalfLine(c_u), TargetHalfLines(c_l, c_u)):
+        got = constraint.admits(batch)[nonempty].tolist()
+        assert got == [_exact_admits(constraint, exact[i]) for i in nonempty]
+    with pytest.raises(TaskMismatchError):
+        MaxSize(2).admits(batch)
+    members = [[k + 1 for k, inside in enumerate(row) if inside] for row in classes.member.tolist()]
+    rows_in = [i for i, row in enumerate(members) if row]
+    assert MaxSize(k0).admits(classes)[rows_in].tolist() == [len(members[i]) <= k0 for i in rows_in]
+    expected = [all(k == y0 for k in members[i]) for i in rows_in]
+    assert SingletonClass(y0).admits(classes)[rows_in].tolist() == expected
+    with pytest.raises(TaskMismatchError):
+        PositiveInterval().admits(classes)
 
 
 def _random_interval_rows(gen, m):
-    """Rows with open and closed ends, zero-length, infinite and empty rows, on a 1/4 grid."""
+    """Rows with open and closed ends, open and closed points, infinite and empty rows, on a 1/4 grid."""
     lower = gen.integers(-8, 9, m) / 4.0
     upper = lower + gen.integers(0, 5, m) / 4.0
     lower_open = gen.random(m) < 0.5
     upper_open = gen.random(m) < 0.5
-    point = lower == upper
-    lower_open[point] = upper_open[point] = False  # a single point must be closed
     inf_lo, inf_up = gen.random(m) < 0.15, gen.random(m) < 0.15
     lower[inf_lo], lower_open[inf_lo] = -np.inf, True
     upper[inf_up], upper_open[inf_up] = np.inf, True
@@ -175,19 +181,27 @@ def _random_interval_rows(gen, m):
 
 
 def test_interval_batch_matches_its_sets():
+    """Every column operation equals its per-row definition written out on plain floats."""
     gen = np.random.default_rng(4259)
     for _ in range(200):
         m = int(gen.integers(0, 30))
         batch = _random_interval_rows(gen, m)
-        sets = batch.sets()
-        assert len(sets) == m
         y = gen.integers(-12, 13, m) / 4.0
         y[gen.random(m) < 0.05] = np.inf
-        assert batch.covers(y).tolist() == [pset.contains(float(v)) for pset, v in zip(sets, y)]
-        assert batch.measure().tolist() == [pset.measure() for pset in sets]
-        assert batch.nonempty.tolist() == [not pset.is_empty for pset in sets]
+        columns = (batch.lower, batch.upper, batch.lower_open, batch.upper_open)
+        covers, measure, nonempty = [], [], []
+        for lo, up, lo_open, up_open, v in zip(*(c.tolist() for c in columns), y.tolist()):
+            held = lo < up or (lo == up and not (lo_open or up_open))
+            nonempty.append(held)
+            measure.append(up - lo if held else 0.0)
+            covers.append(held and (lo < v < up or (v == lo and not lo_open) or (v == up and not up_open)))
+        assert batch.covers(y).tolist() == covers
+        assert batch.measure().tolist() == measure
+        assert batch.nonempty.tolist() == nonempty
         rows = gen.permutation(m)[: m // 2]
-        assert batch.take(rows).sets() == tuple(sets[j] for j in rows)
+        taken = batch.take(rows)
+        for column, full in zip((taken.lower, taken.upper, taken.lower_open, taken.upper_open), columns):
+            assert column.tolist() == [full[j] for j in rows]
     with pytest.raises(TaskMismatchError):
         _random_interval_rows(gen, 3).covers(np.array([1, 2, 3]))
 
@@ -196,66 +210,75 @@ def test_interval_batch_from_radius():
     """[mu - r, mu + r] for finite r >= 0, the open line at r = inf, empty for r < 0."""
     mu = np.array([0.5, -1.0, 2.0, 3.0, 0.0, 1.5])
     radius = np.array([0.25, 0.0, math.inf, -0.5, -math.inf, 1e-300])
-    expected = (
-        interval(0.25, 0.75),
-        interval(-1.0, -1.0),
-        interval(-math.inf, math.inf, lower_open=True, upper_open=True),
-        IntervalUnion(()),
-        IntervalUnion(()),
-        interval(1.5 - 1e-300, 1.5 + 1e-300),
-    )
     batch = IntervalBatch.from_radius(mu, radius)
-    assert batch.sets() == expected
     assert batch.nonempty.tolist() == [True, True, True, False, False, True]
+    held = batch.take(np.array([0, 1, 2, 5]))
+    assert held.lower.tolist() == [0.25, -1.0, -math.inf, 1.5]  # 1.5 -+ 1e-300 rounds to 1.5
+    assert held.upper.tolist() == [0.75, -1.0, math.inf, 1.5]
+    assert held.lower_open.tolist() == held.upper_open.tolist() == [False, False, True, False]
     shared = IntervalBatch.from_radius(mu[:2], 0.25)
-    assert shared.sets() == (interval(0.25, 0.75), interval(-1.25, -0.75))
+    assert (shared.lower.tolist(), shared.upper.tolist()) == ([0.25, -1.25], [0.75, -0.75])
+    assert not (shared.lower_open.any() or shared.upper_open.any())
 
 
 def test_class_batch_matches_its_sets():
+    """Every column operation equals its per-row definition written out on plain lists."""
     gen = np.random.default_rng(4260)
     for _ in range(200):
         m, k = int(gen.integers(0, 30)), int(gen.integers(1, 6))
         batch = ClassBatch(gen.random((m, k)) < 0.4)
-        sets = batch.sets()
-        y = gen.integers(1, k + 1, m)
-        assert batch.covers(y).tolist() == [pset.contains(int(v)) for pset, v in zip(sets, y)]
-        assert batch.measure().tolist() == [pset.measure() for pset in sets]
-        assert batch.nonempty.tolist() == [not pset.is_empty for pset in sets]
+        member = batch.member.tolist()
+        y = gen.integers(0, k + 2, m)  # 0 and k + 1 lie outside the classes
+        assert batch.covers(y).tolist() == [1 <= v <= k and row[v - 1] for row, v in zip(member, y.tolist())]
+        assert batch.measure().tolist() == [float(sum(row)) for row in member]
+        assert batch.nonempty.tolist() == [any(row) for row in member]
         probs = gen.dirichlet(np.ones(k), m)
         radius = gen.choice([-math.inf, 0.2, 0.5, 0.9, math.inf], m)
-        built = ClassBatch.from_radius(probs, radius).sets()
-        assert built == tuple(
-            ClassSet(tuple(int(c) + 1 for c in np.flatnonzero(1.0 - p <= r))) for p, r in zip(probs, radius)
-        )
+        built = ClassBatch.from_radius(probs, radius).member.tolist()
+        assert built == [[1.0 - p <= r for p in row] for row, r in zip(probs.tolist(), radius.tolist())]
     with pytest.raises(TaskMismatchError):
         ClassBatch(np.ones((2, 3), dtype=bool)).covers(np.array([1.0, 2.0]))
+
+
+_EIGHTH = st.integers(-48, 48).map(lambda k: k / 8.0)
+
+
+def _shrunk(data, batch: IntervalBatch) -> IntervalBatch:
+    """A random subset of each row: each end kept or moved inward, and any end maybe opened."""
+    columns = ([], [], [], [])
+    for lo, up, lo_open, up_open in zip(batch.lower.tolist(), batch.upper.tolist(),
+                                        batch.lower_open.tolist(), batch.upper_open.tolist()):
+        sub_lo = max(lo, data.draw(st.one_of(st.just(-math.inf), _EIGHTH)))
+        sub_up = min(up, data.draw(st.one_of(st.just(math.inf), _EIGHTH)))
+        sub_lo_open = data.draw(st.booleans()) or (sub_lo == lo and lo_open)
+        sub_up_open = data.draw(st.booleans()) or (sub_up == up and up_open)
+        for column, value in zip(columns, (sub_lo, sub_up, sub_lo_open, sub_up_open)):
+            column.append(value)
+    return _intervals(*columns)
 
 
 @pytest.mark.parametrize(
     "constraint",
     [PositiveInterval(), LowerBoundedInterval(0.25), HalfLine(-0.5), TargetHalfLines(-1.0, 1.0)],
 )
-def test_interval_constraints_monotone(constraint):
-    gen = np.random.default_rng(911)
-    for _ in range(2500):
-        union, _ = _rational_union(gen, int(gen.integers(1, 4)))
-        sub = _random_subset_interval(gen, union)
-        if constraint.contains(union):
-            assert constraint.contains(sub)
-    assert constraint.contains(IntervalUnion(()))
+@_PROPERTY
+@given(rows=_interval_rows(), data=st.data())
+def test_interval_constraints_monotone(constraint, rows, data):
+    """Every nonempty subset of an admitted nonempty row is admitted, judged in one ``admits`` call."""
+    _, batch = rows
+    sub = _shrunk(data, batch.take(batch.nonempty & constraint.admits(batch)))
+    assert constraint.admits(sub)[sub.nonempty].all()
 
 
 @pytest.mark.parametrize("constraint", [MaxSize(2), SingletonClass(2)])
-def test_class_constraints_monotone(constraint):
-    gen = np.random.default_rng(912)
-    for _ in range(2500):
-        members = tuple(sorted(gen.choice(np.arange(1, 7), size=int(gen.integers(0, 5)), replace=False)))
-        full = ClassSet(tuple(int(k) for k in members))
-        keep = [k for k in full.members if gen.random() < 0.6]
-        sub = ClassSet(tuple(keep))
-        if constraint.contains(full):
-            assert constraint.contains(sub)
-    assert constraint.contains(ClassSet(()))
+@_PROPERTY
+@given(batch=_class_rows(), data=st.data())
+def test_class_constraints_monotone(constraint, batch, data):
+    """Every nonempty subset of an admitted nonempty class row is admitted, judged in one ``admits`` call."""
+    parents = batch.member[batch.nonempty & constraint.admits(batch)]
+    keep = data.draw(st.lists(st.booleans(), min_size=parents.size, max_size=parents.size))
+    sub = ClassBatch(parents & np.array(keep, dtype=bool).reshape(parents.shape))
+    assert constraint.admits(sub)[sub.nonempty].all()
 
 
 def test_breakpoint_values():

@@ -83,14 +83,12 @@ def test_two_sided_cfbh_plus_fcr_and_directions():
         test = Dataset(x[n:, None], y[n:], REGRESSION)
         cfg = ProcedureConfig(alpha=alpha, score=AbsoluteResidual(mu_hat), constraint=constraint)
         out = run_cfbh_plus(cal, test, cfg, RngStream(2211).child(rep, 1))
-        miss = 0
-        for j, pset in out.reported:
-            n_sel += 1
-            if not pset.contains(float(test.y[j])):
-                miss += 1
-            went_up = math.isinf(pset.intervals[0].upper)
-            truly_up = test.y[j] > 0.0  # sign of Y relative to the band midpoint
-            wrong_dir += went_up != truly_up
+        y_sel = test.y[out.selected]
+        n_sel += out.n_reported
+        miss = out.n_reported - int(np.count_nonzero(out.sets.covers(y_sel)))
+        went_up = np.isinf(out.sets.upper)
+        truly_up = y_sel > 0.0  # sign of Y relative to the band midpoint
+        wrong_dir += int(np.count_nonzero(went_up != truly_up))
         fcps.append(miss / max(1, out.n_reported))
     fcr, se = _mean_se(fcps)
     assert fcr <= alpha + 3 * se
@@ -146,7 +144,7 @@ def test_equivalence_checks_report_counterexamples():
 
 def test_synthetic_zero_feasible_fraction_reports_nothing():
     for profile in ("dti-like", "cifar-like"):
-        methods = ("naive", "infosp", "infosp+")
+        methods = ("naive", "infosp", "infosp+") + (("infoscop",) if profile == "dti-like" else ())
         rows = synthetic_replication(
             methods, profile, 200, 150, 0.2, RngStream(4411).child(hash(profile) % 97),
             feasible_frac=0.0,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_zero_length_interval_gives_inf_rpow_and_nan_stderr():
 
 
 def test_batch_scores_match_the_per_set_loop():
-    """Hit counts and rpow equal a left-to-right loop over the set objects, bit for bit."""
+    """Hit counts and rpow equal a left-to-right loop over the rows, bit for bit."""
     gen = np.random.default_rng(5)
     for _ in range(300):
         m = int(gen.integers(0, 25))
@@ -61,10 +63,12 @@ def test_batch_scores_match_the_per_set_loop():
         selected = gen.permutation(40)[:m]
         truth = gen.normal(size=40)
         n_false, rpow = 0, 0.0
-        for j, pset in zip(selected, sets.sets()):
-            n_false += not pset.contains(float(truth[j]))
-            size = pset.measure()
-            rpow += 0.0 if np.isinf(size) else (np.inf if size == 0.0 else 1.0 / size)
+        columns = (sets.lower, sets.upper, sets.lower_open, sets.upper_open)
+        for j, lo, up, lo_open, up_open in zip(selected.tolist(), *(c.tolist() for c in columns)):
+            y = float(truth[j])
+            n_false += not ((y > lo or (y == lo and not lo_open)) and (y < up or (y == up and not up_open)))
+            size = up - lo if lo < up or (lo == up and not (lo_open or up_open)) else 0.0
+            rpow += 0.0 if math.isinf(size) else (math.inf if size == 0.0 else 1.0 / size)
         got = replication_metrics(selected, sets, truth)
         assert (got.n_false, got.n_selected, got.rpow) == (n_false, m, rpow)
 

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,6 @@ from scip.conformal import AbsoluteResidual, OneMinusProb
 from scip.core import (
     CLASSIFICATION,
     ClassBatch,
-    ClassSet,
     ConfigError,
     ConstraintViolationError,
     Dataset,
@@ -18,8 +20,8 @@ from scip.core import (
     RngStream,
     SingletonClass,
     TargetHalfLines,
-    interval,
 )
+from scip.metrics import replication_metrics
 from scip.procedures import (
     ProcedureConfig,
     _checked_output,
@@ -49,6 +51,18 @@ def _regression_bundle(seed, n=80, m=50, eta=0.5):
     return cal, test, train, mu_hat
 
 
+def _rows(sets):
+    """Each batch row as plain values: a tuple of classes, or (lower, upper, lower_open, upper_open)."""
+    if isinstance(sets, ClassBatch):
+        return [tuple((np.flatnonzero(row) + 1).tolist()) for row in sets.member]
+    columns = (sets.lower, sets.upper, sets.lower_open, sets.upper_open)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _nonempty_and_admitted(out, constraint) -> bool:
+    return bool(out.sets.nonempty.all() and constraint.admits(out.sets).all())
+
+
 def _classification_bundle(seed, n=80, m=50):
     gen = RngStream(seed).generator()
     X = gen.standard_normal((n + m, 2))
@@ -64,7 +78,7 @@ def test_naive_reports_only_admissible_sets():
     cal, test, _, mu_hat = _regression_bundle(1)
     cfg = ProcedureConfig(alpha=0.1, score=AbsoluteResidual(mu_hat), constraint=PositiveInterval())
     out = run_naive(cal, test, cfg)
-    assert all(PositiveInterval().contains(pset) and not pset.is_empty for _, pset in out.reported)
+    assert _nonempty_and_admitted(out, PositiveInterval())
 
 
 def test_naive_empty_when_nothing_admissible():
@@ -94,19 +108,25 @@ def test_cfbh_single_unit():
     assert (p <= 0.3) == (out.selected.size == 1)
 
 
+def test_infinite_half_line_threshold_reports_nothing():
+    """HalfLine(inf): every half line (inf, inf) is empty, so cfbh and cfbh+ report nothing and warn of nothing."""
+    cal, test, _, mu_hat = _regression_bundle(3)
+    cfg = ProcedureConfig(alpha=0.5, score=AbsoluteResidual(mu_hat), constraint=HalfLine(np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in (run_cfbh(cal, test, cfg, RngStream(2)), run_cfbh_plus(cal, test, cfg, RngStream(2))):
+            assert out.n_reported == 0
+            assert replication_metrics(out.selected, out.sets, test.y).rpow == 0.0
+
+
 def test_two_sided_direction_and_sets():
     cal, test, train, mu_hat = _regression_bundle(5)
     constraint = TargetHalfLines(-0.5, 0.5)
     cfg = ProcedureConfig(alpha=0.2, score=AbsoluteResidual(mu_hat), constraint=constraint)
     out = run_cfbh_plus(cal, test, cfg, RngStream(6))
     mu_test = mu_hat(test.X)
-    for j, pset in out.reported:
-        assert constraint.contains(pset)
-        iv = pset.intervals[0]
-        if np.isinf(iv.upper):
-            assert mu_test[j] >= 0.0
-        else:
-            assert mu_test[j] < 0.0
+    assert out.n_reported > 0 and constraint.admits(out.sets).all()
+    assert np.array_equal(np.isinf(out.sets.upper), mu_test[out.selected] >= 0.0)
 
 
 def test_midpoint_tie_goes_to_upper_half_line():
@@ -123,13 +143,13 @@ def test_midpoint_tie_goes_to_upper_half_line():
     cfg = ProcedureConfig(
         alpha=0.5, score=AbsoluteResidual(mu_hat), constraint=constraint, tie_mode=TieMode.DETERMINISTIC
     )
-    above = interval(2.0, np.inf, lower_open=True, upper_open=True)
-    expected = {0: above, 1: above, 2: interval(-np.inf, 0.0, lower_open=True, upper_open=True)}
+    above = (2.0, np.inf, True, True)
+    expected = [above, above, (-np.inf, 0.0, True, True)]
     for out in (
         run_cfbh_plus(cal, test, cfg, RngStream(40)),
         run_cfbh_plus_plus(train, cal, test, cfg, RngStream(40)),
     ):
-        assert dict(out.reported) == expected
+        assert out.selected.tolist() == [0, 1, 2] and _rows(out.sets) == expected
 
 
 def test_cfbh_plus_plus_boundary_training_label_is_negative():
@@ -232,7 +252,7 @@ def test_argmax_ties_go_to_smallest_index():
     test = Dataset(np.arange(1, 5, dtype=float)[:, None], None, CLASSIFICATION)
     cfg = ProcedureConfig(alpha=0.5, score=OneMinusProb(p_hat), constraint=MaxSize(1))
     out = run_selective_classification(cal, test, cfg)
-    assert [(j, pset.members) for j, pset in out.reported] == [(0, (1,)), (1, (1,)), (2, (1,)), (3, (2,))]
+    assert out.selected.tolist() == [0, 1, 2, 3] and _rows(out.sets) == [(1,), (1,), (1,), (2,)]
 
 
 def test_cfbh_plus_plus_runs_and_controls_shape():
@@ -241,7 +261,7 @@ def test_cfbh_plus_plus_runs_and_controls_shape():
         alpha=0.2, score=AbsoluteResidual(mu_hat), constraint=HalfLine(0.0), feature_degree=2
     )
     out = run_cfbh_plus_plus(train, cal, test, cfg, RngStream(8))
-    assert all(not pset.is_empty for _, pset in out.reported)
+    assert out.sets.nonempty.all()
     assert out.diagnostics["scorer"].loss_trace.size >= 1
 
 
@@ -292,6 +312,31 @@ def test_infosp_never_reports_nan_probability_rows():
     assert not set(nan_rows) & set(out.selected.tolist())
 
 
+def test_selective_classification_never_reports_nan_probability_rows():
+    """A NaN test row gets an empty singleton and p-value 1; a NaN calibration row raises as it does for infosp."""
+    cal, test, _ = _classification_bundle(20, n=100, m=60)
+    table = true_class_probs(np.vstack([cal.X, test.X]))
+    ids = np.arange(cal.n + test.n, dtype=float)[:, None]  # each row's features are its table index
+    cal_ids = Dataset(ids[: cal.n], cal.y, CLASSIFICATION)
+    test_ids = Dataset(ids[cal.n :], test.y, CLASSIFICATION)
+    for constraint in (SingletonClass(1), MaxSize(1)):
+        cfg = ProcedureConfig(alpha=0.3, score=OneMinusProb(StoredProbs(table)), constraint=constraint)
+        nan_rows = run_selective_classification(cal_ids, test_ids, cfg).selected[:4]
+        assert nan_rows.size == 4
+        with_nan = table.copy()
+        with_nan[cal.n + nan_rows] = np.nan
+        nan_cfg = replace(cfg, score=OneMinusProb(StoredProbs(with_nan)))
+        out = run_selective_classification(cal_ids, test_ids, nan_cfg)
+        assert np.all(out.diagnostics["pvalues"][nan_rows] == 1.0)
+        assert out.n_reported > 0
+        assert not set(nan_rows.tolist()) & set(out.selected.tolist())
+        with_nan[cal.n + nan_rows] = table[cal.n + nan_rows]
+        with_nan[3] = np.nan  # a calibration row
+        for run in (run_selective_classification, run_infosp):
+            with pytest.raises(ValueError, match="calibration scores must be finite"):
+                run(cal_ids, test_ids, nan_cfg)
+
+
 def test_single_test_unit_reports_one_admitted_row():
     """m = 1: naive and the infosp variants each report the one strong unit."""
     gen = RngStream(41).generator()
@@ -320,7 +365,7 @@ def test_infosp_plus_pipeline_invariants():
     cal1 = Dataset(cal.X[60:], cal.y[60:], REGRESSION)
     cfg = ProcedureConfig(alpha=0.2, score=AbsoluteResidual(mu_hat), constraint=PositiveInterval())
     out = run_infosp_plus(cal1, cal0, test, cfg, RngStream(11))
-    assert all(PositiveInterval().contains(pset) and not pset.is_empty for _, pset in out.reported)
+    assert _nonempty_and_admitted(out, PositiveInterval())
     d = out.diagnostics
     assert np.all(d["q_plus"] >= d["tau0"] - 1e-15)
     assert np.all(d["q_plus"] >= d["q0"])
@@ -346,8 +391,11 @@ def test_infosp_plus_sets_match_per_row_sets_at_truncated_levels():
         assert out.n_reported > 0
         cal0_scores = score.eval(cal0.X, cal0.y)
         q_plus = out.diagnostics["q_plus"][cal1.n :]
-        for j, pset in out.reported:
-            assert pset == conformal_set(test.X[j], cal0_scores, score, q_plus[j])
+        for j, row in zip(out.selected, _rows(out.sets)):
+            ref = conformal_set(test.X[j], cal0_scores, score, q_plus[j])
+            if isinstance(score, AbsoluteResidual):  # closed finite ends, open infinite ones
+                ref = (*ref, bool(np.isinf(ref[0])), bool(np.isinf(ref[1])))
+            assert row == ref
 
 
 def test_infosp_plus_zero_truncation_keeps_raw_levels():
@@ -373,7 +421,7 @@ def test_infosp_plus_plus_shares_constructor_sets():
     plusplus = run_infosp_plus_plus(None, cal1, cal0, test, cfg, gen.child(0))
     assert np.array_equal(plus.diagnostics["q_plus"], plusplus.diagnostics["q_plus"])
     common = set(map(int, plus.selected)) & set(map(int, plusplus.selected))
-    d_plus, d_pp = dict(plus.reported), dict(plusplus.reported)
+    d_plus, d_pp = (dict(zip(out.selected.tolist(), _rows(out.sets))) for out in (plus, plusplus))
     for j in common:
         assert d_plus[j] == d_pp[j]
 
@@ -394,9 +442,7 @@ def test_infosp_plus_plus_regression_trained_trust():
     assert np.all((nonzero > 0) & (nonzero < 1))  # logistic range
     # empty-set units carry zero trust whatever the trained scorer says
     assert np.all(trust[plusplus.diagnostics["q_plus"] >= 1.0] == 0.0)
-    assert all(
-        PositiveInterval().contains(pset) and not pset.is_empty for _, pset in plusplus.reported
-    )
+    assert _nonempty_and_admitted(plusplus, PositiveInterval())
 
 
 def test_infoscop_containments():
@@ -444,8 +490,8 @@ def test_infosp_modified_sets_nested_in_plus_on_shared_u():
         )
         plain = run_infosp_modified(cal1, cal0, test, cfg)
         trunc = run_infosp_plus(cal1, cal0, test, cfg, RngStream(500 + seed))
-        trunc_sets = dict(trunc.reported)
-        ok = all(j in trunc_sets and trunc_sets[j] == pset for j, pset in plain.reported)
+        trunc_sets = dict(zip(trunc.selected.tolist(), _rows(trunc.sets)))
+        ok = all(trunc_sets.get(j) == row for j, row in zip(plain.selected.tolist(), _rows(plain.sets)))
         hits += ok
     assert hits >= 20  # asymptotic containment; small-sample slack
 
@@ -454,11 +500,11 @@ def test_selective_classification_modes():
     cal, test, _ = _classification_bundle(20, n=100, m=60)
     cfg_t = ProcedureConfig(alpha=0.2, score=OneMinusProb(true_class_probs), constraint=SingletonClass(2))
     out_t = run_selective_classification(cal, test, cfg_t)
-    assert all(pset.members == (2,) for _, pset in out_t.reported)
+    assert _rows(out_t.sets) == [(2,)] * out_t.n_reported
     cfg_a = ProcedureConfig(alpha=0.2, score=OneMinusProb(true_class_probs), constraint=MaxSize(1))
     out_a = run_selective_classification(cal, test, cfg_a)
     top = np.argmax(true_class_probs(test.X), axis=1) + 1
-    assert all(pset.members == (int(top[j]),) for j, pset in out_a.reported)
+    assert _rows(out_a.sets) == [(int(top[j]),) for j in out_a.selected]
     with pytest.raises(ConfigError):
         run_selective_classification(
             cal, test, ProcedureConfig(alpha=0.2, score=OneMinusProb(true_class_probs), constraint=MaxSize(2))
@@ -480,7 +526,7 @@ def test_same_seed_same_output():
     a = run_infosp_plus(cal1, cal0, test, cfg, RngStream(22).child(3))
     b = run_infosp_plus(cal1, cal0, test, cfg, RngStream(22).child(3))
     assert np.array_equal(a.selected, b.selected)
-    assert a.reported == b.reported
+    assert _rows(a.sets) == _rows(b.sets)
     assert np.array_equal(a.diagnostics["pvalues"], b.diagnostics["pvalues"])
 
 
@@ -503,4 +549,4 @@ def test_reported_set_check_rejects_inadmissible_rows():
     with pytest.raises(ConstraintViolationError, match="unit 7: reported set violates"):
         _checked_output(np.array([3, 7]), ClassBatch(member), MaxSize(2), {})
     out = _checked_output(np.array([3]), ClassBatch(member[:1]), MaxSize(2), {})
-    assert out.reported == ((3, ClassSet((1,))),)
+    assert out.selected.tolist() == [3] and _rows(out.sets) == [(1,)]
