@@ -143,6 +143,8 @@ class ExperimentConfig:
             (math.isfinite(self.sharpness), "sharpness must be finite"),
             (0.0 <= self.feasible_frac <= 1.0, "feasible_frac must lie in [0, 1]"),
             (math.isfinite(self.screening_threshold), "screening_threshold must be finite"),
+            (self.screening_alpha is None or 0.0 < self.screening_alpha < 1.0,
+             "screening_alpha must lie in (0, 1)"),
         )
         for ok, why in checks:
             if not ok:

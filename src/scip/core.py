@@ -94,9 +94,10 @@ class IntervalBatch:
 
     @classmethod
     def from_radius(cls, mu, radius) -> "IntervalBatch":
-        """Closed residual sublevel intervals [mu - r, mu + r]: empty for r < 0, the open line for r = inf."""
+        """Closed residual sublevel intervals [mu - r, mu + r]: empty for r < 0 or a non-finite mu,
+        the open line for r = inf."""
         mu, radius = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(radius, dtype=float))
-        empty = radius < 0.0
+        empty = (radius < 0.0) | ~np.isfinite(mu)
         full = radius == math.inf
         with np.errstate(invalid="ignore"):
             lower = np.where(empty, math.inf, mu - radius)

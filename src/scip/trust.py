@@ -10,6 +10,7 @@ on a disjoint labeled training sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -88,15 +89,32 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
 
 
-def _gd_minimize(value_and_grad, w0: np.ndarray, config: OptimizerConfig):
+class _Objective(NamedTuple):
+    """A smooth loss in two steps: ``value(theta) -> (loss, state)`` and ``grad(state)``.
+
+    Calling it returns ``(loss, grad)`` at ``theta``.
+    """
+
+    value: Callable[[np.ndarray], tuple[float, Any]]
+    grad: Callable[[Any], np.ndarray]
+
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, state = self.value(theta)
+        return loss, self.grad(state)
+
+
+def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig):
     """Descend until the gradient sup-norm passes tol or the budget runs out.
 
     Step sizes warm-start from the previously accepted step (doubled; from 1
     before the first), then halve until the loss decreases; the loss trace is
-    non-increasing by construction.
+    non-increasing by construction.  Candidate steps are judged by their loss
+    alone: the gradient is evaluated only at the start and at each accepted
+    step, once per entry of the loss trace.
     """
     w = w0.astype(float).copy()
-    loss, grad = value_and_grad(w)
+    loss, state = objective.value(w)
+    grad = objective.grad(state)
     trace = [float(loss)]
     step = 1.0
     converged = False
@@ -107,13 +125,13 @@ def _gd_minimize(value_and_grad, w0: np.ndarray, config: OptimizerConfig):
         step = min(step * 2.0, 1e3)
         while step > 1e-18:
             cand = w - step * grad
-            cand_loss, cand_grad = value_and_grad(cand)
+            cand_loss, cand_state = objective.value(cand)
             if cand_loss < loss:
                 break
             step *= 0.5
         else:
             break  # no descent direction at float resolution
-        w, loss, grad = cand, cand_loss, cand_grad
+        w, loss, grad = cand, cand_loss, objective.grad(cand_state)
         trace.append(float(loss))
     return w, np.asarray(trace), converged
 
@@ -144,30 +162,28 @@ class TrainedScorer:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # one exp of -|z| serves both branches, and neither can overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float):
-    """Mean of lambda-weighted cross-entropy terms; labels are +-1."""
+def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float) -> _Objective:
+    """Mean of lambda-weighted cross-entropy terms; labels are +-1.  The state is z."""
     n = phi.shape[0]
     a = (labels > 0).astype(float)
     w = np.where(labels > 0, lam, 1.0)
+    # log(1 + exp(-z)) for positives, log(1 + exp(z)) for negatives; the sign flip is exact
+    sgn = np.where(labels > 0, -1.0, 1.0)
 
-    def value_and_grad(theta):
+    def value(theta):
         z = phi @ theta[:-1] + theta[-1]
-        # log(1 + exp(-z)) for positives, log(1 + exp(z)) for negatives
-        losses = np.where(labels > 0, np.logaddexp(0.0, -z), np.logaddexp(0.0, z))
-        val = float((w * losses).sum() / n)
-        resid = w * (_sigmoid(z) - a) / n
-        grad = np.concatenate([phi.T @ resid, [resid.sum()]])
-        return val, grad
+        return float((w * np.logaddexp(0.0, sgn * z)).sum() / n), z
 
-    return value_and_grad
+    def grad(z):
+        resid = w * (_sigmoid(z) - a) / n
+        return np.concatenate([phi.T @ resid, [resid.sum()]])
+
+    return _Objective(value, grad)
 
 
 def train_trust_classifier(
@@ -188,9 +204,9 @@ def train_trust_classifier(
     if np.all(labels > 0) or np.all(labels < 0):
         raise DegenerateLabelsError("training labels are all one class")
     phi = polynomial_features(X, feature_degree)
-    value_and_grad = _weighted_logistic_objective(phi, labels, lam)
+    objective = _weighted_logistic_objective(phi, labels, lam)
     theta0 = np.zeros(phi.shape[1] + 1)
-    theta, trace, converged = _gd_minimize(value_and_grad, theta0, config)
+    theta, trace, converged = _gd_minimize(objective, theta0, config)
     return TrainedScorer(
         weights=theta[:-1],
         bias=float(theta[-1]),
@@ -238,19 +254,21 @@ def train_softmax_classifier(
         raise DegenerateLabelsError("softmax training needs at least two classes present")
     phi = polynomial_features(X, feature_degree)
     n, p = phi.shape
+    labelled = (np.arange(n), y - 1)
     onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y - 1] = 1.0
+    onehot[labelled] = 1.0
 
-    def value_and_grad(theta):
+    def value(theta):
         W = theta.reshape(p + 1, n_classes)
         z = phi @ W[:-1] + W[-1]
         zmax = z.max(axis=1, keepdims=True)
         log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        val = float((log_norm - z[np.arange(n), y - 1]).sum() / n)
-        probs = np.exp(z - log_norm[:, None])
-        resid = (probs - onehot) / n
-        grad = np.vstack([phi.T @ resid, resid.sum(axis=0)])
-        return val, grad.ravel()
+        return float((log_norm - z[labelled]).sum() / n), (z, log_norm)
 
-    theta, trace, converged = _gd_minimize(value_and_grad, np.zeros((p + 1) * n_classes), config)
+    def grad(state):
+        z, log_norm = state
+        resid = (np.exp(z - log_norm[:, None]) - onehot) / n
+        return np.vstack([phi.T @ resid, resid.sum(axis=0)]).ravel()
+
+    theta, trace, converged = _gd_minimize(_Objective(value, grad), np.zeros((p + 1) * n_classes), config)
     return SoftmaxScorer(theta.reshape(p + 1, n_classes), feature_degree, trace, converged)

@@ -276,6 +276,10 @@ def test_method_outside_the_profile_is_a_config_error(tmp_path, capsys):
         ("regression-sweep", "noise_sd=inf"),
         ("regression-sweep", "screening_threshold=inf"),
         ("regression-sweep", "screening_threshold=nan"),
+        ("regression-sweep", "screening_alpha=1.5"),  # the default methods include infoscop
+        ("regression-sweep", "screening_alpha=nan"),
+        ("regression-sweep", "screening_alpha=0"),
+        ("synthetic-real", "screening_alpha=inf"),
         ("classification-sweep", "max_size=0"),
         ("synthetic-real", "max_size=0"),
         ("synthetic-real", "sharpness=nan"),

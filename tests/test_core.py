@@ -221,6 +221,15 @@ def test_interval_batch_from_radius():
     assert not (shared.lower_open.any() or shared.upper_open.any())
 
 
+def test_interval_batch_from_radius_non_finite_mu_is_empty():
+    mu = np.array([math.inf, -math.inf, math.nan, math.inf, 1.0])
+    radius = np.array([0.5, 0.0, 0.5, math.inf, 0.5])
+    batch = IntervalBatch.from_radius(mu, radius)
+    assert batch.nonempty.tolist() == [False, False, False, False, True]
+    assert not batch.covers(np.array([math.inf, -math.inf, 0.0, math.inf, 1.0]))[:4].any()
+    assert batch.measure().tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
 def test_class_batch_matches_its_sets():
     """Every column operation equals its per-row definition written out on plain lists."""
     gen = np.random.default_rng(4260)

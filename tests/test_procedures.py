@@ -312,6 +312,23 @@ def test_infosp_never_reports_nan_probability_rows():
     assert not set(nan_rows) & set(out.selected.tolist())
 
 
+def test_infosp_never_reports_an_infinite_prediction():
+    """A unit whose mu_hat is inf gets an empty set, as a NaN one does, and the metrics stay warning-free."""
+    cal, test, _, mu_hat = _regression_bundle(23, n=60, m=40)
+    X = test.X.copy()
+    X[:3, 0] = [3.0, 3.1, -3.2]
+    test = Dataset(X, test.y, REGRESSION)
+    wild = lambda X: np.where(np.abs(X[:, 0]) > 2.9, np.sign(X[:, 0]) * np.inf, mu_hat(X))
+    cfg = ProcedureConfig(alpha=0.3, score=AbsoluteResidual(wild), constraint=PositiveInterval())
+    out = run_infosp(cal, test, cfg)
+    assert out.n_reported > 0
+    assert not {0, 1, 2} & set(out.selected.tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metrics = replication_metrics(out.selected, out.sets, test.y)
+    assert np.isfinite(metrics.rpow)
+
+
 def test_selective_classification_never_reports_nan_probability_rows():
     """A NaN test row gets an empty singleton and p-value 1; a NaN calibration row raises as it does for infosp."""
     cal, test, _ = _classification_bundle(20, n=100, m=60)

@@ -9,6 +9,7 @@ from scip.trust import (
     IdentityKernel,
     OptimizerConfig,
     diversity_scores,
+    polynomial_features,
     train_softmax_classifier,
     train_trust_classifier,
 )
@@ -156,3 +157,210 @@ def test_softmax_classifier_learns_probabilities():
     est = scorer.predict_proba(np.array([[0.0, 0.0]]))[0]
     assert np.allclose(est, 0.25, atol=0.08)
     assert np.allclose(scorer.predict_proba(X).sum(axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The trainers against the descent they replaced, bit for bit: a two-logaddexp
+# loss, a masked two-exp sigmoid and a gradient at every candidate step.  Both
+# sides make the same BLAS calls, so equality holds on any BLAS.
+# ---------------------------------------------------------------------------
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_logistic(phi, labels, lam):
+    n = phi.shape[0]
+    a = (labels > 0).astype(float)
+    w = np.where(labels > 0, lam, 1.0)
+
+    def value_and_grad(theta):
+        z = phi @ theta[:-1] + theta[-1]
+        losses = np.where(labels > 0, np.logaddexp(0.0, -z), np.logaddexp(0.0, z))
+        val = float((w * losses).sum() / n)
+        resid = w * (_masked_sigmoid(z) - a) / n
+        return val, np.concatenate([phi.T @ resid, [resid.sum()]])
+
+    return value_and_grad
+
+
+def _reference_softmax(phi, y, n_classes):
+    n, p = phi.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y - 1] = 1.0
+
+    def value_and_grad(theta):
+        W = theta.reshape(p + 1, n_classes)
+        z = phi @ W[:-1] + W[-1]
+        zmax = z.max(axis=1, keepdims=True)
+        log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        val = float((log_norm - z[np.arange(n), y - 1]).sum() / n)
+        resid = (np.exp(z - log_norm[:, None]) - onehot) / n
+        return val, np.vstack([phi.T @ resid, resid.sum(axis=0)]).ravel()
+
+    return value_and_grad
+
+
+def _reference_descent(value_and_grad, w0, config):
+    w = w0.astype(float).copy()
+    loss, grad = value_and_grad(w)
+    trace = [float(loss)]
+    step = 1.0
+    converged = False
+    for _ in range(config.max_iter):
+        if np.max(np.abs(grad)) < config.grad_tol:
+            converged = True
+            break
+        step = min(step * 2.0, 1e3)
+        while step > 1e-18:
+            cand = w - step * grad
+            cand_loss, cand_grad = value_and_grad(cand)
+            if cand_loss < loss:
+                break
+            step *= 0.5
+        else:
+            break
+        w, loss, grad = cand, cand_loss, cand_grad
+        trace.append(float(loss))
+    return w, np.asarray(trace), converged
+
+
+def _trust_sample(seed, n=400, d=1):
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n, d))
+    signal = 1.5 * X[:, 0] - 0.7 * X[:, -1] ** 2 + 0.5
+    labels = np.where(gen.random(n) < 1.0 / (1.0 + np.exp(-signal)), 1, -1)
+    return X, labels
+
+
+def _reference_trust_fit(X, labels, lam, degree, config):
+    phi = polynomial_features(X, degree)
+    return _reference_descent(_reference_logistic(phi, labels, lam), np.zeros(phi.shape[1] + 1), config)
+
+
+def _reference_softmax_fit(X, y, n_classes, degree, config):
+    phi = polynomial_features(X, degree)
+    shape = (phi.shape[1] + 1, n_classes)
+    theta, trace, converged = _reference_descent(_reference_softmax(phi, y, n_classes), np.zeros(shape).ravel(), config)
+    return theta.reshape(shape), trace, converged
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_trust_classifier_bit_equal_to_reference_descent(degree, lam, d):
+    X, labels = _trust_sample(1000 * degree + 10 * d + int(10 * lam), d=d)
+    config = OptimizerConfig()
+    got = train_trust_classifier(X, labels, lam=lam, config=config, feature_degree=degree)
+    theta, trace, converged = _reference_trust_fit(X, labels, lam, degree, config)
+    assert np.array_equal(got.weights, theta[:-1])
+    assert got.bias == float(theta[-1])
+    assert np.array_equal(got.loss_trace, trace)
+    assert got.converged == converged
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n_classes", [3, 4])
+def test_softmax_classifier_bit_equal_to_reference_descent(degree, n_classes):
+    from scip.simgen import true_class_probs
+
+    gen = np.random.default_rng(500 + 10 * degree + n_classes)
+    X = gen.normal(size=(300, 2))
+    cum = true_class_probs(X)[:, :n_classes].cumsum(axis=1)
+    y = (1 + (gen.random((300, 1)) * cum[:, -1:] > cum[:, :-1]).sum(axis=1)).astype(int)
+    config = OptimizerConfig(max_iter=3000)
+    got = train_softmax_classifier(X, y, n_classes, config=config, feature_degree=degree)
+    weights, trace, converged = _reference_softmax_fit(X, y, n_classes, degree, config)
+    assert np.array_equal(got.weights, weights)
+    assert np.array_equal(got.loss_trace, trace)
+    assert got.converged == converged
+
+
+def test_trainers_bit_equal_when_the_budget_runs_out():
+    X, labels = _trust_sample(71, d=2)
+    config = OptimizerConfig(max_iter=9)
+    got = train_trust_classifier(X, labels, lam=1.7, config=config, feature_degree=2)
+    theta, trace, converged = _reference_trust_fit(X, labels, 1.7, 2, config)
+    assert not got.converged and not converged
+    assert got.loss_trace.size == trace.size == config.max_iter + 1
+    assert np.array_equal(got.weights, theta[:-1]) and got.bias == float(theta[-1])
+    assert np.array_equal(got.loss_trace, trace)
+
+    y = np.where(labels > 0, 1, 2) + (X[:, 1] > 0.8).astype(int)
+    soft = train_softmax_classifier(X, y, 3, config=config, feature_degree=1)
+    weights, trace, converged = _reference_softmax_fit(X, y, 3, 1, config)
+    assert not soft.converged and not converged
+    assert soft.loss_trace.size == config.max_iter + 1
+    assert np.array_equal(soft.weights, weights)
+    assert np.array_equal(soft.loss_trace, trace)
+
+
+def test_objective_call_bit_equal_to_reference():
+    from scip.trust import _weighted_logistic_objective
+
+    X, labels = _trust_sample(72, n=257, d=2)
+    phi = polynomial_features(X, 3)
+    fn = _weighted_logistic_objective(phi, labels, lam=2.5)
+    ref = _reference_logistic(phi, labels, 2.5)
+    gen = np.random.default_rng(73)
+    for scale in (0.1, 1.0, 30.0, 400.0):
+        theta = scale * gen.normal(size=phi.shape[1] + 1)
+        val, grad = fn(theta)
+        ref_val, ref_grad = ref(theta)
+        assert val == ref_val
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_descent_evaluates_the_gradient_once_per_accepted_step():
+    from scip.trust import _gd_minimize, _Objective, _weighted_logistic_objective
+
+    X, labels = _trust_sample(74, d=1)
+    inner = _weighted_logistic_objective(polynomial_features(X, 2), labels, lam=2.5)
+    calls = {"value": 0, "grad": 0}
+
+    def value(theta):
+        calls["value"] += 1
+        return inner.value(theta)
+
+    def grad(state):
+        calls["grad"] += 1
+        return inner.grad(state)
+
+    _, trace, converged = _gd_minimize(_Objective(value, grad), np.zeros(3), OptimizerConfig())
+    assert converged
+    assert calls["grad"] == len(trace)
+    assert calls["value"] > calls["grad"]  # some candidates were rejected, and got no gradient
+
+
+_SIGMOID_EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0, math.inf, -math.inf, math.nan]
+)
+
+
+@pytest.mark.parametrize("size", [1, 7, 33, 1000])  # short arrays run only the SIMD tail loops
+def test_sigmoid_bit_equal_to_masked_two_exp_form(size):
+    from scip.trust import _sigmoid
+
+    gen = np.random.default_rng(size)
+    # every edge value at every position, then random draws across the whole range
+    arrays = [np.resize(np.roll(_SIGMOID_EDGES, shift), size) for shift in range(_SIGMOID_EDGES.size)]
+    arrays += [gen.normal(scale=scale, size=size) for scale in (1.0, 30.0, 800.0)]
+    arrays.append(gen.uniform(-750.0, 750.0, size))
+    for z in arrays:
+        got, ref = _sigmoid(z), _masked_sigmoid(z)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)  # a NaN stays NaN; its sign bit carries nothing
+        assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
+def test_sigmoid_saturates_without_overflow():
+    from scip.trust import _sigmoid
+
+    z = np.array([math.inf, -math.inf, 800.0, -800.0, 0.0, -0.0])
+    assert _sigmoid(z).tolist() == [1.0, 0.0, 1.0, 0.0, 0.5, 0.5]
