@@ -13,9 +13,11 @@ breakpoint nu(x) in hand it reduces to the tie-aware count
 when no admissible nonempty set exists at any level.
 
 Both rank counts are cheap at n = m = 1e6: ``count_geq`` runs its binary
-searches over the keys in ascending order, so the sorted scores are read left
-to right, and the level count behind ``score_radius`` is arithmetic,
-``floor(q (n + 1))`` corrected by one step each way, with no level grid held.
+searches over the keys ascending up to the packed low bits, so the sorted
+scores are read nearly left to right (the counts are exact in any order), and
+the level count behind ``score_radius`` is arithmetic, ``floor(q (n + 1))``
+corrected by one step each way, with no level grid held.  A radius is then
+one gather from the sorted scores held between a -inf and a +inf sentinel.
 """
 
 from __future__ import annotations
@@ -76,14 +78,16 @@ NonconformityScore = AbsoluteResidual | OneMinusProb
 class CalibrationScores:
     """Frozen calibration score sample with rank/count helpers.
 
-    ``count_geq(v)`` searches the keys in ascending order and scatters the
-    counts back, so a large batch of keys reads the sorted scores once from
-    left to right.  ``min_count_for_level(q)`` returns the smallest integer c
-    such that a candidate with c calibration scores >= its own score passes
-    the strict level-q rank test, i.e. the number of grid values k/(n+1),
-    k = 1..n+1, that are <= q.  It is computed arithmetically, without the
-    grid.  A result of 0 means every candidate passes; n+1 means none does
-    (NaN gives n+1).
+    ``count_geq(v)`` searches the keys ascending up to the packed low bits and
+    scatters the counts back, so a large batch of keys reads the sorted scores
+    nearly once from left to right; the counts are exact in any order.
+    ``min_count_for_level(q)`` returns the smallest integer c such that a
+    candidate with c calibration scores >= its own score passes the strict
+    level-q rank test, i.e. the number of grid values k/(n+1), k = 1..n+1,
+    that are <= q.  It is computed arithmetically, without the grid.  A
+    result of 0 means every candidate passes; n+1 means none does (NaN gives
+    n+1).  ``score_radius(q)`` gathers the radius from the sorted scores held
+    between a -inf and a +inf sentinel.
     """
 
     def __init__(self, values):
@@ -92,8 +96,13 @@ class CalibrationScores:
             raise ValueError("calibration scores must be nonempty")
         if not np.all(np.isfinite(vals)):
             raise ValueError("calibration scores must be finite")
-        self._sorted = np.sort(vals)
-        self._sorted.setflags(write=False)
+        # the sorted scores between a -inf and a +inf sentinel, so a radius is one gather
+        self._padded = np.empty(vals.size + 2)
+        self._padded[0], self._padded[-1] = -math.inf, math.inf
+        self._padded[1:-1] = vals
+        self._padded[1:-1].sort()
+        self._padded.setflags(write=False)
+        self._sorted = self._padded[1:-1]
 
     @property
     def n(self) -> int:
@@ -135,15 +144,8 @@ class CalibrationScores:
         q_arr = np.asarray(q, dtype=float)
         if np.any(~((q_arr >= 0.0) & (q_arr <= 1.0))):
             raise LevelError("conformal levels must lie in [0, 1]")
-        counts = np.asarray(self.min_count_for_level(q_arr))
-        radii = np.empty(counts.shape, dtype=float)
-        all_in = counts == 0
-        none_in = counts == self.n + 1
-        mid = ~(all_in | none_in)
-        radii[all_in] = math.inf
-        radii[none_in] = -math.inf
-        radii[mid] = self._sorted[self.n - counts[mid]]
-        return radii if np.ndim(q) else float(radii[()])
+        radii = self._padded[self.n + 1 - self.min_count_for_level(q_arr)]
+        return radii if np.ndim(q) else float(radii)
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,32 @@ class ConfigError(ScipError):
 
 
 def _search_in_key_order(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray, ...]:
-    """``np.searchsorted(table, keys, side)`` per side, run over the keys in ascending order.
+    """``np.searchsorted(table, keys, side)`` per side, run over the keys ascending up to the packed low bits.
 
-    Returns ``(order, *ranks)`` for 1-d ``keys``: ``order = np.argsort(keys)``
-    and ``ranks[i]`` is where ``keys[order[i]]`` goes in ``table``, the same
-    integer a plain search gives (NaN sorts last in both).  Callers work in key
-    order and scatter back once with ``out[order] = ...``.  Ascending keys walk
-    a table far larger than the cache left to right; random keys miss it on
-    nearly every probe.
+    Returns ``(order, *ranks)`` for 1-d ``keys``: ``order`` is a permutation of
+    ``arange(m)`` that puts the keys in ascending order up to the packed low
+    bits, and ``ranks[i]`` is where ``keys[order[i]]`` goes in ``table``, the
+    same integer a plain search gives.  Callers work in key order and scatter
+    back once with ``out[order] = ...``; the counts are exact in any order.
+    Ascending keys walk a table far larger than the cache left to right;
+    random keys miss it on nearly every probe.
+
+    The order comes from one sort of int64 words: each key's float bits,
+    mapped so that signed integer order is float order (-0.0 is folded into
+    0.0, NaN sorts by its sign bit), with the low ``bits`` replaced by the
+    key's index.  Keys that agree above those bits keep index order.
     """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    return (order, *(np.searchsorted(table, ordered, side=side) for side in sides))
+    m = keys.size
+    bits = max(1, (m - 1).bit_length())
+    words = np.add(keys, 0.0, dtype=float).view(np.int64)
+    words ^= (words >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    words >>= bits
+    words <<= bits
+    words |= np.arange(m)
+    words.sort()
+    words &= (1 << bits) - 1
+    ordered = keys[words]
+    return (words, *(np.searchsorted(table, ordered, side=side) for side in sides))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ own informative set):
     p_j = [ #{i : null_i, T_i > T_j} + (1 + #{i : null_i, T_i = T_j}) * U_j ] / (n + 1)
 
 with U_j in (0, 1] breaking ties.  Both counts come from binary searches of
-the sorted null trusts with the test trusts taken in ascending order; the
-formula is evaluated in that order and scattered back to the units once.
-Selection applies the step-up BH rule, whose self-consistent form
+the sorted null trusts with the test trusts taken ascending up to the packed
+low bits; the formula is evaluated in that order and scattered back to the
+units once.  The counts are exact in any order.  Selection applies the
+step-up BH rule, whose self-consistent form
 alpha_hat = max{a : (alpha/m) #{p <= a} >= a} produces the identical
 selected set.  The counting-knockoff scan over an estimated false discovery
 proportion reproduces BH on deterministic (U = 1) p-values and, with a
@@ -97,8 +98,9 @@ def _pvalues_at(pool: ScoredPool, u) -> np.ndarray:
 
     ``u`` holds one draw per test unit or is one shared float.  gt and geq
     count the null calibration trusts above and at-or-above each test trust.
-    Both counts and the formula run in ascending test-trust order, and the
-    p-values are scattered back once.
+    Both counts and the formula run with the test trusts ascending up to the
+    packed low bits, and the p-values are scattered back once; the counts are
+    exact in any order.
     """
     null_sorted = np.sort(pool.cal_trust[pool.cal_null])
     order, left, right = _search_in_key_order(null_sorted, pool.test_trust, "left", "right")
@@ -129,8 +131,9 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     m = p.size
-    order = np.sort(p)
-    passing = np.flatnonzero(order <= alpha * np.arange(1, m + 1) / m)
+    # alpha * m / m is the largest threshold as the rule computes it; a larger p passes no k
+    order = np.sort(p[p <= alpha * m / m])
+    passing = np.flatnonzero(order <= alpha * np.arange(1, order.size + 1) / m)
     k_hat = int(passing[-1] + 1) if passing.size else 0
     alpha_hat = alpha * k_hat / m
     selected = np.flatnonzero(p <= alpha_hat) if k_hat else np.array([], dtype=int)

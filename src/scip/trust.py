@@ -40,14 +40,6 @@ class GaussianKernel:
         return np.exp(-sq / (2.0 * self.scale**2))
 
 
-@dataclass(frozen=True)
-class IdentityKernel:
-    """s(x, x') = 1{x is the same unit}; useful as a no-similarity baseline."""
-
-    def matrix(self, X: np.ndarray) -> np.ndarray:
-        return np.eye(np.asarray(X).shape[0])
-
-
 def diversity_scores(pool_features, psi, kernel, alpha: float) -> np.ndarray:
     """Similarity-aware trust scores for the pooled units.
 

@@ -85,6 +85,41 @@ def test_min_count_for_level_matches_grid_search(n):
         assert count == np.searchsorted(grid, scalar, side="right")
 
 
+def _three_mask_radius(sorted_scores, counts):
+    """The radius rule with its three cases written out: +inf, -inf, or the count-th largest score."""
+    n = sorted_scores.size
+    radii = np.empty(counts.shape, dtype=float)
+    all_in, none_in = counts == 0, counts == n + 1
+    mid = ~(all_in | none_in)
+    radii[all_in] = math.inf
+    radii[none_in] = -math.inf
+    radii[mid] = sorted_scores[n - counts[mid]]
+    return radii
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+def test_score_radius_matches_three_mask_form(n):
+    """One gather between the sentinels gives the radius of the written-out three cases."""
+    gen = np.random.default_rng(n)
+    values = gen.choice([-2.0, 0.0, 0.5, 3.0], n) + (gen.normal(size=n) if n > 3 else 0.0)
+    cal = CalibrationScores(values)
+    grid = np.arange(1, n + 2) / (n + 1)
+    q = np.concatenate([[0.0, 1.0], grid, np.nextafter(grid, 0.0), np.clip(np.nextafter(grid, 2.0), 0.0, 1.0),
+                        gen.random(100)])
+    counts = cal.min_count_for_level(q)
+    assert counts.min() == 0 and counts.max() == n + 1 and np.any((counts > 0) & (counts < n + 1))
+    sorted_scores = np.sort(values)
+    assert np.array_equal(cal.score_radius(q), _three_mask_radius(sorted_scores, counts))
+    assert np.array_equal(cal.score_radius(q.reshape(-1, 1)), _three_mask_radius(sorted_scores, counts)[:, None])
+    for scalar in (0.0, 1.0, float(grid[0]), float(grid[n // 2]), 0.5):
+        radius = cal.score_radius(scalar)
+        assert type(radius) is float
+        assert radius == _three_mask_radius(sorted_scores, np.array([cal.min_count_for_level(scalar)]))[0]
+    assert np.array_equal(cal._sorted, sorted_scores) and not cal._sorted.flags.writeable
+    with pytest.raises(ValueError):
+        cal._sorted[0] = 0.0
+
+
 def test_count_geq_matches_plain_search():
     """Searching the keys in ascending order gives the counts of a plain search in any key order."""
     gen = np.random.default_rng(58)

@@ -19,6 +19,7 @@ from scip.core import (
     TargetHalfLines,
     TaskMismatchError,
     UnsupportedScoreError,
+    _search_in_key_order,
 )
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -341,3 +342,37 @@ def test_rng_stream_reproducible_and_distinct():
     assert not np.array_equal(a, c)
     u = RngStream(7).child(9).uniform_open_closed(10_000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Rank counts in packed-word key order
+# ---------------------------------------------------------------------------
+
+_KEY_SIZES = [0, 1, 2] + [size for k in range(1, 13) for size in (2**k, 2**k + 1)]
+_TINY = 5e-324  # the smallest subnormal
+_SPECIAL_KEYS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, _TINY, -_TINY, 2.5 * _TINY, 1e-310,
+                 -1e-310, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("size", _KEY_SIZES)
+@settings(_PROPERTY, max_examples=40)
+@given(
+    palette=st.lists(st.sampled_from(_SPECIAL_KEYS) | st.floats(allow_nan=False), min_size=1, max_size=6),
+    integer_keys=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, seed):
+    """``order`` permutes arange(m), and each side's ranks equal a plain search of the reordered keys."""
+    gen = np.random.default_rng(seed)
+    table = np.sort(np.concatenate([gen.choice([-1.0, 0.0, _TINY, 1.0, 1e300], 20), gen.normal(size=20)]))
+    if integer_keys:  # heavy ties among small integers; their float bits are zero below the packed index
+        keys = gen.integers(-3, 4, size)
+    else:
+        keys = gen.choice(np.array(palette), size)  # only a few distinct values: heavy ties
+    order, left, right = _search_in_key_order(table, keys, "left", "right")
+    assert order.dtype == np.intp and order.shape == (size,)
+    assert np.array_equal(np.sort(order), np.arange(size))
+    assert np.array_equal(left, np.searchsorted(table, keys[order], side="left"))
+    assert np.array_equal(right, np.searchsorted(table, keys[order], side="right"))
+    if integer_keys:
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scip import selection
 from scip.core import RngStream
@@ -119,6 +120,50 @@ def test_bh_fixtures():
     r = bh_select([0.01, 0.02, 0.03], 0.1)
     assert list(r.selected) == [0, 1, 2]
     assert r.threshold_alpha_hat == pytest.approx(0.1)
+
+
+def _full_sort_bh(p, alpha):
+    """(k_hat, alpha_hat, selected) by the step-up rule over every sorted p-value."""
+    m = p.size
+    passing = np.flatnonzero(np.sort(p) <= alpha * np.arange(1, m + 1) / m)
+    k_hat = int(passing[-1] + 1) if passing.size else 0
+    alpha_hat = alpha * k_hat / m
+    return k_hat, alpha_hat, np.flatnonzero(p <= alpha_hat) if k_hat else np.array([], dtype=int)
+
+
+def _assert_full_sort_bh(p, alpha):
+    r = bh_select(p, alpha)
+    k_hat, alpha_hat, selected = _full_sort_bh(p, alpha)
+    assert r.k_hat == k_hat and r.threshold_alpha_hat == alpha_hat
+    assert np.array_equal(r.selected, selected)
+    return r
+
+
+def test_bh_p_values_tied_at_a_threshold_pass():
+    """alpha m / m can exceed alpha; a p-value equal to it still passes at k = m."""
+    top = 0.1 * 3 / 3
+    assert top > 0.1
+    for p in ([top, top, top], [0.01, 0.02, top], [top, 0.0, 0.1]):
+        assert _assert_full_sort_bh(np.array(p), 0.1).k_hat == 3
+    for m, alpha in ((3, 0.1), (4, 0.2), (7, 1 / 3), (10, 0.3)):
+        thresholds = alpha * np.arange(1, m + 1) / m
+        assert _assert_full_sort_bh(thresholds[::-1].copy(), alpha).k_hat == m
+        assert _assert_full_sort_bh(np.nextafter(thresholds, 1.0), alpha).k_hat == 0
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    alpha=st.sampled_from([0.1, 0.05, 0.2, 0.3, 1 / 3, 0.7]) | st.floats(1e-6, 1 - 1e-6),
+    data=st.data(),
+)
+def test_bh_matches_full_sort_rule(m, alpha, data):
+    """bh_select sorts only the p-values that can pass; k_hat, threshold and selection equal the full sort's."""
+    thresholds = alpha * np.arange(1, m + 1) / m
+    near = np.concatenate([thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, 1.0), [0.0, 1.0]])
+    near = near[(near >= 0.0) & (near <= 1.0)]
+    p = np.array(data.draw(st.lists(st.sampled_from(near.tolist()) | st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    _assert_full_sort_bh(p, alpha)
 
 
 def test_bh_matches_self_consistent_form():

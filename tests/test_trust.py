@@ -6,7 +6,6 @@ import pytest
 from scip.core import DegenerateLabelsError, NotPositiveDefiniteError
 from scip.trust import (
     GaussianKernel,
-    IdentityKernel,
     OptimizerConfig,
     diversity_scores,
     polynomial_features,
@@ -17,6 +16,13 @@ from scip.trust import (
 from mp_reference import diversity_instance, diversity_reference
 
 
+class _IdentityKernel:
+    """s(x, x') = 1{x is the same unit}."""
+
+    def matrix(self, X):
+        return np.eye(np.asarray(X).shape[0])
+
+
 # ---------------------------------------------------------------------------
 # Diversity scores
 # ---------------------------------------------------------------------------
@@ -25,7 +31,7 @@ from mp_reference import diversity_instance, diversity_reference
 def test_diversity_identity_kernel_hand_formula():
     n, c, alpha = 5, 0.3, 0.1
     psi = np.full(n, c)
-    t = diversity_scores(np.zeros((n, 1)), psi, IdentityKernel(), alpha)
+    t = diversity_scores(np.zeros((n, 1)), psi, _IdentityKernel(), alpha)
     u1 = n * c**2 / (1 - c) ** 2
     u2 = n * c / (1 - c) ** 2
     u3 = n / (1 - c) ** 2
@@ -51,7 +57,7 @@ def test_diversity_matches_dense_solve():
 def test_diversity_degenerate_psi_raises():
     psi = np.array([0.2, 1.0, 0.4])
     with pytest.raises(NotPositiveDefiniteError):
-        diversity_scores(np.zeros((3, 1)), psi, IdentityKernel(), 0.1)
+        diversity_scores(np.zeros((3, 1)), psi, _IdentityKernel(), 0.1)
 
 
 def test_diversity_permutation_equivariance():
