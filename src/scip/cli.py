@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import experiments
 from .core import ConfigError, RngStream, ScipError
-from .experiments import check_methods, run_equivalence_checks
+from .experiments import check_methods, check_split, run_equivalence_checks
 from .metrics import aggregate
 
 
@@ -133,8 +133,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         checks = (
             (self.n >= 4 and self.m >= 1 and self.reps >= 1, "need n >= 4, m >= 1, reps >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
+            (self.instances >= 0, "instances must be >= 0"),
+            (len(self.alphas) >= 1, "alpha_grid must name at least one alpha"),
             (all(0.0 < a < 1.0 for a in self.alphas), "alpha values must lie in (0, 1)"),
-            (0.0 < self.split_ratio < 1.0, "split ratio must lie in (0, 1)"),
+            (len(self.etas) >= 1, "eta_grid must name at least one eta"),
+            (all(math.isfinite(e) for e in self.etas), "eta must be finite"),
+            (self.train_size is None or self.train_size >= 2, "train_size must be >= 2"),
             (self.jobs >= 1, "jobs must be >= 1"),
             (math.isfinite(self.lam) and self.lam > 0.0, "lam must be finite and > 0"),
             (self.feature_degree >= 1, "feature_degree must be >= 1"),
@@ -149,6 +154,7 @@ class ExperimentConfig:
         for ok, why in checks:
             if not ok:
                 raise ConfigError(why)
+        check_split(self.n, self.split_ratio)
         sweep = _SWEEPS.get(self.experiment)
         if sweep and sweep.study is None and self.profile not in _PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}; expected one of {', '.join(_PROFILES)}")

@@ -9,7 +9,8 @@ judges a whole batch at once with ``admits``, and knows its
 "informativeness breakpoint" for a given nonconformity score: the largest
 score radius nu such that the sublevel set {y : V(x, y) <= nu} is still
 admissible (sets strictly inside the radius are admissible, sets at or
-beyond it are not).
+beyond it are not).  A ``Dataset`` and both batches select rows the same
+way, with ``take``.
 """
 
 from __future__ import annotations
@@ -384,6 +385,10 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    def take(self, rows) -> "Dataset":
+        """The rows picked by a slice or an index array, as a Dataset of the same task."""
+        return Dataset(self.X[rows], None if self.y is None else self.y[rows], self.task)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from .selection import (
 from .simgen import (
     NOISE_SD,
     StoredProbs,
+    draw_labels,
+    first_feature,
     gen_classification,
     gen_regression,
     gen_synthetic_scores,
@@ -106,8 +108,6 @@ METHODS = {
     ),
 }
 
-METHOD_IDS = {name: method.stream for name, method in METHODS.items()}
-
 # each study's methods in registry order
 STUDY_METHODS = {
     study: tuple(name for name, method in METHODS.items() if study in method.studies) for study in _STUDIES
@@ -138,24 +138,24 @@ def _run_methods(study: str, methods, splits: _Splits, rng: RngStream) -> dict[s
     return out
 
 
-def _split_halves(data: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
+def check_split(n: int, ratio: float) -> int:
+    """The size of the first of two calibration halves of n rows; ConfigError if either is empty."""
     if not 0.0 < ratio < 1.0:  # NaN fails here, not as the ValueError of int(round(nan))
         raise ConfigError("split ratio must lie in (0, 1)")
-    cut = int(round(data.n * ratio))
-    if cut < 1 or cut >= data.n:
+    cut = int(round(n * ratio))
+    if cut < 1 or cut >= n:
         raise ConfigError("split ratio leaves an empty calibration half")
-    first = Dataset(data.X[:cut], None if data.y is None else data.y[:cut], data.task)
-    second = Dataset(data.X[cut:], None if data.y is None else data.y[cut:], data.task)
-    return first, second
+    return cut
+
+
+def _split_halves(data: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
+    cut = check_split(data.n, ratio)
+    return data.take(slice(None, cut)), data.take(slice(cut, None))
 
 
 def _splits(cal: Dataset, test: Dataset, base: ProcedureConfig, split_ratio: float, **extra) -> _Splits:
     cal0, cal1 = _split_halves(cal, split_ratio)
     return _Splits(cal, test, cal0, cal1, base, **extra)
-
-
-def _slice(data_X, data_y, sl, task) -> Dataset:
-    return Dataset(data_X[sl], None if data_y is None else data_y[sl], task)
 
 
 def regression_replication(
@@ -175,9 +175,9 @@ def regression_replication(
 ) -> dict[str, ReplicationMetrics]:
     """One replication of the positive-interval regression study."""
     data, mu_hat = gen_regression(2 * n + m, eta, rng.child(_DATA_STREAM), noise_sd=noise_sd)
-    cal = _slice(data.X, data.y, slice(0, n), REGRESSION)
-    test = _slice(data.X, data.y, slice(n, n + m), REGRESSION)
-    train = _slice(data.X, data.y, slice(n + m, 2 * n + m), REGRESSION)
+    cal = data.take(slice(0, n))
+    test = data.take(slice(n, n + m))
+    train = data.take(slice(n + m, 2 * n + m))
     base = ProcedureConfig(
         alpha=alpha,
         score=AbsoluteResidual(mu_hat),
@@ -209,8 +209,8 @@ def classification_replication(
         n + m, rng.child(_DATA_STREAM), train_size=n if train_size is None else train_size,
         optimizer=optimizer,
     )
-    cal = _slice(data.X, data.y, slice(0, n), CLASSIFICATION)
-    test = _slice(data.X, data.y, slice(n, n + m), CLASSIFICATION)
+    cal = data.take(slice(0, n))
+    test = data.take(slice(n, n + m))
     base = ProcedureConfig(
         alpha=alpha,
         score=OneMinusProb(p_hat),
@@ -236,9 +236,8 @@ def synthetic_replication(
     bundle = gen_synthetic_scores(
         profile, n + m, rng.child(_DATA_STREAM), feasible_frac=feasible_frac, sharpness=sharpness
     )
-    data = bundle.data
-    cal = _slice(data.X, data.y, slice(0, n), data.task)
-    test = _slice(data.X, data.y, slice(n, n + m), data.task)
+    cal = bundle.data.take(slice(0, n))
+    test = bundle.data.take(slice(n, n + m))
     if profile == "dti-like":
         base = ProcedureConfig(
             alpha=alpha,
@@ -265,7 +264,6 @@ def containment_replication(
     eta: float,
     alpha: float,
     rng: RngStream,
-    noise_sd: float = NOISE_SD,
 ) -> bool:
     """Whether the plain-route report is nested in the truncated-route report.
 
@@ -276,10 +274,10 @@ def containment_replication(
     shared constructor makes the sets coincide, so index containment is the
     binding part).
     """
-    data, mu_hat = gen_regression(n_cal0 + n + m, eta, rng.child(_DATA_STREAM), noise_sd=noise_sd)
-    cal0 = _slice(data.X, data.y, slice(0, n_cal0), REGRESSION)
-    cal = _slice(data.X, data.y, slice(n_cal0, n_cal0 + n), REGRESSION)
-    test = _slice(data.X, data.y, slice(n_cal0 + n, n_cal0 + n + m), REGRESSION)
+    data, mu_hat = gen_regression(n_cal0 + n + m, eta, rng.child(_DATA_STREAM))
+    cal0 = data.take(slice(0, n_cal0))
+    cal = data.take(slice(n_cal0, n_cal0 + n))
+    test = data.take(slice(n_cal0 + n, n_cal0 + n + m))
     config = ProcedureConfig(
         alpha=alpha,
         score=AbsoluteResidual(mu_hat),
@@ -323,8 +321,7 @@ class _PolyPredictor:
     decimals: int | None = None
 
     def __call__(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        x = X[:, 0] if X.ndim == 2 else X
+        x = first_feature(X)
         out = self.a * x**2 + self.b * x + self.c
         return np.round(out, self.decimals) if self.decimals is not None else out
 
@@ -429,12 +426,11 @@ def check_selective_classification(seed_rng: RngStream, instances: int) -> Equiv
         m = int(gen.integers(1, 40))
         k = int(gen.integers(2, 5))
         probs = _random_probs(gen, n + m, k, coarse=gen.random() < 0.4)
-        cum = probs.cumsum(axis=1)
-        labels = 1 + (gen.random((n + m, 1)) > cum[:, :-1]).sum(axis=1)
+        labels = draw_labels(probs, gen)
         alpha = float(gen.uniform(0.05, 0.5))
         p_hat = StoredProbs(probs)
         idx = np.arange(n + m, dtype=float)[:, None]
-        cal = Dataset(idx[:n], labels[:n].astype(int), CLASSIFICATION)
+        cal = Dataset(idx[:n], labels[:n], CLASSIFICATION)
         test = Dataset(idx[n:], None, CLASSIFICATION)
         y0 = int(gen.integers(1, k + 1))
         ours = run_selective_classification(

@@ -392,9 +392,7 @@ def run_infoscop(
     keep_cal = np.asarray(score.mu_hat(cal_b.X), dtype=float) >= tau_trust
     if not keep_cal.any():
         return ProcedureOutput(survivors[:0], _NO_INTERVALS, {"survivors": survivors})
-    sub_cal = Dataset(cal_b.X[keep_cal], cal_b.y[keep_cal], cal_b.task)
-    sub_test = Dataset(test.X[survivors], None if test.y is None else test.y[survivors], test.task)
-    stage2 = run_infosp(sub_cal, sub_test, config)  # checks every reported set
+    stage2 = run_infosp(cal_b.take(keep_cal), test.take(survivors), config)  # checks every reported set
     diag = {"survivors": survivors, "trust_threshold": tau_trust, "stage2": stage2.diagnostics}
     return ProcedureOutput(survivors[stage2.selected], stage2.sets, diag)
 

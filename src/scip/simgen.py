@@ -7,8 +7,10 @@ mu_hat(x; eta) = {(eta + 2) x^2 + (1 - eta^3)}/6 recovers the truth at eta = 0
 and degrades as eta grows.
 
 Classification: four classes on two independent standard normal features with
-softmax class probabilities; the probability estimator is a multinomial
-logistic fit on an independent training block.
+softmax class probabilities (``trust.softmax``); the probability estimator is a
+multinomial logistic fit on an independent training block.  Every class label
+is drawn by ``draw_labels``, and every frozen predictor reads its input
+through ``first_feature``.
 
 Score-only profiles stand in for the real-data studies: they emit frozen
 predictions and labels whose constraint-feasible fraction is configurable.
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .core import CLASSIFICATION, REGRESSION, Dataset, RngStream
-from .trust import OptimizerConfig, SoftmaxScorer, train_softmax_classifier
+from .trust import OptimizerConfig, SoftmaxScorer, softmax, train_softmax_classifier
 
 NOISE_SD = 0.5
 
@@ -43,6 +45,18 @@ def mu_star(x):
     return (2.0 * x**2 + 1.0) / 6.0
 
 
+def first_feature(X) -> np.ndarray:
+    """The first column of an (n, d) feature matrix; a 1-d input is returned as floats."""
+    X = np.asarray(X, dtype=float)
+    return X[:, 0] if X.ndim == 2 else X
+
+
+def draw_labels(probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One label in 1..K per row of an (n, K) probability matrix, from one uniform per row."""
+    cum = probs.cumsum(axis=1)
+    return 1 + (gen.random((probs.shape[0], 1)) > cum[:, :-1]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class MuHatEta:
     """Frozen predictive function {(eta + 2) x^2 + (1 - eta^3)}/6 on the first feature."""
@@ -50,8 +64,7 @@ class MuHatEta:
     eta: float
 
     def __call__(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        x = X[:, 0] if X.ndim == 2 else X
+        x = first_feature(X)
         return ((self.eta + 2.0) * x**2 + (1.0 - self.eta**3)) / 6.0
 
 
@@ -72,19 +85,12 @@ def gen_regression(
 
 def true_class_probs(X) -> np.ndarray:
     """Softmax class probabilities of the four-class model."""
-    X = np.asarray(X, dtype=float)
-    z = X @ CLASS_BETA.T
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    return softmax(np.asarray(X, dtype=float) @ CLASS_BETA.T)
 
 
 def _draw_classification(n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     X = gen.standard_normal((n, 2))
-    probs = true_class_probs(X)
-    cum = probs.cumsum(axis=1)
-    y = 1 + (gen.random((n, 1)) > cum[:, :-1]).sum(axis=1)
-    return X, y.astype(int)
+    return X, draw_labels(true_class_probs(X), gen)
 
 
 def gen_classification(
@@ -115,24 +121,13 @@ def gen_classification(
 
 
 @dataclass(frozen=True)
-class FirstFeature:
-    """Frozen predictor reading the stored prediction straight off the feature."""
-
-    def __call__(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return X[:, 0] if X.ndim == 2 else X
-
-
-@dataclass(frozen=True)
 class StoredProbs:
     """Frozen class-probability table keyed by row index stored in the feature."""
 
     table: np.ndarray
 
     def __call__(self, X) -> np.ndarray:
-        idx = np.asarray(X, dtype=float)
-        idx = idx[:, 0] if idx.ndim == 2 else idx
-        return self.table[idx.astype(int)]
+        return self.table[first_feature(X).astype(int)]
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,6 @@ def gen_synthetic_scores(
     n_total: int,
     rng: RngStream,
     feasible_frac: float = 0.5,
-    noise_sd: float = NOISE_SD,
     sharpness: float = 1.5,
 ) -> SyntheticScores:
     """Emit (prediction, label) pairs shaped like the real-data studies.
@@ -165,36 +159,29 @@ def gen_synthetic_scores(
         mu = gen.standard_normal(n_total)
         # heteroskedastic residuals: the promising (high-prediction) units are
         # the noisy ones, which is what makes unadjusted selection overshoot
-        scale = noise_sd * (0.5 + 1.2 * np.maximum(mu, 0.0))
+        scale = NOISE_SD * (0.5 + 1.2 * np.maximum(mu, 0.0))
         y = mu + scale * gen.standard_normal(n_total)
         if feasible_frac <= 0.0:
             threshold = math.inf
         else:
             threshold = float(norm.ppf(1.0 - feasible_frac))
         data = Dataset(mu[:, None], y, REGRESSION)
-        return SyntheticScores(data, FirstFeature(), threshold, None)
+        return SyntheticScores(data, first_feature, threshold, None)
     if profile == "cifar-like":
         k = 3
         features = gen.standard_normal((n_total, 2))
         # per-unit difficulty: confident regions mixed with nearly diffuse ones
         scale = np.exp(gen.standard_normal(n_total))[:, None]
         logits = sharpness * scale * (features @ _CIFAR_BETA.T)
-        probs = _softmax(logits)
+        probs = softmax(logits)
         store = probs
         if feasible_frac <= 0.0:
             # flatten the table: no set below the full class space is reachable
             store = np.full((n_total, k), 1.0 / k)
-        cum = probs.cumsum(axis=1)
-        y = 1 + (gen.random((n_total, 1)) > cum[:, :-1]).sum(axis=1)
-        data = Dataset(np.arange(n_total, dtype=float)[:, None], y.astype(int), CLASSIFICATION)
+        y = draw_labels(probs, gen)
+        data = Dataset(np.arange(n_total, dtype=float)[:, None], y, CLASSIFICATION)
         return SyntheticScores(data, StoredProbs(store), None, k)
     raise ValueError(f"unknown profile {profile!r}")
 
 
 _CIFAR_BETA = np.array([[1.6, 0.0], [-0.8, 1.4], [-0.8, -1.4]])
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)

@@ -4,7 +4,9 @@ The class-sum trust scores a class set by its estimated probability mass and
 sends the empty set to 0.  The trained variants approximate the oracle score
 pr{Y in C(X) | X = x} by a linear-logistic classifier fit with a
 class-weighted cross-entropy risk (weight lambda on the positive class)
-on a disjoint labeled training sample.
+on a disjoint labeled training sample.  ``softmax`` is the one row softmax:
+the simulation designs and the softmax classifier call it, and the
+classifier's loss takes its log-normalizer from the same shifted exponentials.
 """
 
 from __future__ import annotations
@@ -209,28 +211,33 @@ def train_trust_classifier(
 
 
 # ---------------------------------------------------------------------------
-# Softmax classifier (class-probability estimation for the simulations)
+# Row softmax and the softmax classifier (class probabilities for the simulations)
 # ---------------------------------------------------------------------------
+
+
+def _exp_shifted(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(z - rowmax), its row sums and the row max of an (n, K) logit matrix (both (n, 1))."""
+    zmax = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - zmax)
+    return ez, ez.sum(axis=1, keepdims=True), zmax
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row softmax of an (n, K) logit matrix, shifted by the row max so no exp overflows."""
+    ez, total, _ = _exp_shifted(z)
+    return ez / total
 
 
 @dataclass(frozen=True)
 class SoftmaxScorer:
-    """Multinomial-logistic class probabilities over polynomial features."""
+    """Multinomial-logistic class probabilities over the raw features."""
 
     weights: np.ndarray  # (n_features + 1, K), last row is the intercept
-    feature_degree: int
     loss_trace: np.ndarray
     converged: bool
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        phi = polynomial_features(X, self.feature_degree)
-        z = phi @ self.weights[:-1] + self.weights[-1]
-        z -= z.max(axis=1, keepdims=True)
-        ez = np.exp(z)
-        return ez / ez.sum(axis=1, keepdims=True)
-
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X)
+        return softmax(polynomial_features(X, 1) @ self.weights[:-1] + self.weights[-1])
 
 
 def train_softmax_classifier(
@@ -238,13 +245,12 @@ def train_softmax_classifier(
     y: np.ndarray,
     n_classes: int,
     config: OptimizerConfig = OptimizerConfig(),
-    feature_degree: int = 1,
 ) -> SoftmaxScorer:
     """Fit softmax cross-entropy by the same descent scheme; labels are 1..K."""
     y = np.asarray(y)
     if np.unique(y).size < 2:
         raise DegenerateLabelsError("softmax training needs at least two classes present")
-    phi = polynomial_features(X, feature_degree)
+    phi = polynomial_features(X, 1)
     n, p = phi.shape
     labelled = (np.arange(n), y - 1)
     onehot = np.zeros((n, n_classes))
@@ -253,8 +259,8 @@ def train_softmax_classifier(
     def value(theta):
         W = theta.reshape(p + 1, n_classes)
         z = phi @ W[:-1] + W[-1]
-        zmax = z.max(axis=1, keepdims=True)
-        log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        _, total, zmax = _exp_shifted(z)
+        log_norm = zmax[:, 0] + np.log(total[:, 0])
         return float((log_norm - z[labelled]).sum() / n), (z, log_norm)
 
     def grad(state):
@@ -263,4 +269,4 @@ def train_softmax_classifier(
         return np.vstack([phi.T @ resid, resid.sum(axis=0)]).ravel()
 
     theta, trace, converged = _gd_minimize(_Objective(value, grad), np.zeros((p + 1) * n_classes), config)
-    return SoftmaxScorer(theta.reshape(p + 1, n_classes), feature_degree, trace, converged)
+    return SoftmaxScorer(theta.reshape(p + 1, n_classes), trace, converged)

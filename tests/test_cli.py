@@ -287,6 +287,14 @@ def test_method_outside_the_profile_is_a_config_error(tmp_path, capsys):
         ("synthetic-real", "feasible_frac=nan"),
         ("synthetic-real", "feasible_frac=-0.1"),
         ("synthetic-real", "feasible_frac=1.5"),
+        ("regression-sweep", "eta=nan"),
+        ("regression-sweep", "eta=inf"),
+        ("regression-sweep", "eta_grid=,"),
+        ("regression-sweep", "alpha_grid=,"),
+        ("classification-sweep", "alpha_grid=,"),
+        ("classification-sweep", "train_size=1"),
+        ("regression-sweep", "seed=-1"),
+        ("equivalence-suite", "instances=-3"),
     ],
 )
 def test_out_of_range_numeric_keys_are_config_errors(tmp_path, capsys, experiment, setting):
@@ -299,6 +307,31 @@ def test_out_of_range_numeric_keys_are_config_errors(tmp_path, capsys, experimen
     )
     assert code == 2
     assert f"{setting.split('=')[0]} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_is_a_config_error_from_every_source(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.delenv("SCIP_SEED", raising=False)
+    out = tmp_path / "out"
+    argv = ["--experiment", "regression-sweep", "--out", str(out), "--set", "reps=1", "--set", "n=20", "--set", "m=10"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text("seed = -1\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("SCIP_SEED", "-1")
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_split_that_empties_a_calibration_half_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--experiment", "regression-sweep", "--out", str(out), "--set", "n=4", "--set", "split_ratio=0.1"]
+    assert main(argv) == 2
+    assert "empty calibration half" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -334,6 +334,20 @@ def test_dataset_validation():
         ds.X[0, 0] = 5.0  # frozen
 
 
+def test_dataset_take_keeps_task_labels_and_freeze():
+    labelled = Dataset(np.arange(10.0).reshape(5, 2), np.array([1, 2, 3, 1, 2]), "classification")
+    unlabelled = Dataset(np.arange(5.0), None, "regression")
+    for rows in (slice(1, 4), np.array([4, 0, 2]), np.array([True, False, True, False, True])):
+        part = labelled.take(rows)
+        assert part.task == "classification"
+        assert np.array_equal(part.X, labelled.X[rows]) and np.array_equal(part.y, labelled.y[rows])
+        bare = unlabelled.take(rows)
+        assert bare.task == "regression" and bare.y is None
+        assert np.array_equal(bare.X, unlabelled.X[rows])
+        for arr in (part.X, part.y, bare.X):
+            assert not arr.flags.writeable
+
+
 def test_rng_stream_reproducible_and_distinct():
     a = RngStream(7).child(1, 2).generator().random(5)
     b = RngStream(7).child(1, 2).generator().random(5)

@@ -7,7 +7,7 @@ import scip.procedures
 from scip.conformal import AbsoluteResidual
 from scip.core import ConfigError, Dataset, REGRESSION, RngStream, TargetHalfLines
 from scip.experiments import (
-    METHOD_IDS,
+    METHODS,
     classification_replication,
     regression_replication,
     run_equivalence_checks,
@@ -20,7 +20,7 @@ from scip.trust import OptimizerConfig
 
 def test_method_registry_is_stable():
     # child-stream keys are part of the reproducibility contract
-    assert METHOD_IDS == {
+    assert {name: method.stream for name, method in METHODS.items()} == {
         "naive": 0, "cfbh": 1, "cfbh+": 2, "cfbh++": 3,
         "infosp": 4, "infosp+": 5, "infosp++": 6, "infoscop": 7,
     }

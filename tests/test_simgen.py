@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scip.core import RngStream
 from scip.simgen import (
     MuHatEta,
+    draw_labels,
+    first_feature,
     gen_classification,
     gen_regression,
     gen_synthetic_scores,
@@ -52,12 +55,43 @@ def test_label_frequencies_match_analytic_marginals():
     X = gen.standard_normal((100_000, 2))
     probs = true_class_probs(X)
     marginal = probs.mean(axis=0)  # MC integral of the softmax over the feature law
-    cum = probs.cumsum(axis=1)
-    y = 1 + (gen.random((X.shape[0], 1)) > cum[:, :-1]).sum(axis=1)
+    y = draw_labels(probs, gen)
     for k in range(4):
         freq = (y == k + 1).mean()
         stderr = math.sqrt(freq * (1 - freq) / y.size)
         assert abs(freq - marginal[k]) <= 3 * stderr + 3 * probs[:, k].std() / math.sqrt(y.size)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(1, 3000), k=st.integers(2, 6), coarse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_draw_labels_equals_the_inline_draw(n, k, coarse, seed):
+    gen = np.random.default_rng(seed)
+    raw = gen.integers(0, 3, (n, k)).astype(float) if coarse else gen.gamma(1.0, 1.0, (n, k))
+    raw[:, 0] += 1.0  # no all-zero row
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = draw_labels(probs, ours)
+    # the draw as the classification design, the cifar-like profile and the
+    # selective-classification check each wrote it
+    cum = probs.cumsum(axis=1)
+    want = 1 + (theirs.random((n, 1)) > cum[:, :-1]).sum(axis=1)
+    assert np.array_equal(got, want)
+    assert got.min() >= 1 and got.max() <= k
+    assert ours.random() == theirs.random()  # both consumed the same draws
+
+
+def test_draw_labels_gives_a_uniform_on_a_boundary_the_lower_class():
+    u = np.random.default_rng(5).random((6, 1))
+    probs = np.hstack([u, 1.0 - u])  # each row's first cumulative sum is its own uniform
+    assert draw_labels(probs, np.random.default_rng(5)).tolist() == [1] * 6
+
+
+def test_first_feature_reads_column_zero_or_a_vector():
+    X = np.arange(6).reshape(3, 2)
+    got = first_feature(X)
+    assert got.dtype == float and got.tolist() == [0.0, 2.0, 4.0]
+    vec = first_feature([1, 2, 3])
+    assert vec.dtype == float and vec.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_gen_classification_returns_frozen_estimator():
