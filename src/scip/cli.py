@@ -267,8 +267,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     pool); per-replication RNG streams make the schedule irrelevant to the
     output bytes.
     """
-    out = Path(out_dir if out_dir is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
     cells = _cells(config)
     tasks = [(config, ci, alpha, eta, rep) for ci, (alpha, eta) in enumerate(cells) for rep in range(config.reps)]
     if config.jobs > 1:
@@ -277,6 +275,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     else:
         results = [_cell_task(t) for t in tasks]
 
+    # only once every result exists: a run that fails leaves no directory behind
+    out = Path(out_dir if out_dir is not None else config.out)
+    out.mkdir(parents=True, exist_ok=True)
     per_rep_path = out / "per_replication.csv"
     agg_path = out / "aggregate.csv"
     exp = config.experiment

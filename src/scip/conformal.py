@@ -12,10 +12,12 @@ breakpoint nu(x) in hand it reduces to the tie-aware count
 ``(1 + #{i : V_i >= nu(x)}) / (n + 1)``, with the convention that it equals 1
 when no admissible nonempty set exists at any level.
 
-Both rank counts are cheap at n = m = 1e6: ``count_geq`` runs its binary
-searches over the keys ascending up to the packed low bits, so the sorted
-scores are read nearly left to right (the counts are exact in any order), and
-the level count behind ``score_radius`` is arithmetic, ``floor(q (n + 1))``
+Both rank counts are cheap at n = m = 1e6.  ``count_geq`` hands its keys to
+``core._ranks``, which splits them into contiguous index chunks, one thread
+per usable CPU from 2^17 keys on, and searches each chunk's keys in ascending
+order, so the sorted scores are read nearly left to right; each chunk writes
+only its own slots, so the counts are the same integers whatever the split.
+The level count behind ``score_radius`` is arithmetic, ``floor(q (n + 1))``
 corrected by one step each way, with no level grid held.  A radius is then
 one gather from the sorted scores held between a -inf and a +inf sentinel.
 """
@@ -32,7 +34,7 @@ from .core import (
     MuHatFn,
     ProbFn,
     ScipError,
-    _search_in_key_order,
+    _ranks,
 )
 
 
@@ -78,9 +80,10 @@ NonconformityScore = AbsoluteResidual | OneMinusProb
 class CalibrationScores:
     """Frozen calibration score sample with rank/count helpers.
 
-    ``count_geq(v)`` searches the keys ascending up to the packed low bits and
-    scatters the counts back, so a large batch of keys reads the sorted scores
-    nearly once from left to right; the counts are exact in any order.
+    ``count_geq(v)`` takes its counts from ``core._ranks``, which searches a
+    large batch of keys in index chunks, one thread each, every chunk in
+    ascending key order; the counts come back in the keys' own order and are
+    exact whatever the split.
     ``min_count_for_level(q)`` returns the smallest integer c such that a
     candidate with c calibration scores >= its own score passes the strict
     level-q rank test, i.e. the number of grid values k/(n+1), k = 1..n+1,
@@ -111,11 +114,8 @@ class CalibrationScores:
     def count_geq(self, v) -> np.ndarray | int:
         """#{i : V_i >= v}, vectorized over v."""
         keys = np.asarray(v)
-        order, below = _search_in_key_order(self._sorted, keys.ravel(), "left")
-        np.subtract(self.n, below, out=below)
-        out = np.empty_like(below)
-        out[order] = below
-        return out.reshape(keys.shape)[()]  # [()] makes a 0-d result a scalar
+        (below,) = _ranks(self._sorted, keys.ravel(), "left")
+        return np.subtract(self.n, below, out=below).reshape(keys.shape)[()]  # [()] makes a 0-d result a scalar
 
     def min_count_for_level(self, q) -> np.ndarray | int:
         """#{k in 1..n+1 : k/(n+1) <= q}, vectorized over q.

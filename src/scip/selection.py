@@ -6,11 +6,13 @@ own informative set):
 
     p_j = [ #{i : null_i, T_i > T_j} + (1 + #{i : null_i, T_i = T_j}) * U_j ] / (n + 1)
 
-with U_j in (0, 1] breaking ties.  Both counts come from binary searches of
-the sorted null trusts with the test trusts taken ascending up to the packed
-low bits; the formula is evaluated in that order and scattered back to the
-units once.  The counts are exact in any order.  Selection applies the
-step-up BH rule, whose self-consistent form
+with U_j in (0, 1] breaking ties.  Both counts come from ``core._ranks``,
+which searches the sorted null trusts in index chunks of the test trusts (one
+thread per usable CPU from 2^17 keys on), each chunk in ascending order; from
+2^15 test trusts on it searches once per trust and reads the count above a
+tied trust off the end of its run of ties.  The counts come back in unit
+order, exact whatever the split, and the formula is evaluated there.
+Selection applies the step-up BH rule, whose self-consistent form
 alpha_hat = max{a : (alpha/m) #{p <= a} >= a} produces the identical
 selected set.  The counting-knockoff scan over an estimated false discovery
 proportion reproduces BH on deterministic (U = 1) p-values and, with a
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, _search_in_key_order
+from .core import RngStream, _ranks
 
 
 class TieMode(enum.Enum):
@@ -97,23 +99,20 @@ def _pvalues_at(pool: ScoredPool, u) -> np.ndarray:
     """(gt + (1 + (geq - gt)) u) / (n + 1) per test unit, for tie draws u.
 
     ``u`` holds one draw per test unit or is one shared float.  gt and geq
-    count the null calibration trusts above and at-or-above each test trust.
-    Both counts and the formula run with the test trusts ascending up to the
-    packed low bits, and the p-values are scattered back once; the counts are
-    exact in any order.
+    count the null calibration trusts above and at-or-above each test trust;
+    both come from ``_ranks`` in unit order, so the formula runs element-wise
+    in unit order too.
     """
     null_sorted = np.sort(pool.cal_trust[pool.cal_null])
-    order, left, right = _search_in_key_order(null_sorted, pool.test_trust, "left", "right")
+    left, right = _ranks(null_sorted, pool.test_trust, "left", "right")
     np.subtract(right, left, out=left)  # geq - gt, the null trusts tied with the key
     pvals = np.add(left, 1.0)
     del left
-    pvals *= u[order] if np.ndim(u) else u
+    pvals *= u
     pvals += np.subtract(null_sorted.size, right, out=right)  # gt
     del right
     pvals /= pool.n + 1
-    out = np.empty_like(pvals)
-    out[order] = pvals
-    return out
+    return pvals
 
 
 def bh_select(pvalues, alpha: float) -> SelectionResult:

@@ -335,6 +335,16 @@ def test_split_that_empties_a_calibration_half_is_a_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+def test_run_that_fails_after_validation_leaves_no_output_directory(tmp_path, capsys):
+    """A two-row training block holds one class in some replication: exit 3, and no directory."""
+    out = tmp_path / "out"
+    argv = ["--experiment", "classification-sweep", "--seed", "1", "--out", str(out),
+            "--set", "train_size=2", "--set", "reps=3", "--set", "n=20", "--set", "m=10"]
+    assert main(argv) == 3
+    assert "at least two classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of (per_replication.csv, aggregate.csv), recorded when the reported
 # sets were still built and scored one object at a time.  These methods and the
 # dti-like profile use no matrix products or trained scorers, so the bytes do

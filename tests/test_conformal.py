@@ -137,7 +137,7 @@ def test_count_geq_matches_plain_search():
     assert np.array_equal(cal.count_geq(grid_keys), cal.n - np.searchsorted(table, grid_keys, side="left"))
     empty = cal.count_geq(np.array([]))
     assert empty.shape == (0,) and empty.dtype == np.intp
-    for scalar in (0.0, 0.25, -math.inf, math.inf, math.nan, 2):
+    for scalar in (0.0, -0.0, 5e-324, 0.25, -math.inf, math.inf, math.nan, 2, np.float64(1.0)):
         count = cal.count_geq(scalar)
         assert np.ndim(count) == 0
         assert count == cal.n - np.searchsorted(table, scalar, side="left")

@@ -1,11 +1,13 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scip.conformal import AbsoluteResidual, OneMinusProb
+import scip.core
+from scip.conformal import AbsoluteResidual, CalibrationScores, OneMinusProb
 from scip.core import (
     ClassBatch,
     Dataset,
@@ -19,8 +21,9 @@ from scip.core import (
     TargetHalfLines,
     TaskMismatchError,
     UnsupportedScoreError,
-    _search_in_key_order,
+    _ranks,
 )
+from scip.selection import ScoredPool, TieMode, generalized_conformal_pvalues
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -359,13 +362,14 @@ def test_rng_stream_reproducible_and_distinct():
 
 
 # ---------------------------------------------------------------------------
-# Rank counts in packed-word key order
+# Rank counts in index chunks
 # ---------------------------------------------------------------------------
 
 _KEY_SIZES = [0, 1, 2] + [size for k in range(1, 13) for size in (2**k, 2**k + 1)]
 _TINY = 5e-324  # the smallest subnormal
 _SPECIAL_KEYS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, _TINY, -_TINY, 2.5 * _TINY, 1e-310,
                  -1e-310, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, 1e300, -1e300]
+_SIDES = [("left",), ("right",), ("left", "right"), ("right", "left")]
 
 
 @pytest.mark.parametrize("size", _KEY_SIZES)
@@ -373,20 +377,71 @@ _SPECIAL_KEYS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, _TINY, -_T
 @given(
     palette=st.lists(st.sampled_from(_SPECIAL_KEYS) | st.floats(allow_nan=False), min_size=1, max_size=6),
     integer_keys=st.booleans(),
+    table_size=st.sampled_from([0, 1, 40]),
+    cpus=st.sampled_from([1, 2, 3]),
+    chunk_keys=st.integers(1, 300),
+    block_keys=st.integers(1, 200),
+    sides=st.sampled_from(_SIDES),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, seed):
-    """``order`` permutes arange(m), and each side's ranks equal a plain search of the reordered keys."""
+def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, table_size, cpus, chunk_keys,
+                                                  block_keys, sides, seed):
+    """``_ranks`` searches each chunk's keys in key order; each side equals a plain search in the
+    keys' own order, whatever the chunks and blocks."""
     gen = np.random.default_rng(seed)
-    table = np.sort(np.concatenate([gen.choice([-1.0, 0.0, _TINY, 1.0, 1e300], 20), gen.normal(size=20)]))
+    table = np.sort(np.concatenate([gen.choice([-1.0, 0.0, _TINY, 1.0, 1e300], table_size // 2),
+                                    gen.normal(size=table_size - table_size // 2)]))
     if integer_keys:  # heavy ties among small integers; their float bits are zero below the packed index
         keys = gen.integers(-3, 4, size)
     else:
         keys = gen.choice(np.array(palette), size)  # only a few distinct values: heavy ties
-    order, left, right = _search_in_key_order(table, keys, "left", "right")
-    assert order.dtype == np.intp and order.shape == (size,)
-    assert np.array_equal(np.sort(order), np.arange(size))
-    assert np.array_equal(left, np.searchsorted(table, keys[order], side="left"))
-    assert np.array_equal(right, np.searchsorted(table, keys[order], side="right"))
-    if integer_keys:
-        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scip.core, "_CHUNK_KEYS", chunk_keys)
+        patch.setattr(scip.core, "_BLOCK_KEYS", max(block_keys, size // 64))  # at most about 64 blocks
+        patch.setattr(scip.core, "_usable_cpus", lambda: cpus)
+        ranks = _ranks(table, keys, *sides)
+    assert len(ranks) == len(sides)
+    for side, rank in zip(sides, ranks):
+        assert rank.dtype == np.intp and rank.shape == (size,)
+        assert np.array_equal(rank, np.searchsorted(table, keys, side=side))
+
+
+def test_ranks_with_more_threads_than_cpus(monkeypatch):
+    """Nine chunks race with a short switch interval; every slot still holds its own key's rank."""
+    monkeypatch.setattr(scip.core, "_CHUNK_KEYS", 64)
+    monkeypatch.setattr(scip.core, "_BLOCK_KEYS", 16)
+    monkeypatch.setattr(scip.core, "_usable_cpus", lambda: 9)
+    gen = np.random.default_rng(60)
+    table = np.sort(gen.integers(0, 50, 200) / 7.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            keys = gen.integers(-1, 52, 2000) / 7.0
+            left, right = _ranks(table, keys, "left", "right")
+            assert np.array_equal(left, np.searchsorted(table, keys, side="left"))
+            assert np.array_equal(right, np.searchsorted(table, keys, side="right"))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_ranks_just_above_the_real_chunk_threshold():
+    """Unpatched: count_geq and the generalized p-values equal their written-out plain-search forms."""
+    gen = np.random.default_rng(61)
+    m = 2 * scip.core._CHUNK_KEYS + 1  # one chunk per usable CPU, each run in its own thread
+    cal_values = gen.integers(0, 500, 3000) / 499.0  # heavy ties, and keys that tie them
+    keys = np.concatenate([gen.integers(0, 500, m // 2) / 499.0, gen.random(m - m // 2)])
+    gen.shuffle(keys)
+    cal = CalibrationScores(cal_values)
+    table = np.sort(cal_values)
+    assert np.array_equal(cal.count_geq(keys), cal.n - np.searchsorted(table, keys, side="left"))
+    pool = ScoredPool(cal_values, gen.random(cal_values.size) < 0.6, keys)
+    null_sorted = np.sort(pool.cal_trust[pool.cal_null])
+    gt = null_sorted.size - np.searchsorted(null_sorted, keys, side="right")
+    geq = null_sorted.size - np.searchsorted(null_sorted, keys, side="left")
+    stream = RngStream(62)
+    for tie_mode, u in ((TieMode.PER_UNIT, stream.uniform_open_closed(m)),
+                        (TieMode.SHARED_U, float(stream.uniform_open_closed())),
+                        (TieMode.DETERMINISTIC, 1.0)):
+        p = generalized_conformal_pvalues(pool, tie_mode, stream)
+        assert np.array_equal(p, (gt + (1.0 + (geq - gt)) * u) / (pool.n + 1))
