@@ -219,9 +219,11 @@ class ClassBatch:
 
     @classmethod
     def from_radius(cls, probs, radius) -> "ClassBatch":
-        """Classes whose probability keeps 1 - p within the row's score radius."""
+        """Classes whose probability keeps 1 - p within the row's score radius; a row holding
+        a NaN or infinite probability is empty at every radius."""
         probs = np.atleast_2d(np.asarray(probs, dtype=float))
-        return cls(1.0 - probs <= np.reshape(np.asarray(radius, dtype=float), (-1, 1)))
+        within = 1.0 - probs <= np.reshape(np.asarray(radius, dtype=float), (-1, 1))
+        return cls(within & _finite_rows(probs)[:, None])
 
     @property
     def nonempty(self) -> np.ndarray:
@@ -271,6 +273,11 @@ class InformativeConstraint(ABC):
     @abstractmethod
     def breakpoints(self, score, X: np.ndarray) -> np.ndarray:
         ...
+
+
+def _finite_rows(probs: np.ndarray) -> np.ndarray:
+    """Rows of an (n, K) probability matrix with no NaN or infinite entry."""
+    return np.isfinite(probs).all(axis=1)
 
 
 def _intervals(batch: SetBatch) -> IntervalBatch:
@@ -379,12 +386,13 @@ class MaxSize(InformativeConstraint):
 
     def breakpoints(self, score, X):
         probs = np.asarray(_score_fn(score, "p_hat", "MaxSize")(X), dtype=float)
-        n, n_classes = probs.shape
+        n_classes = probs.shape[1]
         if n_classes <= self.k0:
-            return np.full(n, math.inf)
-        # 1 minus the (k0+1)-th largest class probability per row
-        kth = np.partition(probs, n_classes - self.k0 - 1, axis=1)[:, n_classes - self.k0 - 1]
-        return 1.0 - kth
+            v = np.full(probs.shape[0], math.inf)
+        else:
+            # 1 minus the (k0+1)-th largest class probability per row
+            v = 1.0 - np.partition(probs, n_classes - self.k0 - 1, axis=1)[:, n_classes - self.k0 - 1]
+        return np.where(_finite_rows(probs), v, np.nan)
 
 
 @dataclass(frozen=True)
@@ -401,10 +409,12 @@ class SingletonClass(InformativeConstraint):
     def breakpoints(self, score, X):
         probs = np.asarray(_score_fn(score, "p_hat", "SingletonClass")(X), dtype=float)
         if probs.shape[1] < 2:
-            return np.full(probs.shape[0], math.inf)
-        top = np.argmax(probs, axis=1)  # smallest index wins ties
-        second = np.partition(probs, probs.shape[1] - 2, axis=1)[:, probs.shape[1] - 2]
-        return np.where(top == self.y0 - 1, 1.0 - second, np.nan)
+            v = np.full(probs.shape[0], math.inf)
+        else:
+            top = np.argmax(probs, axis=1)  # smallest index wins ties
+            second = np.partition(probs, probs.shape[1] - 2, axis=1)[:, probs.shape[1] - 2]
+            v = np.where(top == self.y0 - 1, 1.0 - second, np.nan)
+        return np.where(_finite_rows(probs), v, np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .core import (
     SetBatch,
     SingletonClass,
     TargetHalfLines,
+    _finite_rows,
 )
 from .selection import (
     ScoredPool,
@@ -273,7 +274,12 @@ def run_cfbh_plus_plus(
 
 
 def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
-    """BH over the test units' I-adjusted p-values; sets at the common BH level."""
+    """BH over the test units' I-adjusted p-values; sets at the common BH level.
+
+    A test row with a NaN or infinite class probability gets I-adjusted
+    p-value 1 and an empty set, so it is never reported; infosp+ and infosp++
+    do the same.  A calibration score that is not finite raises ``ValueError``.
+    """
     score = config.score
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
     q = i_adjusted_pvalues(test.X, cal_scores, score, config.constraint)
@@ -424,7 +430,7 @@ def run_selective_classification(
     def singletons(X):
         """Each row's singleton, its trust, and whether the row's probabilities are finite."""
         probs = np.asarray(score.p_hat(X), dtype=float)
-        finite = np.isfinite(probs).all(axis=1)
+        finite = _finite_rows(probs)
         rows = np.arange(probs.shape[0])
         classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
         member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & finite[:, None]

@@ -14,6 +14,8 @@ through ``first_feature``.
 
 Score-only profiles stand in for the real-data studies: they emit frozen
 predictions and labels whose constraint-feasible fraction is configurable.
+The dti-like threshold is the one scipy call here (``scipy.special.ndtri``),
+and it imports scipy only when it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import CLASSIFICATION, REGRESSION, Dataset, RngStream
 from .trust import OptimizerConfig, SoftmaxScorer, softmax, train_softmax_classifier
@@ -150,9 +151,11 @@ def gen_synthetic_scores(
     """Emit (prediction, label) pairs shaped like the real-data studies.
 
     ``dti-like``: real-valued affinities with a lower-bound constraint whose
-    threshold is placed so that roughly ``feasible_frac`` of units can ever
-    receive an admissible interval.  ``cifar-like``: three-class softmax
-    scores whose concentration is controlled by ``sharpness``.
+    threshold, the standard normal quantile ``ndtri(1 - feasible_frac)``, is
+    placed so that roughly ``feasible_frac`` of units can ever receive an
+    admissible interval (``math.inf`` when ``feasible_frac <= 0``).
+    ``cifar-like``: three-class softmax scores whose concentration is
+    controlled by ``sharpness``.
     """
     gen = rng.generator()
     if profile == "dti-like":
@@ -164,7 +167,9 @@ def gen_synthetic_scores(
         if feasible_frac <= 0.0:
             threshold = math.inf
         else:
-            threshold = float(norm.ppf(1.0 - feasible_frac))
+            from scipy.special import ndtri
+
+            threshold = float(ndtri(1.0 - feasible_frac))
         data = Dataset(mu[:, None], y, REGRESSION)
         return SyntheticScores(data, first_feature, threshold, None)
     if profile == "cifar-like":

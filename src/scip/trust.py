@@ -7,6 +7,8 @@ class-weighted cross-entropy risk (weight lambda on the positive class)
 on a disjoint labeled training sample.  ``softmax`` is the one row softmax:
 the simulation designs and the softmax classifier call it, and the
 classifier's loss takes its log-normalizer from the same shifted exponentials.
+``diversity_scores`` is the one scipy call here (``scipy.linalg``'s Cholesky
+solves), and it imports scipy only when it runs.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import DegenerateLabelsError, NotPositiveDefiniteError
 
 
 def class_membership_trust(probs: np.ndarray, member_mask: np.ndarray) -> np.ndarray:
-    """Vectorized class-sum trust: probs (n, K) against a boolean member mask."""
-    return np.where(member_mask.any(axis=1), (probs * member_mask).sum(axis=1), 0.0)
+    """Vectorized class-sum trust: probs (n, K) against a boolean member mask; 0 for an empty set.
+
+    Only member entries are read, so a non-finite probability outside the set
+    (an empty row's, say) does not reach the sum.
+    """
+    return np.where(member_mask, probs, 0.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,8 @@ def diversity_scores(pool_features, psi, kernel, alpha: float) -> np.ndarray:
     A_ij = (1 - psi_i)(1 - psi_j) s(x_i, x_j) via one Cholesky factorization
     and two triangular solves; A is never inverted explicitly.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     X = np.asarray(pool_features, dtype=float)
     psi = np.asarray(psi, dtype=float).ravel()
     if psi.shape[0] != X.shape[0]:

@@ -1,6 +1,10 @@
 import hashlib
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +384,46 @@ def test_csv_bytes_pinned(tmp_path):
         paths = run_experiment(config, tmp_path / config.experiment)
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
         assert digests == expected, config.experiment
+
+
+_FRESH_PROCESS = """
+import sys
+
+import numpy as np
+
+import scip
+import scip.cli
+from scip.cli import build_config, run_experiment
+from scip.core import RngStream
+from scip.selection import scip_select_arrays
+from scip.simgen import gen_synthetic_scores
+
+
+def loaded():
+    return [name for name in ("scipy.stats", "scipy.linalg", "scipy.special") if name in sys.modules]
+
+
+assert loaded() == [], loaded()
+out = sys.argv[1]
+run_experiment(build_config({
+    "experiment": "regression-sweep", "methods": "naive,cfbh,cfbh+,cfbh++,infosp,infosp+,infosp++,infoscop",
+    "n": 40, "m": 30, "reps": 2, "eta_grid": "0,1",
+}), out + "/regression")
+run_experiment(build_config({
+    "experiment": "classification-sweep", "n": 40, "m": 30, "reps": 2, "alpha_grid": "0.1,0.2",
+}), out + "/classification")
+scip_select_arrays(np.arange(8.0), np.arange(8) % 2 == 0, np.arange(4.0) + 4.0, 0.3, rng=RngStream(2))
+assert loaded() == [], loaded()
+gen_synthetic_scores("dti-like", 20, RngStream(1))
+assert loaded() == ["scipy.special"], loaded()
+"""
+
+
+def test_import_and_sweeps_load_no_scipy_submodule(tmp_path):
+    """Importing scip and running both sweeps loads numpy alone; the dti-like threshold loads
+    scipy.special and nothing more.  It runs in a fresh interpreter: this one has scipy loaded."""
+    src = Path(scip.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

@@ -253,6 +253,24 @@ def test_class_batch_matches_its_sets():
         ClassBatch(np.ones((2, 3), dtype=bool)).covers(np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_probability_row_is_empty_with_no_breakpoint(value):
+    """A row holding a NaN or infinite probability is empty at every radius, -inf (level 1)
+    and +inf included, and no class constraint gives it a breakpoint, whatever K."""
+    finite = [0.5, 0.3, 0.2]
+    probs = np.array([[value, 0.0, 0.0], [0.2, value, 0.8], [value] * 3, finite])
+    for radius in (-math.inf, 0.0, 0.5, 1.0, math.inf):
+        assert ClassBatch.from_radius(probs, radius).nonempty.tolist() == [False, False, False, radius >= 0.5]
+    cscore = OneMinusProb(lambda X: probs)
+    for constraint in (MaxSize(1), MaxSize(2), MaxSize(3), SingletonClass(1), SingletonClass(2)):
+        alone = constraint.breakpoints(OneMinusProb(lambda X: probs[3:]), np.zeros((1, 1)))
+        np.testing.assert_array_equal(constraint.breakpoints(cscore, np.zeros((4, 1))), [math.nan] * 3 + [alone[0]])
+    one_class = OneMinusProb(lambda X: np.array([[value], [1.0]]))
+    for constraint in (MaxSize(1), SingletonClass(1)):  # K <= k0 and K < 2: no radius ever violates
+        nu = constraint.breakpoints(one_class, np.zeros((2, 1)))
+        assert math.isnan(nu[0]) and nu[1] == math.inf
+
+
 _EIGHTH = st.integers(-48, 48).map(lambda k: k / 8.0)
 
 

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -295,21 +296,44 @@ def test_infosp_all_levels_one_reports_nothing():
     assert run_infosp(cal, test, cfg).n_reported == 0
 
 
-def test_infosp_never_reports_nan_probability_rows():
+def _run_infosp_variant(procedure, cal, test, cfg):
+    """infosp, infosp+ or infosp++ (classification) on these halves, and the test rows' I-adjusted p-values."""
+    if procedure == "infosp":
+        out = run_infosp(cal, test, cfg)
+        return out, out.diagnostics["q"]
+    half = cal.n // 2
+    cal1, cal0 = cal.take(slice(0, half)), cal.take(slice(half, None))
+    run = run_infosp_plus if procedure == "infosp+" else partial(run_infosp_plus_plus, None)
+    out = run(cal1, cal0, test, cfg, RngStream(5))
+    return out, out.diagnostics["q0"][half:]
+
+
+@pytest.mark.parametrize("procedure", ["infosp", "infosp+", "infosp++"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_infosp_never_reports_non_finite_probability_rows(value, procedure):
+    """A test row holding a NaN or infinite probability gets I-adjusted p-value 1 and an empty
+    set, so it is never reported; a calibration row whose scores it feeds raises."""
     cal, test, _ = _classification_bundle(20, n=100, m=60)
     table = true_class_probs(np.vstack([cal.X, test.X]))
-    p_hat = lambda X: table[np.asarray(X, dtype=int)[:, 0]]
     ids = np.arange(cal.n + test.n, dtype=float)[:, None]  # each row's features are its table index
     cal_ids = Dataset(ids[: cal.n], cal.y, CLASSIFICATION)
     test_ids = Dataset(ids[cal.n :], test.y, CLASSIFICATION)
-    cfg = ProcedureConfig(alpha=0.3, score=OneMinusProb(p_hat), constraint=MaxSize(2))
-    nan_rows = [0, 10, 20, 30]
-    assert set(nan_rows) <= set(run_infosp(cal_ids, test_ids, cfg).selected.tolist())
-    table[cal.n + np.array(nan_rows)] = np.nan
-    out = run_infosp(cal_ids, test_ids, cfg)
-    assert np.all(out.diagnostics["q"][nan_rows] == 1.0)
-    assert out.n_reported > 0
-    assert not set(nan_rows) & set(out.selected.tolist())
+    for constraint, alpha in ((MaxSize(2), 0.3), (SingletonClass(1), 0.6)):
+        cfg = ProcedureConfig(alpha=alpha, score=OneMinusProb(StoredProbs(table)), constraint=constraint)
+        bad_rows = _run_infosp_variant(procedure, cal_ids, test_ids, cfg)[0].selected[:2]  # reported while finite
+        assert bad_rows.size == 2
+        bad = table.copy()
+        bad[cal.n + bad_rows[0]] = [value, 0.0, 0.0, 0.0]
+        bad[cal.n + bad_rows[1]] = value
+        cfg = replace(cfg, score=OneMinusProb(StoredProbs(bad)))
+        out, q = _run_infosp_variant(procedure, cal_ids, test_ids, cfg)
+        assert np.all(q[bad_rows] == 1.0)
+        assert out.n_reported > 0
+        assert not set(bad_rows.tolist()) & set(out.selected.tolist())
+        bad[cal.n + bad_rows] = table[cal.n + bad_rows]
+        bad[cal.n - 3] = value  # in the calibration half whose scores are ranked
+        with pytest.raises(ValueError, match="calibration scores must be finite"):
+            _run_infosp_variant(procedure, cal_ids, test_ids, cfg)
 
 
 def test_infosp_never_reports_an_infinite_prediction():

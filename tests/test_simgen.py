@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from scip.core import RngStream
 from scip.simgen import (
@@ -104,6 +106,40 @@ def test_gen_classification_returns_frozen_estimator():
     again, _ = gen_classification(600, RngStream(34), train_size=400,
                                   optimizer=OptimizerConfig(max_iter=200, grad_tol=1e-5))
     assert np.array_equal(data.X, again.X)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+def test_ndtri_is_norm_ppf_bit_for_bit(qs):
+    """The dti-like threshold's ``ndtri`` is what ``norm.ppf`` evaluates at loc 0, scale 1."""
+    q = np.array(qs)
+    assert np.array_equal(_bits(ndtri(q)), _bits(norm.ppf(q)))
+
+
+def test_ndtri_is_norm_ppf_bit_for_bit_at_the_edges_and_outside():
+    edges = np.array([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])
+    outside = np.array([-5e-324, -0.5, 1.0 + 2.0**-52, 1.5, -math.inf, math.inf])
+    for q in (edges, outside):
+        assert np.array_equal(_bits(ndtri(q)), _bits(norm.ppf(q)))
+    assert ndtri(edges).tolist()[::6] == [-math.inf, math.inf]
+    assert np.isnan(ndtri(outside)).all()
+    assert math.isnan(ndtri(math.nan)) and math.isnan(norm.ppf(math.nan))  # NaN in, NaN out (payloads differ)
+
+
+def test_dti_like_threshold_is_the_old_normal_quantile():
+    """feasible_frac f > 0 gives norm.ppf(1 - f) to the bit; f <= 0 keeps the inf threshold."""
+    for frac in (0.5, 1.0, 0.4, 0.25, 1e-300, 0.999):
+        threshold = gen_synthetic_scores("dti-like", 20, RngStream(39), feasible_frac=frac).threshold
+        assert type(threshold) is float
+        assert _bits(threshold) == _bits(norm.ppf(1.0 - frac))
+    assert gen_synthetic_scores("dti-like", 20, RngStream(39), feasible_frac=0.5).threshold == 0.0
+    assert gen_synthetic_scores("dti-like", 20, RngStream(39), feasible_frac=1.0).threshold == -math.inf
+    for frac in (0.0, -0.0, -0.1):
+        assert gen_synthetic_scores("dti-like", 20, RngStream(39), feasible_frac=frac).threshold == math.inf
 
 
 def test_synthetic_profiles():

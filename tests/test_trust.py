@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scip.core import DegenerateLabelsError, NotPositiveDefiniteError
 from scip.trust import (
     GaussianKernel,
+    class_membership_trust,
     OptimizerConfig,
     diversity_scores,
     polynomial_features,
@@ -345,6 +346,24 @@ def test_softmax_bit_equal_to_the_forms_it_replaced(n, k, scale, ties, seed):
     old_log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     _, total, row_max = _exp_shifted(z)
     assert np.array_equal(row_max[:, 0] + np.log(total[:, 0]), old_log_norm)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(0, 500), k=st.integers(1, 6), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_class_membership_trust_bit_equal_to_the_product_form(n, k, density, seed):
+    """The masked sum equals the old product form on probabilities; an empty row gets 0."""
+    gen = np.random.default_rng(seed)
+    probs = gen.dirichlet(np.ones(k), n) if n else np.empty((0, k))
+    member = gen.random((n, k)) < density
+    old = np.where(member.any(axis=1), (probs * member).sum(axis=1), 0.0)
+    assert np.array_equal(class_membership_trust(probs, member).view(np.int64), old.view(np.int64))
+
+
+def test_class_membership_trust_reads_only_members():
+    """A NaN or infinite probability outside the set reaches no sum and raises no warning."""
+    probs = np.array([[math.inf, 0.0, 0.0], [math.nan, 0.3, 0.7], [-math.inf, 0.5, 0.5]])
+    member = np.array([[False, False, False], [False, True, True], [False, True, False]])
+    assert class_membership_trust(probs, member).tolist() == [0.0, 1.0, 0.5]
 
 
 def test_objective_call_bit_equal_to_reference():
