@@ -115,7 +115,8 @@ class CalibrationScores:
         """#{i : V_i >= v}, vectorized over v."""
         keys = np.asarray(v)
         (below,) = _ranks(self._sorted, keys.ravel(), "left")
-        return np.subtract(self.n, below, out=below).reshape(keys.shape)[()]  # [()] makes a 0-d result a scalar
+        # the counts stay intp whatever width _ranks returns; [()] makes a 0-d result a scalar
+        return np.subtract(self.n, below, dtype=np.intp).reshape(keys.shape)[()]
 
     def min_count_for_level(self, q) -> np.ndarray | int:
         """#{k in 1..n+1 : k/(n+1) <= q}, vectorized over q.

@@ -103,11 +103,19 @@ def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray
     searched: a key equal to ``table[left]`` ends its run of ties at
     ``run_end[left]``, and for every other key ``right == left``.  Below a
     block, building ``run_end`` costs more than a second search.
+
+    A rank is at most ``table.size``, so the ranks (and ``run_end``) are
+    int32 whenever ``table.size + 1`` fits in int32 (a caller may add one to
+    a count in place), and intp otherwise.  ``run_end`` is built before the
+    outputs and the packed words are allocated, so its temporaries never
+    live beside them.  With both sides, the outputs and the words hold 16
+    bytes per key.
     """
     m = keys.size
-    outs = [np.empty(m, dtype=np.intp) for _ in sides]
+    dtype = _rank_dtype(table.size)
     derive = "left" in sides and "right" in sides and m >= _BLOCK_KEYS and table.size > 0
     run_end = _run_ends(table) if derive else None
+    outs = [np.empty(m, dtype=dtype) for _ in sides]
     words = np.empty(m, dtype=np.int64)
     n_chunks = 1 if m < 2 * _CHUNK_KEYS else min(_usable_cpus(), m // _CHUNK_KEYS)
     args = (table, keys, words, sides, outs, run_end)
@@ -123,12 +131,17 @@ def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray
     return tuple(outs)
 
 
+def _rank_dtype(table_size: int) -> type:
+    """int32 when every count up to ``table_size + 1`` fits in it, else intp."""
+    return np.int32 if table_size + 1 <= np.iinfo(np.int32).max else np.intp
+
+
 def _run_ends(table: np.ndarray) -> np.ndarray:
     """Per index of a sorted table, one past the last index of its run of equal values."""
     n = table.size
     starts = np.ones(n + 1, dtype=bool)
     np.not_equal(table[1:], table[:-1], out=starts[1:n])
-    starts = np.flatnonzero(starts)  # every run's start, then n
+    starts = np.flatnonzero(starts).astype(_rank_dtype(n))  # every run's start, then n
     return np.repeat(starts[1:], np.diff(starts))
 
 
@@ -305,6 +318,15 @@ def _score_fn(score, attr: str, constraint_name: str):
     return fn
 
 
+def _positive_or_nan(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The interval breakpoint v where it is positive and mu is finite, else NaN.
+
+    A NaN or infinite mu has an empty set at every radius
+    (``IntervalBatch.from_radius``), so it has no admissible nonempty set.
+    """
+    return np.where((v > 0.0) & np.isfinite(mu), v, np.nan)
+
+
 @dataclass(frozen=True)
 class PositiveInterval(InformativeConstraint):
     """Intervals with a strictly positive lower end."""
@@ -314,7 +336,7 @@ class PositiveInterval(InformativeConstraint):
 
     def breakpoints(self, score, X):
         mu = np.asarray(_score_fn(score, "mu_hat", "PositiveInterval")(X), dtype=float)
-        return np.where(mu > 0.0, mu, np.nan)
+        return _positive_or_nan(mu, mu)
 
 
 @dataclass(frozen=True)
@@ -328,8 +350,7 @@ class LowerBoundedInterval(InformativeConstraint):
 
     def breakpoints(self, score, X):
         mu = np.asarray(_score_fn(score, "mu_hat", "LowerBoundedInterval")(X), dtype=float)
-        v = mu - self.c
-        return np.where(v > 0.0, v, np.nan)
+        return _positive_or_nan(mu - self.c, mu)
 
 
 @dataclass(frozen=True)
@@ -344,8 +365,7 @@ class HalfLine(InformativeConstraint):
 
     def breakpoints(self, score, X):
         mu = np.asarray(_score_fn(score, "mu_hat", "HalfLine")(X), dtype=float)
-        v = mu - self.c0
-        return np.where(v > 0.0, v, np.nan)
+        return _positive_or_nan(mu - self.c0, mu)
 
 
 @dataclass(frozen=True)
@@ -367,8 +387,7 @@ class TargetHalfLines(InformativeConstraint):
 
     def breakpoints(self, score, X):
         mu = np.asarray(_score_fn(score, "mu_hat", "TargetHalfLines")(X), dtype=float)
-        v = np.maximum(self.c_l - mu, mu - self.c_u)
-        return np.where(v > 0.0, v, np.nan)
+        return _positive_or_nan(np.maximum(self.c_l - mu, mu - self.c_u), mu)
 
 
 @dataclass(frozen=True)
@@ -497,8 +516,12 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
     def uniform_open_closed(self, size=None):
-        """Tie-breaking draws in (0, 1]; matches the deterministic U = 1 corner."""
-        return 1.0 - self.generator().random(size)
+        """Tie-breaking draws in (0, 1]; matches the deterministic U = 1 corner.
+
+        An array of draws is 1 - r computed in the buffer of the uniforms r.
+        """
+        r = self.generator().random(size)
+        return 1.0 - r if size is None else np.subtract(1.0, r, out=r)
 
 
 MuHatFn = Callable[[np.ndarray], np.ndarray]

@@ -276,9 +276,10 @@ def run_cfbh_plus_plus(
 def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """BH over the test units' I-adjusted p-values; sets at the common BH level.
 
-    A test row with a NaN or infinite class probability gets I-adjusted
-    p-value 1 and an empty set, so it is never reported; infosp+ and infosp++
-    do the same.  A calibration score that is not finite raises ``ValueError``.
+    A test row with a NaN or infinite class probability, or a NaN or
+    infinite ``mu_hat``, gets I-adjusted p-value 1 and an empty set, so it is
+    never reported and does not count in BH's k; infosp+ and infosp++ do the
+    same.  A calibration score that is not finite raises ``ValueError``.
     """
     score = config.score
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))

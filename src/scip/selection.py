@@ -11,7 +11,10 @@ which searches the sorted null trusts in index chunks of the test trusts (one
 thread per usable CPU from 2^17 keys on), each chunk in ascending order; from
 2^15 test trusts on it searches once per trust and reads the count above a
 tied trust off the end of its run of ties.  The counts come back in unit
-order, exact whatever the split, and the formula is evaluated there.
+order, exact whatever the split, as int32 below 2^31 - 1 null units.  The
+U_j are drawn only once the counts are in hand, and the formula is evaluated
+in the draws' own buffer, so at large m the step holds about 16 bytes per
+test unit at its peak.
 Selection applies the step-up BH rule, whose self-consistent form
 alpha_hat = max{a : (alpha/m) #{p <= a} >= a} produces the identical
 selected set.  The counting-knockoff scan over an estimated false discovery
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,14 +80,16 @@ class SelectionResult:
     k_hat: int
 
 
-def _tie_draws(m: int, tie_mode: TieMode, rng: RngStream | None) -> np.ndarray:
+def _tie_draws(tie_mode: TieMode, rng: RngStream | None) -> Callable[[int], np.ndarray]:
+    """The function that gives m tie draws in a fresh buffer; checked here, drawn later."""
     if tie_mode is TieMode.DETERMINISTIC:
-        return np.ones(m)
+        return np.ones
     if rng is None:
         raise ValueError(f"tie mode {tie_mode.value} needs an RngStream")
     if tie_mode is TieMode.SHARED_U:
-        return np.full(m, float(rng.uniform_open_closed()))
-    return rng.uniform_open_closed(m)
+        u = float(rng.uniform_open_closed())
+        return lambda m: np.full(m, u)
+    return rng.uniform_open_closed
 
 
 def generalized_conformal_pvalues(
@@ -92,25 +98,34 @@ def generalized_conformal_pvalues(
     rng: RngStream | None = None,
 ) -> np.ndarray:
     """Tie-aware rank of each test trust score among null calibration trusts."""
-    return _pvalues_at(pool, _tie_draws(pool.m, tie_mode, rng))
+    return _pvalues_at(pool, _tie_draws(tie_mode, rng))
 
 
-def _pvalues_at(pool: ScoredPool, u) -> np.ndarray:
-    """(gt + (1 + (geq - gt)) u) / (n + 1) per test unit, for tie draws u.
+def _pvalues_at(pool: ScoredPool, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """(gt + (1 + (geq - gt)) u) / (n + 1) per test unit, with u = ``draw(m)``.
 
-    ``u`` holds one draw per test unit or is one shared float.  gt and geq
-    count the null calibration trusts above and at-or-above each test trust;
-    both come from ``_ranks`` in unit order, so the formula runs element-wise
-    in unit order too.
+    gt and geq count the null calibration trusts above and at-or-above each
+    test trust; both come from ``_ranks`` in unit order, so the formula runs
+    element-wise in unit order too.  The null trusts are sorted in the copy
+    their boolean index made.  The tie draws are taken only once the counts
+    are in hand and the sorted trusts are freed, and the p-values are built
+    in the draws' buffer as ``u *= 1 + ties``, ``u += gt``, ``u /= n + 1``.
+    The counts are exact integers, so the bits are those of the formula
+    written out.
     """
-    null_sorted = np.sort(pool.cal_trust[pool.cal_null])
-    left, right = _ranks(null_sorted, pool.test_trust, "left", "right")
-    np.subtract(right, left, out=left)  # geq - gt, the null trusts tied with the key
-    pvals = np.add(left, 1.0)
-    del left
-    pvals *= u
-    pvals += np.subtract(null_sorted.size, right, out=right)  # gt
-    del right
+    null_sorted = pool.cal_trust[pool.cal_null]  # a copy, sorted in place
+    null_sorted.sort()
+    # the left and right ranks, turned in place into 1 + ties and gt
+    ties, gt = _ranks(null_sorted, pool.test_trust, "left", "right")
+    np.subtract(gt, ties, out=ties)  # geq - gt, the null trusts tied with the key
+    ties += 1
+    np.subtract(null_sorted.size, gt, out=gt)
+    del null_sorted
+    pvals = draw(pool.m)
+    pvals *= ties
+    del ties
+    pvals += gt
+    del gt
     pvals /= pool.n + 1
     return pvals
 
@@ -179,12 +194,13 @@ def counting_knockoff_select(
     """
     if tie_mode is TieMode.PER_UNIT:
         raise ValueError("counting-knockoff selection needs a shared or deterministic tie regime")
-    u = 1.0 if tie_mode is TieMode.DETERMINISTIC else float(_tie_draws(1, tie_mode, rng)[0])
+    draw = _tie_draws(tie_mode, rng)
+    u = float(draw(1)[0])
     feasible = [
         tau for tau in np.unique(pool.test_trust) if counting_knockoff_fdp(pool, float(tau), u) <= alpha
     ]
     # the matching generalized p-values (same shared u), attached as diagnostics
-    pvals = _pvalues_at(pool, u)
+    pvals = _pvalues_at(pool, draw)
     if not feasible:
         return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0)
     selected = np.flatnonzero(pool.test_trust >= min(feasible))

@@ -329,6 +329,23 @@ def test_breakpoint_values():
     assert np.isnan(SingletonClass(2).breakpoints(cscore, X0)).all()
 
 
+@pytest.mark.parametrize(
+    "constraint",
+    [PositiveInterval(), LowerBoundedInterval(-2.0), HalfLine(-0.5), TargetHalfLines(-1.0, 1.0)],
+)
+def test_non_finite_prediction_has_no_interval_breakpoint(constraint):
+    """A NaN or infinite mu_hat is empty at every radius, so no interval constraint gives it a
+    breakpoint (an infinite one would give it the floor p-value 1/(n+1)); finite rows keep theirs."""
+    mu = np.array([math.inf, -math.inf, math.nan, 1e308, 3.0])
+    score = AbsoluteResidual(lambda X: mu)
+    assert not IntervalBatch.from_radius(mu[:3], math.inf).nonempty.any()
+    nu = constraint.breakpoints(score, np.zeros((5, 1)))
+    assert np.isnan(nu[:3]).all()
+    finite = constraint.breakpoints(AbsoluteResidual(lambda X: mu[3:]), np.zeros((2, 1)))
+    np.testing.assert_array_equal(nu[3:], finite)
+    assert np.all(finite > 0.0)
+
+
 def test_breakpoint_needs_the_matching_score():
     X = np.zeros((2, 1))
     residual = AbsoluteResidual(lambda X: np.ones(np.atleast_2d(X).shape[0]))
@@ -377,6 +394,20 @@ def test_rng_stream_reproducible_and_distinct():
     assert not np.array_equal(a, c)
     u = RngStream(7).child(9).uniform_open_closed(10_000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
+    # 1 - r, whether drawn as an array (computed in r's buffer) or as one float
+    r = RngStream(7).child(9).generator().random(10_000)
+    assert np.array_equal(u, 1.0 - r)
+    assert RngStream(7).child(9).uniform_open_closed() == 1.0 - r[0]
+
+
+def test_rank_dtype_rule():
+    """Counts are int32 while table.size + 1 fits in int32 (so a tie count plus one does too), else intp."""
+    top = np.iinfo(np.int32).max
+    assert scip.core._rank_dtype(0) is np.int32 and scip.core._rank_dtype(top - 1) is np.int32
+    assert scip.core._rank_dtype(top) is np.intp
+    table = np.repeat([0.0, 1.0, 2.0], [3, 1, 2])
+    assert scip.core._run_ends(table).tolist() == [3, 3, 3, 4, 6, 6]
+    assert scip.core._run_ends(table).dtype == np.int32
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +451,7 @@ def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, t
         ranks = _ranks(table, keys, *sides)
     assert len(ranks) == len(sides)
     for side, rank in zip(sides, ranks):
-        assert rank.dtype == np.intp and rank.shape == (size,)
+        assert rank.dtype == np.int32 and rank.shape == (size,)  # table.size + 1 fits in int32
         assert np.array_equal(rank, np.searchsorted(table, keys, side=side))
 
 

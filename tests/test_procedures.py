@@ -337,7 +337,8 @@ def test_infosp_never_reports_non_finite_probability_rows(value, procedure):
 
 
 def test_infosp_never_reports_an_infinite_prediction():
-    """A unit whose mu_hat is inf gets an empty set, as a NaN one does, and the metrics stay warning-free."""
+    """A unit whose mu_hat is inf gets an empty set and I-adjusted p-value 1, as a NaN one does, so it
+    neither is reported nor counts in BH's k; the metrics stay warning-free."""
     cal, test, _, mu_hat = _regression_bundle(23, n=60, m=40)
     X = test.X.copy()
     X[:3, 0] = [3.0, 3.1, -3.2]
@@ -347,6 +348,16 @@ def test_infosp_never_reports_an_infinite_prediction():
     out = run_infosp(cal, test, cfg)
     assert out.n_reported > 0
     assert not {0, 1, 2} & set(out.selected.tolist())
+    q = out.diagnostics["q"]
+    infinite = ~np.isfinite(wild(test.X))  # rows 0-2 and any drawn beyond |x| = 2.9
+    assert infinite[:3].all() and np.all(q[infinite] == 1.0)
+    # the same run with those rows' p-values set to 1: the rest from the finite predictor
+    ref_q = run_infosp(cal, test, replace(cfg, score=AbsoluteResidual(mu_hat))).diagnostics["q"]
+    assert np.array_equal(q[~infinite], ref_q[~infinite])
+    ref_q[infinite] = 1.0
+    ref = bh_select(ref_q, cfg.alpha)
+    assert out.diagnostics["tau"] == ref.threshold_alpha_hat
+    assert np.count_nonzero(q <= out.diagnostics["tau"]) == ref.k_hat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         metrics = replication_metrics(out.selected, out.sets, test.y)

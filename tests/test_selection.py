@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scip.core
 from scip import selection
 from scip.core import RngStream
 from scip.selection import (
@@ -28,7 +30,7 @@ def test_pvalue_hand_count():
     p = generalized_conformal_pvalues(pool, TieMode.DETERMINISTIC)
     assert p[0] == pytest.approx((1 + 1) / 5)
     # a midpoint tie draw U = 0.5 lands the same count at 0.3
-    assert selection._pvalues_at(pool, np.array([0.5]))[0] == pytest.approx(0.3)
+    assert selection._pvalues_at(pool, lambda m: np.full(m, 0.5))[0] == pytest.approx(0.3)
 
 
 def test_pvalue_no_nulls_reduces_to_u_over_n1():
@@ -83,29 +85,78 @@ def _plain_search_pvalues(pool, u):
 
 
 @pytest.mark.parametrize("tie_mode", list(TieMode))
-def test_pvalues_bit_equal_to_plain_search(tie_mode):
-    gen = np.random.default_rng(15)
-    pools = [
-        _pool([0.9, 0.7], [False, False], [0.5, 0.9, 2.0]),  # no null units
-        _pool([0.9, 0.7, 0.5], [True, True, False], [0.7]),  # m = 1
-        _pool(np.full(6, 0.5), np.ones(6, dtype=bool), np.full(4, 0.5)),  # all trusts tied
-    ]
-    for _ in range(40):
-        n, m = int(gen.integers(1, 300)), int(gen.integers(1, 300))
-        coarse = gen.random() < 0.5
-        cal_t = gen.integers(0, 6, n) / 5.0 if coarse else gen.random(n)
-        test_t = gen.integers(0, 6, m) / 5.0 if coarse else gen.random(m)
-        pools.append(_pool(cal_t, gen.random(n) < 0.6, test_t))
-    for i, pool in enumerate(pools):
-        rng = None if tie_mode is TieMode.DETERMINISTIC else RngStream(17).child(i)
-        if tie_mode is TieMode.PER_UNIT:
-            u = rng.uniform_open_closed(pool.m)
-        else:
-            u = 1.0 if rng is None else float(rng.uniform_open_closed())
-            ck = counting_knockoff_select(pool, 0.2, tie_mode, rng)
-            assert np.array_equal(ck.pvalues, _plain_search_pvalues(pool, u))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.one_of(st.just(1), st.integers(1, 400)),
+    m=st.one_of(st.just(1), st.integers(1, 400)),
+    null_frac=st.sampled_from([0.0, 0.6, 1.0]),  # no null unit, some, every one
+    values=st.sampled_from([1, 3, 6, 0]),  # distinct trust values (1: all tied); 0: continuous
+    cpus=st.sampled_from([1, 2, 3]),
+    chunk_keys=st.integers(1, 200),
+    block_keys=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pvalues_bit_equal_to_plain_search(tie_mode, n, m, null_frac, values, cpus, chunk_keys, block_keys, seed):
+    """The p-values built in the tie-draw buffer equal the written-out formula over a plain search
+    in unit order, bit for bit, whether ``_ranks`` derives the right side from run ends (m at least a
+    block), splits the keys over threads (m at least two chunks, several CPUs) or does neither."""
+    gen = np.random.default_rng(seed)
+    trusts = (lambda size: gen.random(size)) if values == 0 else (lambda size: gen.integers(0, values, size) / 5.0)
+    pool = _pool(trusts(n), gen.random(n) < null_frac, trusts(m))
+    rng = None if tie_mode is TieMode.DETERMINISTIC else RngStream(17).child(seed)
+    if tie_mode is TieMode.PER_UNIT:
+        u = rng.uniform_open_closed(pool.m)
+    else:
+        u = 1.0 if rng is None else float(rng.uniform_open_closed())
+    expected = _plain_search_pvalues(pool, u)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scip.core, "_CHUNK_KEYS", chunk_keys)
+        patch.setattr(scip.core, "_BLOCK_KEYS", max(block_keys, m // 64))  # at most about 64 blocks
+        patch.setattr(scip.core, "_usable_cpus", lambda: cpus)
         p = generalized_conformal_pvalues(pool, tie_mode, rng)
-        assert np.array_equal(p, _plain_search_pvalues(pool, u))
+        if tie_mode is not TieMode.PER_UNIT:
+            ck = counting_knockoff_select(pool, 0.2, tie_mode, rng)
+            assert np.array_equal(ck.pvalues, expected)
+    assert p.dtype == np.float64 and np.array_equal(p, expected)
+
+
+# The most traced memory the selection step may hold at once at n = m = 2^18 with heavy ties: this
+# many bytes per test unit, plus this many per block key for each chunk's block temporaries.
+# Measured (ten calls per chunk count): 30 bytes per unit with one chunk and 35-37, 35-43, 35-46 with
+# two, three, four; with intp counts and the tie draws taken before the search, 49 and 53-56, 54-61,
+# 60-66.  The budget (35, 42, 49, 56) also fails with only one of the two restored (38 with one chunk).
+_BYTES_PER_UNIT, _BYTES_PER_BLOCK_KEY = 28, 56
+
+
+def _traced_peak(fn) -> int:
+    """The most traced memory held at once while fn runs, above what was held when it started."""
+    tracing = tracemalloc.is_tracing()  # under PYTHONTRACEMALLOC, leave the tracing on
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["threaded", "one-chunk"])
+def test_selection_memory_budget(one_cpu, monkeypatch):
+    """``scip_select_arrays`` over a large pool stays within its budget of traced bytes per test unit,
+    with the real CPU count (threaded where there are several) and with one chunk run inline."""
+    m = 1 << 18
+    gen = np.random.default_rng(63)
+    cal, test = gen.integers(0, 200, m) / 199.0, gen.integers(0, 200, m) / 199.0
+    null, eligible = gen.random(m) < 0.6, gen.random(m) < 0.9
+    if one_cpu:
+        monkeypatch.setattr(scip.core, "_usable_cpus", lambda: 1)
+    chunks = min(scip.core._usable_cpus(), m // scip.core._CHUNK_KEYS)  # one per usable CPU, as _ranks splits
+    peak = _traced_peak(
+        lambda: scip_select_arrays(cal, null, test, 0.1, TieMode.PER_UNIT, RngStream(3), test_eligible=eligible)
+    )
+    assert peak <= _BYTES_PER_UNIT * m + chunks * _BYTES_PER_BLOCK_KEY * scip.core._BLOCK_KEYS
 
 
 def test_bh_fixtures():
