@@ -7,10 +7,11 @@ is a score sublevel region ``{y : V(x, y) <= v*}`` with a closed-form radius
 v*, so no label-space grid search is ever needed.
 
 The I-adjusted p-value of a unit is the smallest level at which its prediction
-set becomes admissible for the active constraint.  With the constraint's
-breakpoint nu(x) in hand it reduces to the tie-aware count
-``(1 + #{i : V_i >= nu(x)}) / (n + 1)``, with the convention that it equals 1
-when no admissible nonempty set exists at any level.
+set becomes admissible for the active constraint.  A score turns X into
+predictions once (``predict``) and builds its sets from them (``sets``); the
+constraint reads them for its breakpoint nu(x), and the p-value is the
+tie-aware count ``(1 + #{i : V_i >= nu(x)}) / (n + 1)`` (``admissible_level``).
+A unit with no admissible nonempty set at any level has nu(x) = -inf: p = 1.
 
 Both rank counts are cheap at n = m = 1e6.  ``count_geq`` hands its keys to
 ``core._ranks``, which splits them into contiguous index chunks, one thread
@@ -30,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ClassBatch,
     InformativeConstraint,
+    IntervalBatch,
     MuHatFn,
     ProbFn,
     ScipError,
@@ -53,8 +56,14 @@ class AbsoluteResidual:
 
     mu_hat: MuHatFn
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """mu_hat per row of X, as floats of shape (n,)."""
+        return np.asarray(self.mu_hat(X), dtype=float)
+
     def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.abs(np.asarray(y, dtype=float) - np.asarray(self.mu_hat(X), dtype=float))
+        return np.abs(np.asarray(y, dtype=float) - self.predict(X))
+
+    sets = staticmethod(IntervalBatch.from_radius)  # {y : |y - mu| <= r} per prediction mu and radius r
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,16 @@ class OneMinusProb:
 
     p_hat: ProbFn
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities per row of X, as floats of shape (n, K)."""
+        return np.asarray(self.p_hat(X), dtype=float)
+
     def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        probs = np.asarray(self.p_hat(X), dtype=float)
+        probs = self.predict(X)
         labels = np.asarray(y)
         return 1.0 - probs[np.arange(probs.shape[0]), labels - 1]
+
+    sets = staticmethod(ClassBatch.from_radius)  # {y : 1 - p_y <= r} per probability row and radius r
 
 
 NonconformityScore = AbsoluteResidual | OneMinusProb
@@ -118,6 +133,12 @@ class CalibrationScores:
         # the counts stay intp whatever width _ranks returns; [()] makes a 0-d result a scalar
         return np.subtract(self.n, below, dtype=np.intp).reshape(keys.shape)[()]
 
+    def admissible_level(self, nu) -> np.ndarray:
+        """The I-adjusted p-value (1 + #{i : V_i >= nu}) / (n + 1): 1 at nu = -inf, 1/(n+1) at +inf."""
+        pvals = np.add(self.count_geq(nu), 1.0)
+        pvals /= self.n + 1
+        return pvals
+
     def min_count_for_level(self, q) -> np.ndarray | int:
         """#{k in 1..n+1 : k/(n+1) <= q}, vectorized over q.
 
@@ -160,16 +181,5 @@ def i_adjusted_pvalues(
     score: NonconformityScore,
     constraint: InformativeConstraint,
 ) -> np.ndarray:
-    """Smallest admissible conformal level per unit; 1 when none exists."""
-    nu = np.asarray(constraint.breakpoints(score, np.asarray(X, dtype=float)), dtype=float)
-    ok = ~np.isnan(nu)
-    every = bool(ok.all())
-    # count_geq(+inf) = 0, so an always-admissible unit gets the floor 1/(n+1)
-    pvals = np.add(cal.count_geq(nu if every else nu[ok]), 1.0)
-    pvals /= cal.n + 1
-    if every:
-        return pvals
-    out = np.ones(nu.shape, dtype=float)
-    out[ok] = pvals
-    return out
-
+    """Smallest admissible conformal level per row of X; 1 when none exists."""
+    return cal.admissible_level(constraint.breakpoints(score.predict(np.asarray(X, dtype=float))))

@@ -5,12 +5,13 @@ Prediction sets are held in columns, one set per row: an ``IntervalBatch``
 membership row over the classes 1..K per unit, for classification).
 Informativeness constraints are monotone set predicates: whenever a set is
 admissible, every nonempty subset of it is admissible too.  Each constraint
-judges a whole batch at once with ``admits``, and knows its
-"informativeness breakpoint" for a given nonconformity score: the largest
-score radius nu such that the sublevel set {y : V(x, y) <= nu} is still
-admissible (sets strictly inside the radius are admissible, sets at or
-beyond it are not).  A ``Dataset`` and both batches select rows the same
-way, with ``take``.
+judges a whole batch at once with ``admits``, and reads a score's
+predictions (``mu_hat`` values or class probabilities) to give each row's
+"informativeness breakpoint": the largest score radius nu such that the
+sublevel set {y : V(x, y) <= nu} is still admissible (sets strictly inside
+the radius are admissible, sets at or beyond it are not), and -inf when no
+admissible nonempty sublevel set exists.  A ``Dataset`` and both batches
+select rows the same way, with ``take``.
 """
 
 from __future__ import annotations
@@ -273,10 +274,11 @@ class InformativeConstraint(ABC):
     ``admits(batch)`` judges each row's set; admissibility is inherited by
     every nonempty subset of an admitted set, and the value on an empty row
     is not part of the contract (empty sets are never reported).
-    ``breakpoints(score, X)`` gives, per row of X, the largest score radius
-    whose sublevel set is still admissible: ``math.inf`` when no radius ever
-    violates the constraint, and NaN when no admissible nonempty sublevel set
-    exists at all.
+    ``breakpoints(pred)`` reads a score's predictions (``mu_hat`` values of
+    shape (n,) for an interval constraint, class probabilities of shape (n, K)
+    for a class constraint) and gives, per row, the largest score radius whose
+    sublevel set is still admissible: ``math.inf`` when no radius ever violates
+    the constraint, and ``-math.inf`` when no admissible nonempty set exists.
     """
 
     @abstractmethod
@@ -284,7 +286,7 @@ class InformativeConstraint(ABC):
         ...
 
     @abstractmethod
-    def breakpoints(self, score, X: np.ndarray) -> np.ndarray:
+    def breakpoints(self, pred: np.ndarray) -> np.ndarray:
         ...
 
 
@@ -305,26 +307,22 @@ def _classes(batch: SetBatch) -> ClassBatch:
     return batch
 
 
-_SCORE_KINDS = {"mu_hat": "absolute-residual", "p_hat": "one-minus-probability"}
+def _predictions(pred, ndim: int, constraint_name: str) -> np.ndarray:
+    """The predictions a breakpoint reads: ``mu_hat`` values (ndim 1) or class probabilities (ndim 2)."""
+    pred = np.asarray(pred, dtype=float)
+    if pred.ndim != ndim:
+        kind = "absolute-residual" if ndim == 1 else "one-minus-probability"
+        raise UnsupportedScoreError(f"{constraint_name} has a closed-form breakpoint only for {kind} scores")
+    return pred
 
 
-def _score_fn(score, attr: str, constraint_name: str):
-    """The score's fitted ``mu_hat`` or ``p_hat``, the one input a closed-form breakpoint reads."""
-    fn = getattr(score, attr, None)
-    if fn is None:
-        raise UnsupportedScoreError(
-            f"{constraint_name} has a closed-form breakpoint only for {_SCORE_KINDS[attr]} scores"
-        )
-    return fn
-
-
-def _positive_or_nan(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The interval breakpoint v where it is positive and mu is finite, else NaN.
+def _positive_or_never(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The interval breakpoint v where it is positive and mu is finite, else -inf.
 
     A NaN or infinite mu has an empty set at every radius
     (``IntervalBatch.from_radius``), so it has no admissible nonempty set.
     """
-    return np.where((v > 0.0) & np.isfinite(mu), v, np.nan)
+    return np.where((v > 0.0) & np.isfinite(mu), v, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -334,9 +332,9 @@ class PositiveInterval(InformativeConstraint):
     def admits(self, batch):
         return _intervals(batch).lower > 0.0
 
-    def breakpoints(self, score, X):
-        mu = np.asarray(_score_fn(score, "mu_hat", "PositiveInterval")(X), dtype=float)
-        return _positive_or_nan(mu, mu)
+    def breakpoints(self, pred):
+        mu = _predictions(pred, 1, "PositiveInterval")
+        return _positive_or_never(mu, mu)
 
 
 @dataclass(frozen=True)
@@ -348,9 +346,9 @@ class LowerBoundedInterval(InformativeConstraint):
     def admits(self, batch):
         return _intervals(batch).lower >= self.c
 
-    def breakpoints(self, score, X):
-        mu = np.asarray(_score_fn(score, "mu_hat", "LowerBoundedInterval")(X), dtype=float)
-        return _positive_or_nan(mu - self.c, mu)
+    def breakpoints(self, pred):
+        mu = _predictions(pred, 1, "LowerBoundedInterval")
+        return _positive_or_never(mu - self.c, mu)
 
 
 @dataclass(frozen=True)
@@ -363,9 +361,9 @@ class HalfLine(InformativeConstraint):
         b = _intervals(batch)
         return (b.lower > self.c0) | ((b.lower == self.c0) & b.lower_open)
 
-    def breakpoints(self, score, X):
-        mu = np.asarray(_score_fn(score, "mu_hat", "HalfLine")(X), dtype=float)
-        return _positive_or_nan(mu - self.c0, mu)
+    def breakpoints(self, pred):
+        mu = _predictions(pred, 1, "HalfLine")
+        return _positive_or_never(mu - self.c0, mu)
 
 
 @dataclass(frozen=True)
@@ -385,9 +383,9 @@ class TargetHalfLines(InformativeConstraint):
         above = (b.lower > self.c_u) | ((b.lower == self.c_u) & b.lower_open)
         return below | above
 
-    def breakpoints(self, score, X):
-        mu = np.asarray(_score_fn(score, "mu_hat", "TargetHalfLines")(X), dtype=float)
-        return _positive_or_nan(np.maximum(self.c_l - mu, mu - self.c_u), mu)
+    def breakpoints(self, pred):
+        mu = _predictions(pred, 1, "TargetHalfLines")
+        return _positive_or_never(np.maximum(self.c_l - mu, mu - self.c_u), mu)
 
 
 @dataclass(frozen=True)
@@ -403,15 +401,15 @@ class MaxSize(InformativeConstraint):
     def admits(self, batch):
         return _classes(batch).member.sum(axis=1) <= self.k0
 
-    def breakpoints(self, score, X):
-        probs = np.asarray(_score_fn(score, "p_hat", "MaxSize")(X), dtype=float)
+    def breakpoints(self, pred):
+        probs = _predictions(pred, 2, "MaxSize")
         n_classes = probs.shape[1]
         if n_classes <= self.k0:
             v = np.full(probs.shape[0], math.inf)
         else:
             # 1 minus the (k0+1)-th largest class probability per row
             v = 1.0 - np.partition(probs, n_classes - self.k0 - 1, axis=1)[:, n_classes - self.k0 - 1]
-        return np.where(_finite_rows(probs), v, np.nan)
+        return np.where(_finite_rows(probs), v, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -425,15 +423,15 @@ class SingletonClass(InformativeConstraint):
         others = np.arange(1, member.shape[1] + 1) != self.y0
         return ~(member & others).any(axis=1)
 
-    def breakpoints(self, score, X):
-        probs = np.asarray(_score_fn(score, "p_hat", "SingletonClass")(X), dtype=float)
+    def breakpoints(self, pred):
+        probs = _predictions(pred, 2, "SingletonClass")
         if probs.shape[1] < 2:
             v = np.full(probs.shape[0], math.inf)
         else:
             top = np.argmax(probs, axis=1)  # smallest index wins ties
             second = np.partition(probs, probs.shape[1] - 2, axis=1)[:, probs.shape[1] - 2]
-            v = np.where(top == self.y0 - 1, 1.0 - second, np.nan)
-        return np.where(_finite_rows(probs), v, np.nan)
+            v = np.where(top == self.y0 - 1, 1.0 - second, -math.inf)
+        return np.where(_finite_rows(probs), v, -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .conformal import (
     CalibrationScores,
     NonconformityScore,
     OneMinusProb,
-    i_adjusted_pvalues,
 )
 from .core import (
     ClassBatch,
@@ -74,9 +73,7 @@ from .trust import (
 class ProcedureConfig:
     """Everything a method needs beyond the data.
 
-    ``screening_alpha``/``screening_threshold`` drive the infoscop screening
-    stage; ``shrink_m`` removes empty-set units from the BH denominator
-    instead of freezing them out.
+    ``screening_alpha``/``screening_threshold`` drive the infoscop screening stage.
     """
 
     alpha: float
@@ -85,7 +82,6 @@ class ProcedureConfig:
     tie_mode: TieMode = TieMode.PER_UNIT
     screening_alpha: float | None = None
     screening_threshold: float = 0.0
-    shrink_m: bool = False
     lam: float = 1.0
     feature_degree: int = 1
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -142,13 +138,12 @@ def _select(
 ) -> ProcedureOutput:
     """The shared selection step: null = label outside its own set, generalized p-values, BH.
 
-    Test units with an empty set are never selected; ``shrink_m`` drops them
-    from the BH denominator.
+    Test units with an empty set are never selected, and keep their slot in
+    BH's denominator.
     """
     null = ~cal_sets.covers(cal_y)  # an empty set covers nothing
     result = scip_select_arrays(
-        trust_cal, null, trust_test, config.alpha, config.tie_mode, rng,
-        test_eligible=test_sets.nonempty, shrink_m=config.shrink_m,
+        trust_cal, null, trust_test, config.alpha, config.tie_mode, rng, test_eligible=test_sets.nonempty
     )
     diag = {"pvalues": result.pvalues, "result": result, **diagnostics}
     return _checked_output(result.selected, test_sets.take(result.selected), config.constraint, diag)
@@ -174,25 +169,14 @@ def _require_class_prob(config: ProcedureConfig) -> OneMinusProb:
     return config.score
 
 
-def _sets_at_levels(score, cal_scores: CalibrationScores, X, levels) -> SetBatch:
-    """Level-q conformal sets {y : V(x, y) <= radius(q)}, one per row of X (q may be shared)."""
-    radii = cal_scores.score_radius(levels)
-    if isinstance(score, AbsoluteResidual):
-        return IntervalBatch.from_radius(score.mu_hat(X), radii)
-    if isinstance(score, OneMinusProb):
-        return ClassBatch.from_radius(score.p_hat(X), radii)
-    raise ConfigError("this method supports residual or class-probability scores")
-
-
-def _half_line_sets(config: ProcedureConfig, X) -> tuple[IntervalBatch, np.ndarray]:
-    """cfbh+'s constructor and mu-based trust, per row of X; both ends of each set are open.
+def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBatch, np.ndarray]:
+    """cfbh+'s constructor and mu-based trust, per prediction mu; both ends of each set are open.
 
     HalfLine(c0): (c0, inf) with trust mu_hat.  TargetHalfLines(c_l, c_u):
     (c_u, inf) when mu_hat >= (c_l + c_u)/2, else (-inf, c_l), with trust
     the distance of mu_hat from that midpoint.
     """
     constraint = config.constraint
-    mu = np.asarray(_require_residual(config).mu_hat(X), dtype=float)
     if isinstance(constraint, HalfLine):
         up, c_below, c_above, trust = np.ones(mu.shape, dtype=bool), constraint.c0, constraint.c0, mu
     elif isinstance(constraint, TargetHalfLines):
@@ -214,7 +198,7 @@ def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedure
     """Level-alpha conformal sets for every unit; keep the admissible nonempty ones."""
     score = config.score
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
-    sets = _sets_at_levels(score, cal_scores, test.X, config.alpha)
+    sets = score.sets(score.predict(test.X), cal_scores.score_radius(config.alpha))
     diag = {"level": config.alpha, "radius": cal_scores.score_radius(config.alpha)}
     return _report(config, np.flatnonzero(config.constraint.admits(sets)), sets, diag)
 
@@ -237,8 +221,9 @@ def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStrea
     """
     if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
-    mu_cal = np.asarray(_require_residual(config).mu_hat(cal.X), dtype=float)
-    sets, v_test = _half_line_sets(config, test.X)
+    score = _require_residual(config)
+    mu_cal = score.predict(cal.X)
+    sets, v_test = _half_line_sets(config, score.predict(test.X))
     big_m = float(max(np.abs(mu_cal).max(), np.abs(v_test).max())) + 1.0
     v_cal = mu_cal - 2.0 * big_m * (cal.y > config.constraint.c0)
     pool = ScoredPool(v_cal, np.ones(cal.n, dtype=bool), v_test)
@@ -251,8 +236,9 @@ def run_cfbh_plus(
     cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """Trust-score route: fixed half line (one-sided) or estimated direction (two-sided)."""
-    cal_sets, trust_cal = _half_line_sets(config, cal.X)
-    test_sets, trust_test = _half_line_sets(config, test.X)
+    score = _require_residual(config)
+    cal_sets, trust_cal = _half_line_sets(config, score.predict(cal.X))
+    test_sets, trust_test = _half_line_sets(config, score.predict(test.X))
     return _select(config, rng, cal_sets, cal.y, trust_cal, test_sets, trust_test)
 
 
@@ -260,9 +246,10 @@ def run_cfbh_plus_plus(
     train: Dataset, cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """cfbh+ with a trust score trained to tell labels inside their half line from the rest."""
-    scorer = _trained_trust(config, train, _half_line_sets(config, train.X)[0])
-    cal_sets, _ = _half_line_sets(config, cal.X)
-    test_sets, _ = _half_line_sets(config, test.X)
+    score = _require_residual(config)
+    scorer = _trained_trust(config, train, _half_line_sets(config, score.predict(train.X))[0])
+    cal_sets, _ = _half_line_sets(config, score.predict(cal.X))
+    test_sets, _ = _half_line_sets(config, score.predict(test.X))
     return _select(
         config, rng, cal_sets, cal.y, scorer.predict(cal.X), test_sets, scorer.predict(test.X), scorer=scorer
     )
@@ -279,25 +266,38 @@ def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedur
     A test row with a NaN or infinite class probability, or a NaN or
     infinite ``mu_hat``, gets I-adjusted p-value 1 and an empty set, so it is
     never reported and does not count in BH's k; infosp+ and infosp++ do the
-    same.  A calibration score that is not finite raises ``ValueError``.
+    same.  A calibration score that is not finite raises ``ValueError``, as
+    a non-finite prediction in infosp+'s and infosp++'s selection half does.
     """
     score = config.score
     cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
-    q = i_adjusted_pvalues(test.X, cal_scores, score, config.constraint)
+    pred = score.predict(test.X)
+    q = cal_scores.admissible_level(config.constraint.breakpoints(pred))
     result = bh_select(q, config.alpha)
     tau = result.threshold_alpha_hat
-    sets = _sets_at_levels(score, cal_scores, test.X, tau)
+    sets = score.sets(pred, cal_scores.score_radius(tau))
     return _report(config, result.selected, sets, {"q": q, "tau": tau})
 
 
 def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
-    """Truncation step: cal0 scores, pooled cal+test X, their I-adjusted p-values q0, BH level tau0."""
-    score, constraint = config.score, config.constraint
+    """Truncation step: cal0 scores, pooled cal+test predictions, I-adjusted p-values q0, BH level tau0.
+
+    A non-finite prediction in the selection half (``cal``) raises ``ValueError``.
+    """
+    score = config.score
     cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
-    X_all = np.vstack([cal.X, test.X])
-    q0 = i_adjusted_pvalues(X_all, cal0_scores, score, constraint)
+    pred = score.predict(np.vstack([cal.X, test.X]))
+    if not np.isfinite(pred[: cal.n]).all():
+        raise ValueError("calibration scores must be finite")
+    q0 = cal0_scores.admissible_level(config.constraint.breakpoints(pred))
     tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
-    return cal0_scores, X_all, q0, tau0
+    return cal0_scores, pred, q0, tau0
+
+
+def _truncated_sets(score: NonconformityScore, cal0_scores: CalibrationScores, pred, q0, tau0):
+    """The CP-truncated constructor: q_plus = max(q0, tau0) and each unit's level-q_plus set."""
+    q_plus = np.maximum(q0, tau0)
+    return q_plus, score.sets(pred, cal0_scores.score_radius(q_plus))
 
 
 def _infosp_plus_core(
@@ -305,16 +305,15 @@ def _infosp_plus_core(
 ) -> ProcedureOutput:
     """Truncated levels, per-unit sets, trust, then the shared selection step.
 
-    The CP-truncated constructor gives each pooled unit its level-q_plus
-    conformal set, q_plus = max(q0, tau0).  ``truncation`` is the output of
-    ``_truncation``; ``trust(sets, X_all)`` gives the pooled units' trust in
-    place of the default 1 - q_plus.  An empty set gets trust 0 either way.
+    Each pooled unit gets its ``_truncated_sets`` set.  ``truncation`` is the
+    output of ``_truncation``; ``trust(sets, pred)`` gives the pooled units'
+    trust in place of the default 1 - q_plus.  An empty set gets trust 0
+    either way.
     """
-    cal0_scores, X_all, q0, tau0 = truncation
+    cal0_scores, pred, q0, tau0 = truncation
     n = cal.n
-    q_plus = np.maximum(q0, tau0)
-    sets = _sets_at_levels(config.score, cal0_scores, X_all, q_plus)
-    pooled = np.where(sets.nonempty, 1.0 - q_plus if trust is None else trust(sets, X_all), 0.0)
+    q_plus, sets = _truncated_sets(config.score, cal0_scores, pred, q0, tau0)
+    pooled = np.where(sets.nonempty, 1.0 - q_plus if trust is None else trust(sets, pred), 0.0)
     return _select(
         config, rng, sets.take(slice(0, n)), cal.y, pooled[:n], sets.take(slice(n, None)), pooled[n:],
         q0=q0, tau0=tau0, q_plus=q_plus, trust=pooled,
@@ -342,8 +341,8 @@ def run_infosp_plus_plus(
     regression trains a coverage classifier on the disjoint training sample.
     """
     if isinstance(config.score, OneMinusProb):
-        def trust(sets, X_all):
-            return class_membership_trust(config.score.p_hat(X_all), sets.member)
+        def trust(sets, probs):
+            return class_membership_trust(probs, sets.member)
 
         return _infosp_plus_core(cal, test, config, rng, _truncation(cal, cal0, test, config), trust)
     score = _require_residual(config)
@@ -351,10 +350,12 @@ def run_infosp_plus_plus(
         raise ConfigError("regression infosp++ needs a training sample")
     truncation = _truncation(cal, cal0, test, config)
     cal0_scores, _, _, tau0 = truncation
-    q0_train = i_adjusted_pvalues(train.X, cal0_scores, score, config.constraint)
-    train_sets = _sets_at_levels(score, cal0_scores, train.X, np.maximum(q0_train, tau0))
+    mu_train = score.predict(train.X)
+    q0_train = cal0_scores.admissible_level(config.constraint.breakpoints(mu_train))
+    _, train_sets = _truncated_sets(score, cal0_scores, mu_train, q0_train, tau0)
     scorer = _trained_trust(config, train, train_sets)
-    return _infosp_plus_core(cal, test, config, rng, truncation, lambda sets, X_all: scorer.predict(X_all))
+    pooled_trust = scorer.predict(np.vstack([cal.X, test.X]))
+    return _infosp_plus_core(cal, test, config, rng, truncation, lambda sets, mu: pooled_trust)
 
 
 def run_infosp_modified(
@@ -367,8 +368,8 @@ def run_infosp_modified(
     checks.  No I-adjusted p-value is below 1/(n+1), so tau0 = 0 selects
     nothing.
     """
-    cal0_scores, _, q0, tau0 = _truncation(cal, cal0, test, config)
-    sets = _sets_at_levels(config.score, cal0_scores, test.X, tau0)
+    cal0_scores, pred, q0, tau0 = _truncation(cal, cal0, test, config)
+    sets = config.score.sets(pred[cal.n :], cal0_scores.score_radius(tau0))
     return _report(config, np.flatnonzero(q0[cal.n :] <= tau0), sets, {"q0": q0, "tau0": tau0})
 
 
@@ -394,9 +395,8 @@ def run_infoscop(
     survivors = stage1.selected
     if survivors.size == 0:
         return ProcedureOutput(survivors, _NO_INTERVALS, {"survivors": survivors})
-    mu_test = np.asarray(score.mu_hat(test.X), dtype=float)
-    tau_trust = float(mu_test[survivors].min())
-    keep_cal = np.asarray(score.mu_hat(cal_b.X), dtype=float) >= tau_trust
+    tau_trust = float(score.predict(test.X)[survivors].min())
+    keep_cal = score.predict(cal_b.X) >= tau_trust
     if not keep_cal.any():
         return ProcedureOutput(survivors[:0], _NO_INTERVALS, {"survivors": survivors})
     stage2 = run_infosp(cal_b.take(keep_cal), test.take(survivors), config)  # checks every reported set
@@ -430,7 +430,7 @@ def run_selective_classification(
 
     def singletons(X):
         """Each row's singleton, its trust, and whether the row's probabilities are finite."""
-        probs = np.asarray(score.p_hat(X), dtype=float)
+        probs = score.predict(X)
         finite = _finite_rows(probs)
         rows = np.arange(probs.shape[0])
         classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1

@@ -216,24 +216,15 @@ def scip_select_arrays(
     tie_mode: TieMode = TieMode.PER_UNIT,
     rng: RngStream | None = None,
     test_eligible=None,
-    shrink_m: bool = False,
 ) -> SelectionResult:
     """Generalized p-values + BH over raw arrays.
 
-    Ineligible test units (empty informative sets) are never selected; by
-    default they keep their slot in the BH denominator and are frozen out by
-    assigning p = 1, while ``shrink_m`` reruns BH over eligible units only.
+    Ineligible test units (empty informative sets) are never selected: they
+    keep their slot in the BH denominator and are frozen out by assigning
+    p = 1.
     """
     pool = ScoredPool(np.asarray(cal_trust), np.asarray(cal_null), np.asarray(test_trust))
-    eligible = (
-        np.ones(pool.m, dtype=bool) if test_eligible is None else np.asarray(test_eligible, dtype=bool)
-    )
     pvals = generalized_conformal_pvalues(pool, tie_mode, rng)
-    pvals[~eligible] = 1.0
-    if shrink_m and not eligible.all():
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
-            return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0)
-        inner = bh_select(pvals[idx], alpha)
-        return SelectionResult(idx[inner.selected], inner.threshold_alpha_hat, pvals, inner.k_hat)
+    if test_eligible is not None:
+        pvals[~np.asarray(test_eligible, dtype=bool)] = 1.0
     return bh_select(pvals, alpha)

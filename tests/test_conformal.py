@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scip.conformal import (
     AbsoluteResidual,
@@ -10,7 +11,16 @@ from scip.conformal import (
     OneMinusProb,
     i_adjusted_pvalues,
 )
-from scip.core import ClassBatch, IntervalBatch, MaxSize, PositiveInterval, SingletonClass
+from scip.core import (
+    ClassBatch,
+    HalfLine,
+    IntervalBatch,
+    LowerBoundedInterval,
+    MaxSize,
+    PositiveInterval,
+    SingletonClass,
+    TargetHalfLines,
+)
 
 
 def _const_mu(value):
@@ -257,3 +267,72 @@ def test_nan_probabilities_get_level_one():
     assert i_adjusted_pvalues(X, cal, score, SingletonClass(1)).tolist() == [pytest.approx(0.4), 1.0]
     with pytest.raises(ValueError, match="calibration scores must be finite"):
         CalibrationScores(score.eval(X, np.array([1, 1])))
+
+
+_QUARTER = st.integers(-8, 16).map(lambda k: k / 4.0)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _masked_breakpoint(constraint, row) -> float:
+    """One unit's breakpoint written out row by row, NaN where no admissible nonempty set exists."""
+    if isinstance(constraint, (MaxSize, SingletonClass)):
+        if not all(math.isfinite(p) for p in row):
+            return math.nan
+        desc = sorted(row, reverse=True)
+        if isinstance(constraint, MaxSize):
+            return math.inf if len(row) <= constraint.k0 else 1.0 - desc[constraint.k0]
+        if len(row) < 2:
+            return math.inf
+        return 1.0 - desc[1] if row.index(max(row)) == constraint.y0 - 1 else math.nan
+    mu = row
+    if isinstance(constraint, PositiveInterval):
+        v = mu
+    elif isinstance(constraint, LowerBoundedInterval):
+        v = mu - constraint.c
+    elif isinstance(constraint, HalfLine):
+        v = mu - constraint.c0
+    else:
+        v = max(constraint.c_l - mu, mu - constraint.c_u)
+    return v if math.isfinite(mu) and v > 0.0 else math.nan
+
+
+def _masked_pvalue(cal_values, nu: float) -> float:
+    """The masked formula: 1 for a NaN breakpoint, else (1 + #{i : V_i >= nu}) / (n + 1)."""
+    if math.isnan(nu):
+        return 1.0
+    return (1.0 + sum(v >= nu for v in cal_values)) / (len(cal_values) + 1)
+
+
+@pytest.mark.parametrize("kind", ["positive", "lower", "half", "target", "max_size", "singleton"])
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_i_adjusted_pvalue_is_the_masked_formula(kind, data):
+    """-inf marks "no admissible set" exactly where the masked formula read NaN, and the one
+    formula (1 + count_geq(nu)) / (n + 1) gives the masked formula's bits, 1 included."""
+    cal_values = data.draw(st.lists(_QUARTER, min_size=1, max_size=8), "cal")
+    c_l, c_u = sorted(data.draw(st.tuples(_QUARTER, _QUARTER), "constants"))
+    if kind in ("max_size", "singleton"):
+        k = data.draw(st.integers(1, 4), "K")
+        constraint = (MaxSize if kind == "max_size" else SingletonClass)(data.draw(st.integers(1, k + 1)))
+        eighths = st.integers(0, 8).map(lambda j: j / 8.0)
+        entry = st.one_of(st.sampled_from([1.0 - v for v in cal_values]), eighths, _NON_FINITE)
+        rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=8), "probs")
+        pred = np.array(rows, dtype=float).reshape(len(rows), k)
+        score = OneMinusProb(lambda X: pred)
+    else:
+        constraint = {
+            "positive": PositiveInterval(), "lower": LowerBoundedInterval(c_l), "half": HalfLine(c_l),
+            "target": TargetHalfLines(c_l, c_u),
+        }[kind]
+        shifted = [v + c for v in cal_values for c in (0.0, c_l, c_u)] + [c_l - v for v in cal_values]
+        entry = st.one_of(st.sampled_from(shifted), st.sampled_from([c_l, c_u]), _QUARTER, _NON_FINITE)
+        rows = data.draw(st.lists(entry, max_size=8), "mu")
+        pred = np.array(rows, dtype=float)
+        score = AbsoluteResidual(lambda X: pred)
+    masked = np.array([_masked_breakpoint(constraint, row) for row in rows], dtype=float)
+    nu = constraint.breakpoints(pred)
+    assert np.array_equal(np.isnan(masked), nu == -math.inf) and not np.isnan(nu).any()
+    assert np.array_equal(nu[~np.isnan(masked)], masked[~np.isnan(masked)])
+    expected = np.array([_masked_pvalue(cal_values, v) for v in masked], dtype=float)
+    got = i_adjusted_pvalues(np.zeros((len(rows), 1)), CalibrationScores(cal_values), score, constraint)
+    assert np.array_equal(got, expected)

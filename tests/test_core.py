@@ -256,19 +256,16 @@ def test_class_batch_matches_its_sets():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_probability_row_is_empty_with_no_breakpoint(value):
     """A row holding a NaN or infinite probability is empty at every radius, -inf (level 1)
-    and +inf included, and no class constraint gives it a breakpoint, whatever K."""
+    and +inf included, and no class constraint gives it a breakpoint (-inf), whatever K."""
     finite = [0.5, 0.3, 0.2]
     probs = np.array([[value, 0.0, 0.0], [0.2, value, 0.8], [value] * 3, finite])
     for radius in (-math.inf, 0.0, 0.5, 1.0, math.inf):
         assert ClassBatch.from_radius(probs, radius).nonempty.tolist() == [False, False, False, radius >= 0.5]
-    cscore = OneMinusProb(lambda X: probs)
     for constraint in (MaxSize(1), MaxSize(2), MaxSize(3), SingletonClass(1), SingletonClass(2)):
-        alone = constraint.breakpoints(OneMinusProb(lambda X: probs[3:]), np.zeros((1, 1)))
-        np.testing.assert_array_equal(constraint.breakpoints(cscore, np.zeros((4, 1))), [math.nan] * 3 + [alone[0]])
-    one_class = OneMinusProb(lambda X: np.array([[value], [1.0]]))
+        alone = constraint.breakpoints(probs[3:])
+        np.testing.assert_array_equal(constraint.breakpoints(probs), [-math.inf] * 3 + [alone[0]])
     for constraint in (MaxSize(1), SingletonClass(1)):  # K <= k0 and K < 2: no radius ever violates
-        nu = constraint.breakpoints(one_class, np.zeros((2, 1)))
-        assert math.isnan(nu[0]) and nu[1] == math.inf
+        assert constraint.breakpoints(np.array([[value], [1.0]])).tolist() == [-math.inf, math.inf]
 
 
 _EIGHTH = st.integers(-48, 48).map(lambda k: k / 8.0)
@@ -313,20 +310,17 @@ def test_class_constraints_monotone(constraint, batch, data):
 
 
 def test_breakpoint_values():
-    mu = lambda X: np.asarray(X, dtype=float).reshape(-1)
-    score = AbsoluteResidual(mu)
-    X = np.array([[1.5], [-0.2], [2.0], [2.5], [0.0]])
-    np.testing.assert_allclose(PositiveInterval().breakpoints(score, X), [1.5, np.nan, 2.0, 2.5, np.nan])
-    np.testing.assert_allclose(LowerBoundedInterval(2.0).breakpoints(score, X), [np.nan, np.nan, np.nan, 0.5, np.nan])
-    np.testing.assert_allclose(TargetHalfLines(-1.0, 1.0).breakpoints(score, X), [0.5, np.nan, 1.0, 1.5, np.nan])
+    mu = np.array([1.5, -0.2, 2.0, 2.5, 0.0])
+    never = -math.inf
+    np.testing.assert_allclose(PositiveInterval().breakpoints(mu), [1.5, never, 2.0, 2.5, never])
+    np.testing.assert_allclose(LowerBoundedInterval(2.0).breakpoints(mu), [never, never, never, 0.5, never])
+    np.testing.assert_allclose(TargetHalfLines(-1.0, 1.0).breakpoints(mu), [0.5, never, 1.0, 1.5, never])
 
-    p_hat = lambda X: np.tile([0.5, 0.3, 0.2], (np.atleast_2d(X).shape[0], 1))
-    cscore = OneMinusProb(p_hat)
-    X0 = np.zeros((1, 1))
-    np.testing.assert_allclose(MaxSize(2).breakpoints(cscore, X0), [0.8])
-    assert MaxSize(3).breakpoints(cscore, X0).tolist() == [math.inf]
-    np.testing.assert_allclose(SingletonClass(1).breakpoints(cscore, X0), [0.7])
-    assert np.isnan(SingletonClass(2).breakpoints(cscore, X0)).all()
+    probs = np.array([[0.5, 0.3, 0.2]])
+    np.testing.assert_allclose(MaxSize(2).breakpoints(probs), [0.8])
+    assert MaxSize(3).breakpoints(probs).tolist() == [math.inf]
+    np.testing.assert_allclose(SingletonClass(1).breakpoints(probs), [0.7])
+    assert SingletonClass(2).breakpoints(probs).tolist() == [never]
 
 
 @pytest.mark.parametrize(
@@ -335,27 +329,27 @@ def test_breakpoint_values():
 )
 def test_non_finite_prediction_has_no_interval_breakpoint(constraint):
     """A NaN or infinite mu_hat is empty at every radius, so no interval constraint gives it a
-    breakpoint (an infinite one would give it the floor p-value 1/(n+1)); finite rows keep theirs."""
+    breakpoint (-inf; an infinite one would give it the floor p-value 1/(n+1)); finite rows keep theirs."""
     mu = np.array([math.inf, -math.inf, math.nan, 1e308, 3.0])
-    score = AbsoluteResidual(lambda X: mu)
     assert not IntervalBatch.from_radius(mu[:3], math.inf).nonempty.any()
-    nu = constraint.breakpoints(score, np.zeros((5, 1)))
-    assert np.isnan(nu[:3]).all()
-    finite = constraint.breakpoints(AbsoluteResidual(lambda X: mu[3:]), np.zeros((2, 1)))
+    nu = constraint.breakpoints(mu)
+    assert (nu[:3] == -math.inf).all()
+    finite = constraint.breakpoints(mu[3:])
     np.testing.assert_array_equal(nu[3:], finite)
     assert np.all(finite > 0.0)
 
 
 def test_breakpoint_needs_the_matching_score():
+    """An interval constraint reads one mu_hat per row, a class constraint one probability row."""
     X = np.zeros((2, 1))
-    residual = AbsoluteResidual(lambda X: np.ones(np.atleast_2d(X).shape[0]))
-    class_prob = OneMinusProb(lambda X: np.tile([0.5, 0.3, 0.2], (np.atleast_2d(X).shape[0], 1)))
-    for constraint in (PositiveInterval(), LowerBoundedInterval(0.0), HalfLine(0.0), TargetHalfLines(-1.0, 1.0)):
-        with pytest.raises(UnsupportedScoreError, match="absolute-residual"):
-            constraint.breakpoints(class_prob, X)
-    for constraint in (MaxSize(1), SingletonClass(1)):
-        with pytest.raises(UnsupportedScoreError, match="one-minus-probability"):
-            constraint.breakpoints(residual, X)
+    mu = AbsoluteResidual(lambda X: np.ones(np.atleast_2d(X).shape[0])).predict(X)
+    probs = OneMinusProb(lambda X: np.tile([0.5, 0.3, 0.2], (np.atleast_2d(X).shape[0], 1))).predict(X)
+    mismatched = [(c, probs, "absolute-residual") for c in
+                  (PositiveInterval(), LowerBoundedInterval(0.0), HalfLine(0.0), TargetHalfLines(-1.0, 1.0))]
+    mismatched += [(c, mu, "one-minus-probability") for c in (MaxSize(1), SingletonClass(1))]
+    for constraint, pred, kind in mismatched:
+        with pytest.raises(UnsupportedScoreError, match=f"{type(constraint).__name__} .* only for {kind} scores"):
+            constraint.breakpoints(pred)
 
 
 def test_dataset_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scip.experiments
 import scip.procedures
 from scip.conformal import AbsoluteResidual
 from scip.core import ConfigError, Dataset, REGRESSION, RngStream, TargetHalfLines
@@ -24,6 +25,43 @@ def test_method_registry_is_stable():
         "naive": 0, "cfbh": 1, "cfbh+": 2, "cfbh++": 3,
         "infosp": 4, "infosp+": 5, "infosp++": 6, "infoscop": 7,
     }
+
+
+# feature rows each method's predictor reads in one replication at n = m = 200 (halves of 100),
+# seed 3: the test rows once, the calibration (or pooled) rows once, the training rows once
+_PREDICTED_ROWS = {
+    "regression": {
+        "naive": 400, "cfbh": 400, "cfbh+": 400, "cfbh++": 600,
+        "infosp": 400, "infosp+": 400, "infosp++": 600, "infoscop": 759,
+    },
+    "classification": {"naive": 400, "infosp": 400, "infosp+": 400, "infosp++": 400},
+}
+
+
+@pytest.mark.parametrize("study", sorted(_PREDICTED_ROWS))
+def test_each_method_predicts_each_row_once(study, monkeypatch):
+    """Scores, constraints and set constructors read one prediction per row: no second predictor
+    pass.  infoscop composes cfbh and infosp, which read their own rows."""
+    name = "gen_regression" if study == "regression" else "gen_classification"
+    generate, rows = getattr(scip.experiments, name), []
+
+    def counted(*args, **kwargs):
+        data, predict = generate(*args, **kwargs)
+
+        def counting(X):
+            rows[-1] += np.shape(X)[0]
+            return predict(X)
+
+        return data, counting
+
+    monkeypatch.setattr(scip.experiments, name, counted)
+    for method, expected in _PREDICTED_ROWS[study].items():
+        rows.append(0)
+        if study == "regression":
+            regression_replication([method], 200, 200, 0.5, 0.2, RngStream(3))
+        else:
+            classification_replication([method], 200, 200, 0.2, RngStream(3))
+        assert rows[-1] == expected, method
 
 
 def _no_method_may_run(monkeypatch):

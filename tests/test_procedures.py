@@ -312,7 +312,7 @@ def _run_infosp_variant(procedure, cal, test, cfg):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_infosp_never_reports_non_finite_probability_rows(value, procedure):
     """A test row holding a NaN or infinite probability gets I-adjusted p-value 1 and an empty
-    set, so it is never reported; a calibration row whose scores it feeds raises."""
+    set, so it is never reported; a calibration row raises, in either half."""
     cal, test, _ = _classification_bundle(20, n=100, m=60)
     table = true_class_probs(np.vstack([cal.X, test.X]))
     ids = np.arange(cal.n + test.n, dtype=float)[:, None]  # each row's features are its table index
@@ -334,6 +334,28 @@ def test_infosp_never_reports_non_finite_probability_rows(value, procedure):
         bad[cal.n - 3] = value  # in the calibration half whose scores are ranked
         with pytest.raises(ValueError, match="calibration scores must be finite"):
             _run_infosp_variant(procedure, cal_ids, test_ids, cfg)
+        bad[cal.n - 3] = table[cal.n - 3]
+        bad[3] = value  # in infosp+'s and infosp++'s selection half
+        with pytest.raises(ValueError, match="calibration scores must be finite"):
+            _run_infosp_variant(procedure, cal_ids, test_ids, cfg)
+
+
+@pytest.mark.parametrize("procedure", ["infosp", "infosp+", "infosp++"])
+def test_infinite_mu_hat_in_a_calibration_row_raises(procedure):
+    """A non-finite prediction on a calibration row raises, also in the selection half of infosp+
+    and infosp++ (row 3 here), where it would otherwise count as a null unit with trust 0."""
+    data, mu_hat = gen_regression(400, 0.5, RngStream(3))
+    cal, test, train = data.take(slice(0, 200)), data.take(slice(200, 300)), data.take(slice(300, None))
+    cal1, cal0 = cal.take(slice(0, 100)), cal.take(slice(100, None))
+    wild = lambda X: np.where(X[:, 0] == cal.X[3, 0], np.inf, mu_hat(X))
+    cfg = ProcedureConfig(alpha=0.3, score=AbsoluteResidual(wild), constraint=PositiveInterval())
+    runs = {
+        "infosp": lambda: run_infosp(cal, test, cfg),
+        "infosp+": lambda: run_infosp_plus(cal1, cal0, test, cfg, RngStream(5)),
+        "infosp++": lambda: run_infosp_plus_plus(train, cal1, cal0, test, cfg, RngStream(5)),
+    }
+    with pytest.raises(ValueError, match="calibration scores must be finite"):
+        runs[procedure]()
 
 
 def test_infosp_never_reports_an_infinite_prediction():

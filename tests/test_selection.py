@@ -299,30 +299,17 @@ def test_all_empty_sets_select_nothing():
         test_eligible=np.array([False, False]),
     )
     assert out.selected.size == 0
-    out2 = scip_select_arrays(
-        np.array([1.0, 2.0]),
-        np.array([True, False]),
-        np.array([0.0, 0.0]),
-        alpha=0.3,
-        tie_mode=TieMode.DETERMINISTIC,
-        test_eligible=np.array([False, False]),
-        shrink_m=True,
-    )
-    assert out2.selected.size == 0
 
 
-def test_shrink_m_changes_only_denominator():
+def test_ineligible_units_keep_their_bh_slot():
+    """Units with an empty set are frozen out at p = 1 but still count in BH's denominator m."""
     cal_t = np.array([0.9, 0.1, 0.2, 0.15])
     null = np.array([True, True, True, True])
     test_t = np.array([0.8, 0.7, 0.0, 0.0])
     eligible = np.array([True, True, False, False])
     full = scip_select_arrays(cal_t, null, test_t, 0.45, TieMode.DETERMINISTIC, test_eligible=eligible)
-    shrunk = scip_select_arrays(
-        cal_t, null, test_t, 0.45, TieMode.DETERMINISTIC, test_eligible=eligible, shrink_m=True
-    )
     # deterministic p-values are (1+1)/5 = 0.4 for both eligible units
     assert full.selected.size == 0  # 0.4 > 0.45 * k/4 for k <= 2
-    assert list(shrunk.selected) == [0, 1]  # 0.4 <= 0.45 * 2/2
 
 
 def test_single_unit_bh_threshold_is_alpha():
