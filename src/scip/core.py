@@ -9,9 +9,9 @@ judges a whole batch at once with ``admits``, and reads a score's
 predictions (``mu_hat`` values or class probabilities) to give each row's
 "informativeness breakpoint": the largest score radius nu such that the
 sublevel set {y : V(x, y) <= nu} is still admissible (sets strictly inside
-the radius are admissible, sets at or beyond it are not), and -inf when no
-admissible nonempty sublevel set exists.  A ``Dataset`` and both batches
-select rows the same way, with ``take``.
+the radius are admissible, sets beyond it by more than rounding are not),
+and -inf when no admissible nonempty sublevel set exists.  A ``Dataset``
+and both batches select rows the same way, with ``take``.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ class IntervalBatch:
     @classmethod
     def from_radius(cls, mu, radius) -> "IntervalBatch":
         """Closed residual sublevel intervals [mu - r, mu + r]: empty for r < 0 or a non-finite mu,
-        the open line for r = inf."""
+        the open line for r = inf; an end past the float range rounds to an infinite one."""
         mu, radius = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(radius, dtype=float))
         empty = (radius < 0.0) | ~np.isfinite(mu)
         full = radius == math.inf
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             lower = np.where(empty, math.inf, mu - radius)
             upper = np.where(empty, -math.inf, mu + radius)
         return cls(lower, upper, full, full)
@@ -279,6 +279,12 @@ class InformativeConstraint(ABC):
     for a class constraint) and gives, per row, the largest score radius whose
     sublevel set is still admissible: ``math.inf`` when no radius ever violates
     the constraint, and ``-math.inf`` when no admissible nonempty set exists.
+    Every radius below the breakpoint gives an admitted (or empty) set, and
+    every radius beyond it by more than rounding a rejected (or empty) one: a
+    breakpoint is taken one float past a constant where rounding would put a
+    set's end on it.  So the I-adjusted p-value is exact except for
+    calibration scores within rounding of the breakpoint, where it is
+    conservative.
     """
 
     @abstractmethod
@@ -325,6 +331,17 @@ def _positive_or_never(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.where((v > 0.0) & np.isfinite(mu), v, -math.inf)
 
 
+def _past_rounding(constraint: InformativeConstraint, mu, nu, nu_past) -> np.ndarray:
+    """``nu``, or ``nu_past`` where the closed set at the largest radius below ``nu`` is not admitted.
+
+    nu = fl(mu - c) is rounded, so that set can end exactly on the constant
+    c.  ``nu_past`` is nu taken against the next float past c; every radius
+    below it keeps the set's end strictly on the admitted side of c.
+    """
+    inside = IntervalBatch.from_radius(mu, np.nextafter(nu, -math.inf))
+    return np.where(constraint.admits(inside), nu, nu_past)
+
+
 @dataclass(frozen=True)
 class PositiveInterval(InformativeConstraint):
     """Intervals with a strictly positive lower end."""
@@ -363,7 +380,8 @@ class HalfLine(InformativeConstraint):
 
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "HalfLine")
-        return _positive_or_never(mu - self.c0, mu)
+        nu = _past_rounding(self, mu, mu - self.c0, mu - np.nextafter(self.c0, math.inf))
+        return _positive_or_never(nu, mu)
 
 
 @dataclass(frozen=True)
@@ -385,7 +403,9 @@ class TargetHalfLines(InformativeConstraint):
 
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "TargetHalfLines")
-        return _positive_or_never(np.maximum(self.c_l - mu, mu - self.c_u), mu)
+        nu = np.maximum(self.c_l - mu, mu - self.c_u)
+        past = np.maximum(np.nextafter(self.c_l, -math.inf) - mu, mu - np.nextafter(self.c_u, math.inf))
+        return _positive_or_never(_past_rounding(self, mu, nu, past), mu)
 
 
 @dataclass(frozen=True)
@@ -425,8 +445,8 @@ class SingletonClass(InformativeConstraint):
 
     def breakpoints(self, pred):
         probs = _predictions(pred, 2, "SingletonClass")
-        if probs.shape[1] < 2:
-            v = np.full(probs.shape[0], math.inf)
+        if probs.shape[1] < 2:  # the one class is admitted at every radius, or at none
+            v = np.full(probs.shape[0], math.inf if self.y0 == 1 else -math.inf)
         else:
             top = np.argmax(probs, axis=1)  # smallest index wins ties
             second = np.partition(probs, probs.shape[1] - 2, axis=1)[:, probs.shape[1] - 2]

@@ -7,12 +7,16 @@ diagnostics.
 
 The trust-score methods (cfbh+, cfbh++, infosp+, infosp++ and selective
 classification) differ only in their informative-set constructor and their
-trust, and share one selection step, ``_select``: a calibration unit is null
-exactly when its label falls outside its own informative set, and BH over the
-generalized conformal p-values selects among the test units whose set is
-nonempty.  The other methods leave through ``_report``, which keeps the
-candidate units whose set is nonempty.  Both exits check every reported set
-against the active constraint, and empty sets are never reported.
+trust.  Each predicts its calibration rows and then its test rows once, as
+one pooled block (``_pooled_predictions``), builds each unit's set and trust
+once, and selects through ``_select``: a calibration unit is null exactly
+when its label falls outside its own set, and BH over the generalized
+conformal p-values selects among the test units whose set is nonempty; cfbh
+calls the same ``scip_select_arrays``.  The other methods leave through
+``_report``, which keeps the candidate units whose set is nonempty.  Every
+exit checks each reported set against the active constraint.  A NaN or
+infinite prediction raises ``ValueError`` on a calibration row and gives a
+test row the empty set, which is never reported.
 
 Methods
 -------
@@ -54,13 +58,7 @@ from .core import (
     TargetHalfLines,
     _finite_rows,
 )
-from .selection import (
-    ScoredPool,
-    TieMode,
-    bh_select,
-    generalized_conformal_pvalues,
-    scip_select_arrays,
-)
+from .selection import TieMode, bh_select, scip_select_arrays
 from .trust import (
     OptimizerConfig,
     TrainedScorer,
@@ -132,21 +130,31 @@ def _report(config: ProcedureConfig, candidates, sets: SetBatch, diagnostics) ->
     return _checked_output(keep, sets.take(keep), config.constraint, diagnostics)
 
 
+def _pooled_predictions(score: NonconformityScore, cal: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration then test rows, stacked, and their predictions; a non-finite calibration one raises."""
+    X = np.vstack([cal.X, test.X])
+    pred = score.predict(X)
+    if not np.isfinite(pred[: cal.n]).all():
+        raise ValueError("calibration scores must be finite")
+    return X, pred
+
+
 def _select(
-    config: ProcedureConfig, rng: RngStream | None, cal_sets: SetBatch, cal_y, trust_cal,
-    test_sets: SetBatch, trust_test, **diagnostics,
+    config: ProcedureConfig, rng: RngStream | None, cal_y, sets: SetBatch, trusts, **diagnostics
 ) -> ProcedureOutput:
     """The shared selection step: null = label outside its own set, generalized p-values, BH.
 
-    Test units with an empty set are never selected, and keep their slot in
-    BH's denominator.
+    Rows of ``sets`` and ``trusts`` come pooled: the first ``cal_y.size`` are
+    calibration units, the rest test units.  Test units with an empty set are
+    never selected, and keep their slot in BH's denominator.
     """
-    null = ~cal_sets.covers(cal_y)  # an empty set covers nothing
+    n = cal_y.size
+    null = ~sets.take(slice(0, n)).covers(cal_y)  # an empty set covers nothing
     result = scip_select_arrays(
-        trust_cal, null, trust_test, config.alpha, config.tie_mode, rng, test_eligible=test_sets.nonempty
+        trusts[:n], null, trusts[n:], config.alpha, config.tie_mode, rng, test_eligible=sets.nonempty[n:]
     )
-    diag = {"pvalues": result.pvalues, "result": result, **diagnostics}
-    return _checked_output(result.selected, test_sets.take(result.selected), config.constraint, diag)
+    diag = {"result": result, **diagnostics}
+    return _checked_output(result.selected, sets.take(n + result.selected), config.constraint, diag)
 
 
 def _trained_trust(config: ProcedureConfig, train: Dataset, train_sets: SetBatch) -> TrainedScorer:
@@ -174,7 +182,8 @@ def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBa
 
     HalfLine(c0): (c0, inf) with trust mu_hat.  TargetHalfLines(c_l, c_u):
     (c_u, inf) when mu_hat >= (c_l + c_u)/2, else (-inf, c_l), with trust
-    the distance of mu_hat from that midpoint.
+    the distance of mu_hat from that midpoint.  A NaN or infinite mu_hat
+    gets the empty set and trust 0, as in ``IntervalBatch.from_radius``.
     """
     constraint = config.constraint
     if isinstance(constraint, HalfLine):
@@ -184,9 +193,11 @@ def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBa
         up, c_below, c_above, trust = mid - mu <= 0.0, constraint.c_l, constraint.c_u, np.abs(mid - mu)
     else:
         raise ConfigError("cfbh+ and cfbh++ need a HalfLine or TargetHalfLines constraint")
-    lower, upper = np.where(up, c_above, -np.inf), np.where(up, np.inf, c_below)
+    finite = np.isfinite(mu)
+    lower = np.where(finite, np.where(up, c_above, -np.inf), np.inf)
+    upper = np.where(finite, np.where(up, np.inf, c_below), -np.inf)
     open_ends = np.ones(mu.shape, dtype=bool)
-    return IntervalBatch(lower, upper, open_ends, open_ends), trust
+    return IntervalBatch(lower, upper, open_ends, open_ends), np.where(finite, trust, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +208,9 @@ def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBa
 def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """Level-alpha conformal sets for every unit; keep the admissible nonempty ones."""
     score = config.score
-    cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
-    sets = score.sets(score.predict(test.X), cal_scores.score_radius(config.alpha))
-    diag = {"level": config.alpha, "radius": cal_scores.score_radius(config.alpha)}
+    radius = CalibrationScores(score.eval(cal.X, cal.y)).score_radius(config.alpha)
+    sets = score.sets(score.predict(test.X), radius)
+    diag = {"level": config.alpha, "radius": radius}
     return _report(config, np.flatnonzero(config.constraint.admits(sets)), sets, diag)
 
 
@@ -217,19 +228,20 @@ def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStrea
     which is all the equivalence with the trust-score route needs.  The
     paper's score also subtracts c0: a common shift changes no rank (rounded,
     it can only merge near-ties), and leaving it out keeps the scores finite
-    for c0 = inf.
+    for c0 = inf.  A test unit whose half line is empty (a NaN or infinite
+    mu_hat, or c0 = inf) gets p-value 1.
     """
     if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
     score = _require_residual(config)
-    mu_cal = score.predict(cal.X)
-    sets, v_test = _half_line_sets(config, score.predict(test.X))
-    big_m = float(max(np.abs(mu_cal).max(), np.abs(v_test).max())) + 1.0
-    v_cal = mu_cal - 2.0 * big_m * (cal.y > config.constraint.c0)
-    pool = ScoredPool(v_cal, np.ones(cal.n, dtype=bool), v_test)
-    pvals = generalized_conformal_pvalues(pool, config.tie_mode, rng)
-    result = bh_select(pvals, config.alpha)
-    return _report(config, result.selected, sets, {"pvalues": pvals, "result": result, "big_m": big_m})
+    n = cal.n
+    sets, v = _half_line_sets(config, _pooled_predictions(score, cal, test)[1])
+    big_m = float(np.abs(v).max()) + 1.0
+    v_cal = v[:n] - 2.0 * big_m * (cal.y > config.constraint.c0)
+    result = scip_select_arrays(
+        v_cal, np.ones(n, dtype=bool), v[n:], config.alpha, config.tie_mode, rng, test_eligible=sets.nonempty[n:]
+    )
+    return _report(config, result.selected, sets.take(slice(n, None)), {"result": result, "big_m": big_m})
 
 
 def run_cfbh_plus(
@@ -237,9 +249,8 @@ def run_cfbh_plus(
 ) -> ProcedureOutput:
     """Trust-score route: fixed half line (one-sided) or estimated direction (two-sided)."""
     score = _require_residual(config)
-    cal_sets, trust_cal = _half_line_sets(config, score.predict(cal.X))
-    test_sets, trust_test = _half_line_sets(config, score.predict(test.X))
-    return _select(config, rng, cal_sets, cal.y, trust_cal, test_sets, trust_test)
+    sets, trust = _half_line_sets(config, _pooled_predictions(score, cal, test)[1])
+    return _select(config, rng, cal.y, sets, trust)
 
 
 def run_cfbh_plus_plus(
@@ -248,11 +259,9 @@ def run_cfbh_plus_plus(
     """cfbh+ with a trust score trained to tell labels inside their half line from the rest."""
     score = _require_residual(config)
     scorer = _trained_trust(config, train, _half_line_sets(config, score.predict(train.X))[0])
-    cal_sets, _ = _half_line_sets(config, score.predict(cal.X))
-    test_sets, _ = _half_line_sets(config, score.predict(test.X))
-    return _select(
-        config, rng, cal_sets, cal.y, scorer.predict(cal.X), test_sets, scorer.predict(test.X), scorer=scorer
-    )
+    X, mu = _pooled_predictions(score, cal, test)
+    sets, _ = _half_line_sets(config, mu)
+    return _select(config, rng, cal.y, sets, scorer.predict(X), scorer=scorer)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +289,16 @@ def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedur
 
 
 def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
-    """Truncation step: cal0 scores, pooled cal+test predictions, I-adjusted p-values q0, BH level tau0.
+    """Truncation step: pooled cal+test rows and predictions, cal0 scores, I-adjusted p-values q0, BH level tau0.
 
     A non-finite prediction in the selection half (``cal``) raises ``ValueError``.
     """
     score = config.score
     cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
-    pred = score.predict(np.vstack([cal.X, test.X]))
-    if not np.isfinite(pred[: cal.n]).all():
-        raise ValueError("calibration scores must be finite")
+    X, pred = _pooled_predictions(score, cal, test)
     q0 = cal0_scores.admissible_level(config.constraint.breakpoints(pred))
     tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
-    return cal0_scores, pred, q0, tau0
+    return X, pred, cal0_scores, q0, tau0
 
 
 def _truncated_sets(score: NonconformityScore, cal0_scores: CalibrationScores, pred, q0, tau0):
@@ -301,7 +308,7 @@ def _truncated_sets(score: NonconformityScore, cal0_scores: CalibrationScores, p
 
 
 def _infosp_plus_core(
-    cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream, truncation, trust=None
+    cal: Dataset, config: ProcedureConfig, rng: RngStream, truncation, trust=None
 ) -> ProcedureOutput:
     """Truncated levels, per-unit sets, trust, then the shared selection step.
 
@@ -310,21 +317,17 @@ def _infosp_plus_core(
     trust in place of the default 1 - q_plus.  An empty set gets trust 0
     either way.
     """
-    cal0_scores, pred, q0, tau0 = truncation
-    n = cal.n
+    _, pred, cal0_scores, q0, tau0 = truncation
     q_plus, sets = _truncated_sets(config.score, cal0_scores, pred, q0, tau0)
     pooled = np.where(sets.nonempty, 1.0 - q_plus if trust is None else trust(sets, pred), 0.0)
-    return _select(
-        config, rng, sets.take(slice(0, n)), cal.y, pooled[:n], sets.take(slice(n, None)), pooled[n:],
-        q0=q0, tau0=tau0, q_plus=q_plus, trust=pooled,
-    )
+    return _select(config, rng, cal.y, sets, pooled, q0=q0, tau0=tau0, q_plus=q_plus, trust=pooled)
 
 
 def run_infosp_plus(
     cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """Truncated-level sets with trust 1 - level, then generalized selection."""
-    return _infosp_plus_core(cal, test, config, rng, _truncation(cal, cal0, test, config))
+    return _infosp_plus_core(cal, config, rng, _truncation(cal, cal0, test, config))
 
 
 def run_infosp_plus_plus(
@@ -344,18 +347,18 @@ def run_infosp_plus_plus(
         def trust(sets, probs):
             return class_membership_trust(probs, sets.member)
 
-        return _infosp_plus_core(cal, test, config, rng, _truncation(cal, cal0, test, config), trust)
+        return _infosp_plus_core(cal, config, rng, _truncation(cal, cal0, test, config), trust)
     score = _require_residual(config)
     if train is None:
         raise ConfigError("regression infosp++ needs a training sample")
     truncation = _truncation(cal, cal0, test, config)
-    cal0_scores, _, _, tau0 = truncation
+    X, _, cal0_scores, _, tau0 = truncation
     mu_train = score.predict(train.X)
     q0_train = cal0_scores.admissible_level(config.constraint.breakpoints(mu_train))
     _, train_sets = _truncated_sets(score, cal0_scores, mu_train, q0_train, tau0)
     scorer = _trained_trust(config, train, train_sets)
-    pooled_trust = scorer.predict(np.vstack([cal.X, test.X]))
-    return _infosp_plus_core(cal, test, config, rng, truncation, lambda sets, mu: pooled_trust)
+    pooled_trust = scorer.predict(X)
+    return _infosp_plus_core(cal, config, rng, truncation, lambda sets, mu: pooled_trust)
 
 
 def run_infosp_modified(
@@ -368,7 +371,7 @@ def run_infosp_modified(
     checks.  No I-adjusted p-value is below 1/(n+1), so tau0 = 0 selects
     nothing.
     """
-    cal0_scores, pred, q0, tau0 = _truncation(cal, cal0, test, config)
+    _, pred, cal0_scores, q0, tau0 = _truncation(cal, cal0, test, config)
     sets = config.score.sets(pred[cal.n :], cal0_scores.score_radius(tau0))
     return _report(config, np.flatnonzero(q0[cal.n :] <= tau0), sets, {"q0": q0, "tau0": tau0})
 
@@ -381,7 +384,9 @@ def run_infoscop(
     The screening stage induces a trust threshold (the smallest mu_hat among
     the surviving test units); the stage-two calibration half is cut at the
     same threshold so that survivors on both sides stay exchangeable.
-    Screening the test side alone is anti-conservative.
+    Screening the test side alone is anti-conservative.  A NaN or infinite
+    ``mu_hat`` in ``cal_b`` raises ``ValueError`` whether or not screening
+    keeps any unit; on a test row it never survives screening.
     """
     if config.screening_alpha is None:
         raise ConfigError("infoscop needs a screening level")
@@ -393,10 +398,11 @@ def run_infoscop(
     )
     stage1 = run_cfbh(cal_a, test, screen_cfg, rng)
     survivors = stage1.selected
+    mu = _pooled_predictions(score, cal_b, test)[1]
     if survivors.size == 0:
         return ProcedureOutput(survivors, _NO_INTERVALS, {"survivors": survivors})
-    tau_trust = float(score.predict(test.X)[survivors].min())
-    keep_cal = score.predict(cal_b.X) >= tau_trust
+    tau_trust = float(mu[cal_b.n + survivors].min())
+    keep_cal = mu[: cal_b.n] >= tau_trust
     if not keep_cal.any():
         return ProcedureOutput(survivors[:0], _NO_INTERVALS, {"survivors": survivors})
     stage2 = run_infosp(cal_b.take(keep_cal), test.take(survivors), config)  # checks every reported set
@@ -428,18 +434,11 @@ def run_selective_classification(
     if not (fixed or (isinstance(constraint, MaxSize) and constraint.k0 == 1)):
         raise ConfigError("selective classification needs SingletonClass or MaxSize(1)")
 
-    def singletons(X):
-        """Each row's singleton, its trust, and whether the row's probabilities are finite."""
-        probs = score.predict(X)
-        finite = _finite_rows(probs)
-        rows = np.arange(probs.shape[0])
-        classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
-        member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & finite[:, None]
-        return ClassBatch(member), np.where(finite, probs[rows, classes - 1], 0.0), finite
-
-    cal_sets, trust_cal, cal_finite = singletons(cal.X)
-    if not cal_finite.all():
-        raise ValueError("calibration scores must be finite")
-    test_sets, trust_test, _ = singletons(test.X)
+    probs = _pooled_predictions(score, cal, test)[1]
+    finite = _finite_rows(probs)
+    rows = np.arange(probs.shape[0])
+    classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
+    member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & finite[:, None]
+    trust = np.where(finite, probs[rows, classes - 1], 0.0)
     deterministic = replace(config, tie_mode=TieMode.DETERMINISTIC)
-    return _select(deterministic, None, cal_sets, cal.y, trust_cal, test_sets, trust_test)
+    return _select(deterministic, None, cal.y, ClassBatch(member), trust)

@@ -282,7 +282,7 @@ def _masked_breakpoint(constraint, row) -> float:
         if isinstance(constraint, MaxSize):
             return math.inf if len(row) <= constraint.k0 else 1.0 - desc[constraint.k0]
         if len(row) < 2:
-            return math.inf
+            return math.inf if constraint.y0 == 1 else math.nan
         return 1.0 - desc[1] if row.index(max(row)) == constraint.y0 - 1 else math.nan
     mu = row
     if isinstance(constraint, PositiveInterval):
@@ -291,8 +291,13 @@ def _masked_breakpoint(constraint, row) -> float:
         v = mu - constraint.c
     elif isinstance(constraint, HalfLine):
         v = mu - constraint.c0
+        if mu - math.nextafter(v, -math.inf) <= constraint.c0:  # the closed set just inside v reaches c0
+            v = mu - math.nextafter(constraint.c0, math.inf)
     else:
         v = max(constraint.c_l - mu, mu - constraint.c_u)
+        r = math.nextafter(v, -math.inf)
+        if r >= 0.0 and not (mu + r < constraint.c_l or mu - r > constraint.c_u):
+            v = max(math.nextafter(constraint.c_l, -math.inf) - mu, mu - math.nextafter(constraint.c_u, math.inf))
     return v if math.isfinite(mu) and v > 0.0 else math.nan
 
 

@@ -339,6 +339,48 @@ def test_non_finite_prediction_has_no_interval_breakpoint(constraint):
     assert np.all(finite > 0.0)
 
 
+_MAGNITUDE = st.floats(-1e6, 1e6)
+_NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("kind", ["positive", "lower", "half", "target", "max_size", "singleton"])
+@_PROPERTY
+@given(data=st.data())
+def test_breakpoint_contract(kind, data):
+    """Every radius in [0, nu) gives an admitted or empty set; a radius beyond nu by a few ulps of the
+    row's scale (max(|mu|, |c|), or 1 for class probabilities) gives a rejected or empty one, also at
+    nu = -inf.  Predictions near a constant make fl(mu - c) round, as in ROADMAP item 4's edge case."""
+    if kind in ("max_size", "singleton"):
+        k = data.draw(st.integers(1, 5), "K")
+        constraint = (MaxSize if kind == "max_size" else SingletonClass)(data.draw(st.integers(1, k + 1)))
+        entry = st.one_of(st.floats(0.0, 1.0), _NOT_FINITE)
+        rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=12), "probs")
+        pred = np.array(rows, dtype=float)
+        scale = np.ones(pred.shape[0])
+        sets = ClassBatch.from_radius
+    else:
+        c_l, c_u = sorted(data.draw(st.tuples(_MAGNITUDE, _MAGNITUDE), "constants"))
+        constraint = {
+            "positive": PositiveInterval(), "lower": LowerBoundedInterval(c_l), "half": HalfLine(c_l),
+            "target": TargetHalfLines(c_l, c_u),
+        }[kind]
+        near = st.builds(lambda c, d: c + d, st.sampled_from([0.0, c_l, c_u]), st.floats(-1e3, 1e3))
+        rows = data.draw(st.lists(st.one_of(near, _MAGNITUDE, _NOT_FINITE), min_size=1, max_size=12), "mu")
+        pred = np.array(rows, dtype=float)
+        with np.errstate(invalid="ignore"):
+            scale = np.fmax(np.abs(pred), max(abs(c_l), abs(c_u)))
+        sets = IntervalBatch.from_radius
+    nu = constraint.breakpoints(pred)
+    below = np.nextafter(nu, -math.inf)  # the largest radius below nu: every smaller one gives a subset
+    fraction = data.draw(st.floats(0.0, 1.0), "fraction")
+    for radius in (below, np.where(nu > 0.0, fraction * np.fmax(below, 0.0), -1.0)):
+        batch = sets(pred, radius)
+        assert (constraint.admits(batch) | ~batch.nonempty).all()
+    beyond = np.where(nu == -math.inf, 0.0, nu) + 8.0 * np.spacing(scale)
+    batch = sets(pred[nu < math.inf], beyond[nu < math.inf])
+    assert not (constraint.admits(batch) & batch.nonempty).any()
+
+
 def test_breakpoint_needs_the_matching_score():
     """An interval constraint reads one mu_hat per row, a class constraint one probability row."""
     X = np.zeros((2, 1))

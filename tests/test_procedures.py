@@ -105,7 +105,7 @@ def test_cfbh_single_unit():
     test = Dataset(np.array([[2.5]]), np.array([3.0]), REGRESSION)
     cfg = ProcedureConfig(alpha=0.3, score=AbsoluteResidual(mu_hat), constraint=HalfLine(0.0))
     out = run_cfbh(cal, test, cfg, RngStream(4))
-    p = out.diagnostics["pvalues"][0]
+    p = out.diagnostics["result"].pvalues[0]
     assert (p <= 0.3) == (out.selected.size == 1)
 
 
@@ -358,6 +358,98 @@ def test_infinite_mu_hat_in_a_calibration_row_raises(procedure):
         runs[procedure]()
 
 
+_EIGHT_METHODS = ["naive", "cfbh", "cfbh+", "cfbh++", "infosp", "infosp+", "infosp++", "infoscop"]
+
+
+def _run_method(method, cal, test, train, mu_hat):
+    """One method on these samples, split as the CLI splits them (cal0 first), and its test p-values."""
+    base = ProcedureConfig(
+        alpha=0.3, score=AbsoluteResidual(mu_hat), constraint=PositiveInterval(), screening_alpha=0.2
+    )
+    one_sided = replace(base, constraint=HalfLine(0.0))
+    cal0, cal1 = cal.take(slice(0, cal.n // 2)), cal.take(slice(cal.n // 2, None))
+    rng = RngStream(1)
+    out = {
+        "naive": lambda: run_naive(cal, test, base),
+        "cfbh": lambda: run_cfbh(cal, test, one_sided, rng),
+        "cfbh+": lambda: run_cfbh_plus(cal, test, one_sided, rng),
+        "cfbh++": lambda: run_cfbh_plus_plus(train, cal, test, one_sided, rng),
+        "infosp": lambda: run_infosp(cal, test, base),
+        "infosp+": lambda: run_infosp_plus(cal1, cal0, test, base, rng),
+        "infosp++": lambda: run_infosp_plus_plus(train, cal1, cal0, test, base, rng),
+        "infoscop": lambda: run_infoscop(cal0, cal1, test, base, rng),
+    }[method]()
+    if "result" in out.diagnostics:
+        return out, out.diagnostics["result"].pvalues
+    return out, out.diagnostics.get("q")
+
+
+@pytest.mark.parametrize("method", _EIGHT_METHODS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_mu_hat_is_never_reported_by_any_method(value, method):
+    """A NaN or infinite mu_hat on a test row gets the empty set, and p-value 1 wherever the method
+    has one, so it is never reported; on a calibration row it raises, under all eight methods."""
+    gen = np.random.default_rng(0)
+    x = gen.normal(size=100)
+    y = x + 0.3 * gen.normal(size=100)
+    x_train = gen.normal(size=60)
+    cal, test = Dataset(x[:60, None], y[:60], REGRESSION), Dataset(x[60:, None], y[60:], REGRESSION)
+    train = Dataset(x_train[:, None], x_train + 0.3 * gen.normal(size=60), REGRESSION)
+
+    def wild(bad_x):
+        return lambda X: np.where(np.isin(X[:, 0], bad_x), value, X[:, 0])
+
+    bad_rows = np.array([3, 5, 7])
+    out, pvalues = _run_method(method, cal, test, train, wild(test.X[bad_rows, 0]))
+    assert not set(bad_rows.tolist()) & set(out.selected.tolist())
+    assert out.sets.nonempty.all()
+    if pvalues is not None:
+        assert np.all(pvalues[bad_rows] == 1.0)
+    assert out.n_reported > 0
+    with pytest.raises(ValueError, match="calibration scores must be finite"):
+        _run_method(method, cal, test, train, wild(cal.X[[3], 0]))
+
+
+@pytest.mark.parametrize("screening_threshold", [0.0, 1e6])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_infoscop_raises_on_a_non_finite_mu_hat_in_its_stage_two_half(value, screening_threshold):
+    """Stage two reads cal_b and the test rows as one pooled block, so a NaN or infinite mu_hat in
+    cal_b raises, whether or not screening keeps any unit (threshold 1e6 keeps none)."""
+    gen = np.random.default_rng(0)
+    x = gen.normal(size=120)
+    y = 0.5 + x + 0.3 * gen.normal(size=120)
+    wild = lambda X: np.where(X[:, 0] == x[50], value, 0.5 + X[:, 0])
+    data = Dataset(x[:, None], y, REGRESSION)
+    cal_a, cal_b, test = data.take(slice(0, 40)), data.take(slice(40, 80)), data.take(slice(80, None))
+    cfg = ProcedureConfig(
+        alpha=0.3, score=AbsoluteResidual(wild), constraint=PositiveInterval(), screening_alpha=0.2,
+        screening_threshold=screening_threshold,
+    )
+    with pytest.raises(ValueError, match="calibration scores must be finite"):
+        run_infoscop(cal_a, cal_b, test, cfg, RngStream(1))
+
+
+@pytest.mark.parametrize(
+    "sign, constraint",
+    [
+        (1.0, HalfLine(0.43371361068219516)),
+        (1.0, TargetHalfLines(-0.5, 0.43371361068219516)),
+        (-1.0, TargetHalfLines(-0.43371361068219516, 0.5)),
+    ],
+)
+def test_infosp_calibration_score_just_below_a_rounded_breakpoint(sign, constraint):
+    """nu = fl(mu - c0) = 0.05061276961516348 is rounded: the calibration score just below it gives
+    the closed set whose end rounds onto the constant, so nu is taken past it and nothing is reported
+    (taken at the rounded nu, the set was reported and the constraint check raised)."""
+    identity = lambda X: np.asarray(X, dtype=float)[:, 0]
+    cal = Dataset(np.zeros((19, 1)), np.full(19, sign * 0.05061276961516347), REGRESSION)
+    test = Dataset(np.array([[sign * 0.48432638029735864]]), None, REGRESSION)
+    cfg = ProcedureConfig(alpha=0.3, score=AbsoluteResidual(identity), constraint=constraint)
+    out = run_infosp(cal, test, cfg)
+    assert out.n_reported == 0
+    assert out.diagnostics["q"].tolist() == [1.0]
+
+
 def test_infosp_never_reports_an_infinite_prediction():
     """A unit whose mu_hat is inf gets an empty set and I-adjusted p-value 1, as a NaN one does, so it
     neither is reported nor counts in BH's k; the metrics stay warning-free."""
@@ -401,7 +493,7 @@ def test_selective_classification_never_reports_nan_probability_rows():
         with_nan[cal.n + nan_rows] = np.nan
         nan_cfg = replace(cfg, score=OneMinusProb(StoredProbs(with_nan)))
         out = run_selective_classification(cal_ids, test_ids, nan_cfg)
-        assert np.all(out.diagnostics["pvalues"][nan_rows] == 1.0)
+        assert np.all(out.diagnostics["result"].pvalues[nan_rows] == 1.0)
         assert out.n_reported > 0
         assert not set(nan_rows.tolist()) & set(out.selected.tolist())
         with_nan[cal.n + nan_rows] = table[cal.n + nan_rows]
@@ -601,7 +693,7 @@ def test_same_seed_same_output():
     b = run_infosp_plus(cal1, cal0, test, cfg, RngStream(22).child(3))
     assert np.array_equal(a.selected, b.selected)
     assert _rows(a.sets) == _rows(b.sets)
-    assert np.array_equal(a.diagnostics["pvalues"], b.diagnostics["pvalues"])
+    assert np.array_equal(a.diagnostics["result"].pvalues, b.diagnostics["result"].pvalues)
 
 
 def test_reported_set_check_rejects_empty_rows():
