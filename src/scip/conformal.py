@@ -8,9 +8,9 @@ v*, so no label-space grid search is ever needed.
 
 The I-adjusted p-value of a unit is the smallest level at which its prediction
 set becomes admissible for the active constraint.  A score turns X into
-predictions once (``predict``) and builds its sets from them (``sets``); the
-constraint reads them for its breakpoint nu(x), and the p-value is the
-tie-aware count ``(1 + #{i : V_i >= nu(x)}) / (n + 1)`` (``admissible_level``).
+predictions once (``predict``) and reads its scores (``scores``) and sets
+(``sets``) from them; the constraint reads them for its breakpoint nu(x),
+and the p-value is ``admissible_level``: ``(1 + #{i : V_i >= nu(x)}) / (n + 1)``.
 A unit with no admissible nonempty set at any level has nu(x) = -inf: p = 1.
 
 Both rank counts are cheap at n = m = 1e6.  ``count_geq`` hands its keys to
@@ -60,7 +60,13 @@ class AbsoluteResidual:
         """mu_hat per row of X, as floats of shape (n,)."""
         return np.asarray(self.mu_hat(X), dtype=float)
 
+    @staticmethod
+    def scores(mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """|y - mu| per prediction mu and label y; ``eval(X, y)`` is ``scores(predict(X), y)``."""
+        return np.abs(np.asarray(y, dtype=float) - mu)
+
     def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # scores(predict(X), y) spelled out, so that the predictions are freed before the result is allocated
         return np.abs(np.asarray(y, dtype=float) - self.predict(X))
 
     sets = staticmethod(IntervalBatch.from_radius)  # {y : |y - mu| <= r} per prediction mu and radius r
@@ -76,10 +82,13 @@ class OneMinusProb:
         """Class probabilities per row of X, as floats of shape (n, K)."""
         return np.asarray(self.p_hat(X), dtype=float)
 
+    @staticmethod
+    def scores(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """1 - p_y per probability row and label y in 1..K; ``eval(X, y)`` is ``scores(predict(X), y)``."""
+        return 1.0 - probs[np.arange(probs.shape[0]), np.asarray(y) - 1]
+
     def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        probs = self.predict(X)
-        labels = np.asarray(y)
-        return 1.0 - probs[np.arange(probs.shape[0]), labels - 1]
+        return self.scores(self.predict(X), y)
 
     sets = staticmethod(ClassBatch.from_radius)  # {y : 1 - p_y <= r} per probability row and radius r
 

@@ -5,18 +5,19 @@ returns a ProcedureOutput: the selected test indices, their reported sets as
 one column batch (``core.IntervalBatch`` or ``core.ClassBatch``), and
 diagnostics.
 
-The trust-score methods (cfbh+, cfbh++, infosp+, infosp++ and selective
-classification) differ only in their informative-set constructor and their
-trust.  Each predicts its calibration rows and then its test rows once, as
-one pooled block (``_pooled_predictions``), builds each unit's set and trust
-once, and selects through ``_select``: a calibration unit is null exactly
-when its label falls outside its own set, and BH over the generalized
-conformal p-values selects among the test units whose set is nonempty; cfbh
-calls the same ``scip_select_arrays``.  The other methods leave through
-``_report``, which keeps the candidate units whose set is nonempty.  Every
-exit checks each reported set against the active constraint.  A NaN or
-infinite prediction raises ``ValueError`` on a calibration row and gives a
-test row the empty set, which is never reported.
+Every method predicts all of its calibration and test rows in one call
+(``_pooled_predictions``, test rows last; cfbh++ and regression infosp++
+also predict their training rows) and reads its calibration scores,
+breakpoints, sets and trusts from that array.  The trust-score methods
+(cfbh+, cfbh++, infosp+, infosp++, selective classification) differ only in
+their set constructor and trust, and select through ``_select``: a
+calibration unit is null exactly when its label falls outside its own set,
+and BH over the generalized conformal p-values selects among the test units
+whose set is nonempty; cfbh calls the same ``scip_select_arrays``.  The
+other methods leave through ``_report``, which keeps the candidates whose
+set is nonempty.  Every exit checks each reported set against the active
+constraint.  A NaN or infinite prediction raises ``ValueError`` on a
+calibration row and gives a test row the empty set, which is never reported.
 
 Methods
 -------
@@ -130,13 +131,19 @@ def _report(config: ProcedureConfig, candidates, sets: SetBatch, diagnostics) ->
     return _checked_output(keep, sets.take(keep), config.constraint, diagnostics)
 
 
-def _pooled_predictions(score: NonconformityScore, cal: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Calibration then test rows, stacked, and their predictions; a non-finite calibration one raises."""
-    X = np.vstack([cal.X, test.X])
+def _pooled_predictions(score: NonconformityScore, *blocks: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks' rows, stacked, and one call's predictions; a non-finite one off the last (test) block raises."""
+    X = np.vstack([block.X for block in blocks])
     pred = score.predict(X)
-    if not np.isfinite(pred[: cal.n]).all():
+    if not np.isfinite(pred[: X.shape[0] - blocks[-1].n]).all():
         raise ValueError("calibration scores must be finite")
     return X, pred
+
+
+def _calibrated(score: NonconformityScore, cal: Dataset, *rest: Dataset):
+    """Pooled predictions of cal, then ``rest``: the rows of ``rest``, cal's scores, and their predictions."""
+    X, pred = _pooled_predictions(score, cal, *rest)
+    return X[cal.n :], CalibrationScores(score.scores(pred[: cal.n], cal.y)), pred[cal.n :]
 
 
 def _select(
@@ -207,9 +214,9 @@ def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBa
 
 def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """Level-alpha conformal sets for every unit; keep the admissible nonempty ones."""
-    score = config.score
-    radius = CalibrationScores(score.eval(cal.X, cal.y)).score_radius(config.alpha)
-    sets = score.sets(score.predict(test.X), radius)
+    _, cal_scores, pred = _calibrated(config.score, cal, test)
+    radius = cal_scores.score_radius(config.alpha)
+    sets = config.score.sets(pred, radius)
     diag = {"level": config.alpha, "radius": radius}
     return _report(config, np.flatnonzero(config.constraint.admits(sets)), sets, diag)
 
@@ -233,11 +240,15 @@ def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStrea
     """
     if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
-    score = _require_residual(config)
-    n = cal.n
-    sets, v = _half_line_sets(config, _pooled_predictions(score, cal, test)[1])
+    return _cfbh_core(config, rng, cal.y, _pooled_predictions(_require_residual(config), cal, test)[1])
+
+
+def _cfbh_core(config: ProcedureConfig, rng: RngStream, cal_y, mu) -> ProcedureOutput:
+    """cfbh on pooled predictions ``mu``: the first ``cal_y.size`` are calibration rows, the rest test rows."""
+    n = cal_y.size
+    sets, v = _half_line_sets(config, mu)
     big_m = float(np.abs(v).max()) + 1.0
-    v_cal = v[:n] - 2.0 * big_m * (cal.y > config.constraint.c0)
+    v_cal = v[:n] - 2.0 * big_m * (cal_y > config.constraint.c0)
     result = scip_select_arrays(
         v_cal, np.ones(n, dtype=bool), v[n:], config.alpha, config.tie_mode, rng, test_eligible=sets.nonempty[n:]
     )
@@ -272,30 +283,28 @@ def run_cfbh_plus_plus(
 def run_infosp(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """BH over the test units' I-adjusted p-values; sets at the common BH level.
 
-    A test row with a NaN or infinite class probability, or a NaN or
-    infinite ``mu_hat``, gets I-adjusted p-value 1 and an empty set, so it is
-    never reported and does not count in BH's k; infosp+ and infosp++ do the
-    same.  A calibration score that is not finite raises ``ValueError``, as
-    a non-finite prediction in infosp+'s and infosp++'s selection half does.
+    One predictor call reads the calibration and then the test rows.  A test
+    row with a NaN or infinite class probability, or a NaN or infinite
+    ``mu_hat``, gets I-adjusted p-value 1 and an empty set, so it is never
+    reported and does not count in BH's k; infosp+ and infosp++ do the same.
+    A non-finite prediction on a calibration row raises ``ValueError``.
     """
-    score = config.score
-    cal_scores = CalibrationScores(score.eval(cal.X, cal.y))
-    pred = score.predict(test.X)
+    _, cal_scores, pred = _calibrated(config.score, cal, test)
+    return _infosp_core(config, cal_scores, pred)
+
+
+def _infosp_core(config: ProcedureConfig, cal_scores: CalibrationScores, pred) -> ProcedureOutput:
+    """infosp on the calibration scores and the test rows' predictions ``pred``."""
     q = cal_scores.admissible_level(config.constraint.breakpoints(pred))
     result = bh_select(q, config.alpha)
     tau = result.threshold_alpha_hat
-    sets = score.sets(pred, cal_scores.score_radius(tau))
+    sets = config.score.sets(pred, cal_scores.score_radius(tau))
     return _report(config, result.selected, sets, {"q": q, "tau": tau})
 
 
 def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
-    """Truncation step: pooled cal+test rows and predictions, cal0 scores, I-adjusted p-values q0, BH level tau0.
-
-    A non-finite prediction in the selection half (``cal``) raises ``ValueError``.
-    """
-    score = config.score
-    cal0_scores = CalibrationScores(score.eval(cal0.X, cal0.y))
-    X, pred = _pooled_predictions(score, cal, test)
+    """One call predicts cal0, cal and test: the cal+test rows and predictions, cal0 scores, q0, BH level tau0."""
+    X, cal0_scores, pred = _calibrated(config.score, cal0, cal, test)
     q0 = cal0_scores.admissible_level(config.constraint.breakpoints(pred))
     tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
     return X, pred, cal0_scores, q0, tau0
@@ -381,31 +390,28 @@ def run_infoscop(
 ) -> ProcedureOutput:
     """Screen with cfbh, then run infosp on the post-selection subsample.
 
-    The screening stage induces a trust threshold (the smallest mu_hat among
-    the surviving test units); the stage-two calibration half is cut at the
-    same threshold so that survivors on both sides stay exchangeable.
-    Screening the test side alone is anti-conservative.  A NaN or infinite
-    ``mu_hat`` in ``cal_b`` raises ``ValueError`` whether or not screening
-    keeps any unit; on a test row it never survives screening.
+    One predictor call over cal_b, cal_a and the test rows feeds both stages.
+    Screening induces a trust threshold, the survivors' smallest mu_hat; stage
+    two cuts cal_b at that threshold so that survivors on both sides stay
+    exchangeable (screening the test side alone is anti-conservative).  A NaN
+    or infinite mu_hat in cal_a or cal_b raises ``ValueError`` even if
+    screening keeps no unit; on a test row it never survives screening.
     """
     if config.screening_alpha is None:
         raise ConfigError("infoscop needs a screening level")
     score = _require_residual(config)
-    screen_cfg = replace(
-        config,
-        alpha=config.screening_alpha,
-        constraint=HalfLine(config.screening_threshold),
-    )
-    stage1 = run_cfbh(cal_a, test, screen_cfg, rng)
-    survivors = stage1.selected
-    mu = _pooled_predictions(score, cal_b, test)[1]
+    screen_cfg = replace(config, alpha=config.screening_alpha, constraint=HalfLine(config.screening_threshold))
+    mu = _pooled_predictions(score, cal_b, cal_a, test)[1]
+    mu_b, mu_test = mu[: cal_b.n], mu[cal_b.n + cal_a.n :]
+    survivors = _cfbh_core(screen_cfg, rng, cal_a.y, mu[cal_b.n :]).selected
     if survivors.size == 0:
         return ProcedureOutput(survivors, _NO_INTERVALS, {"survivors": survivors})
-    tau_trust = float(mu[cal_b.n + survivors].min())
-    keep_cal = mu[: cal_b.n] >= tau_trust
+    tau_trust = float(mu_test[survivors].min())
+    keep_cal = mu_b >= tau_trust
     if not keep_cal.any():
         return ProcedureOutput(survivors[:0], _NO_INTERVALS, {"survivors": survivors})
-    stage2 = run_infosp(cal_b.take(keep_cal), test.take(survivors), config)  # checks every reported set
+    cal_scores = CalibrationScores(score.scores(mu_b[keep_cal], cal_b.y[keep_cal]))
+    stage2 = _infosp_core(config, cal_scores, mu_test[survivors])  # checks every reported set
     diag = {"survivors": survivors, "trust_threshold": tau_trust, "stage2": stage2.diagnostics}
     return ProcedureOutput(survivors[stage2.selected], stage2.sets, diag)
 

@@ -5,7 +5,10 @@ are shared across criteria; the whole file targets a desk-scale budget.
 """
 
 import math
+import multiprocessing
+import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,36 +48,29 @@ def _mean_se(values):
 ETA_GRID = (0.0, 0.5, 1.0, 1.5)
 
 
+def _cells(replication, seed, grid):
+    """``{args[0]: rows}``: ``replication(*args, rng)`` for REPS streams per grid cell, mapped in
+    task order over one process pool of at most 4 workers.  Each rep reads only its own
+    stream, so the rows do not depend on the pool."""
+    tasks = [(*args, RngStream(seed).child(cell, rep)) for cell, args in enumerate(grid) for rep in range(REPS)]
+    with multiprocessing.Pool(min(4, len(os.sched_getaffinity(0)))) as pool:
+        rows = pool.starmap(replication, tasks)
+    return {args[0]: rows[cell * REPS : (cell + 1) * REPS] for cell, args in enumerate(grid)}
+
+
 @pytest.fixture(scope="module")
 def regression_cells():
     """500-replication regression cells over the bias grid; timed for criterion 1."""
     start = time.time()
-    cells = {}
-    for cell, eta in enumerate(ETA_GRID):
-        rows = [
-            regression_replication(
-                _REG_METHODS, N, M, eta, ALPHA, RngStream(20260808).child(cell, rep),
-                screening_alpha=0.05,
-            )
-            for rep in range(REPS)
-        ]
-        cells[eta] = rows
+    replication = partial(regression_replication, _REG_METHODS, N, M, screening_alpha=0.05)
+    cells = _cells(replication, 20260808, [(eta, ALPHA) for eta in ETA_GRID])
     cells["elapsed"] = time.time() - start
     return cells
 
 
 @pytest.fixture(scope="module")
 def classification_cells():
-    cells = {}
-    for cell, alpha in enumerate((0.1, 0.2)):
-        rows = [
-            classification_replication(
-                _CLS_METHODS, N, M, alpha, RngStream(912).child(cell, rep)
-            )
-            for rep in range(REPS)
-        ]
-        cells[alpha] = rows
-    return cells
+    return _cells(partial(classification_replication, _CLS_METHODS, N, M), 912, [(0.1,), (0.2,)])
 
 
 def test_c01_fcr_validity(regression_cells):

@@ -28,28 +28,31 @@ def test_method_registry_is_stable():
 
 
 # feature rows each method's predictor reads in one replication at n = m = 200 (halves of 100),
-# seed 3: the test rows once, the calibration (or pooled) rows once, the training rows once
+# seed 3, and the predictor calls that read them: the calibration and test rows in one call, the
+# training rows (cfbh++, regression infosp++) in a second
 _PREDICTED_ROWS = {
     "regression": {
         "naive": 400, "cfbh": 400, "cfbh+": 400, "cfbh++": 600,
-        "infosp": 400, "infosp+": 400, "infosp++": 600, "infoscop": 759,
+        "infosp": 400, "infosp+": 400, "infosp++": 600, "infoscop": 400,
     },
     "classification": {"naive": 400, "infosp": 400, "infosp+": 400, "infosp++": 400},
 }
+_TRAINED = {("regression", "cfbh++"), ("regression", "infosp++")}
 
 
 @pytest.mark.parametrize("study", sorted(_PREDICTED_ROWS))
 def test_each_method_predicts_each_row_once(study, monkeypatch):
-    """Scores, constraints and set constructors read one prediction per row: no second predictor
-    pass.  infoscop composes cfbh and infosp, which read their own rows."""
+    """Scores, constraints and set constructors read one prediction per row, from one predictor
+    call per method (two where a trust classifier is trained): no second predictor pass."""
     name = "gen_regression" if study == "regression" else "gen_classification"
-    generate, rows = getattr(scip.experiments, name), []
+    generate, rows, calls = getattr(scip.experiments, name), [], []
 
     def counted(*args, **kwargs):
         data, predict = generate(*args, **kwargs)
 
         def counting(X):
             rows[-1] += np.shape(X)[0]
+            calls[-1] += 1
             return predict(X)
 
         return data, counting
@@ -57,11 +60,13 @@ def test_each_method_predicts_each_row_once(study, monkeypatch):
     monkeypatch.setattr(scip.experiments, name, counted)
     for method, expected in _PREDICTED_ROWS[study].items():
         rows.append(0)
+        calls.append(0)
         if study == "regression":
             regression_replication([method], 200, 200, 0.5, 0.2, RngStream(3))
         else:
             classification_replication([method], 200, 200, 0.2, RngStream(3))
         assert rows[-1] == expected, method
+        assert calls[-1] == (2 if (study, method) in _TRAINED else 1), method
 
 
 def _no_method_may_run(monkeypatch):

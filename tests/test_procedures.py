@@ -642,6 +642,83 @@ def test_infoscop_no_survivors():
     assert out.n_reported == 0
 
 
+def _infoscop_reference(cal_a, cal_b, test, config, rng):
+    """infoscop composed from the public methods: cfbh screening on cal_a and the test rows, then
+    infosp on the cal_b rows at or above the survivors' smallest mu_hat and on the survivors."""
+    screen_cfg = replace(config, alpha=config.screening_alpha, constraint=HalfLine(config.screening_threshold))
+    survivors = run_cfbh(cal_a, test, screen_cfg, rng).selected
+    none = IntervalBatch.from_radius(np.empty(0), np.empty(0))
+    if survivors.size == 0:
+        return survivors, none, None
+    mu_hat = config.score.mu_hat
+    tau = float(mu_hat(test.X)[survivors].min())
+    keep = mu_hat(cal_b.X) >= tau
+    if not keep.any():
+        return survivors[:0], none, None
+    stage2 = run_infosp(cal_b.take(keep), test.take(survivors), config)
+    return survivors[stage2.selected], stage2.sets, tau
+
+
+@st.composite
+def _infoscop_case(draw):
+    sizes = [draw(st.integers(1, 20)) for _ in range(3)]  # cal_a, cal_b, test
+    blocks = []
+    # a shift of -7 puts every cal_b prediction below every test one: stage two keeps no cal_b row
+    for size, shift in zip(sizes, (0.0, draw(st.sampled_from([0.0, 0.0, -7.0])), 0.0)):
+        mu = np.array(draw(st.lists(_GRID, min_size=size, max_size=size))) + shift  # heavy ties
+        noise = np.array(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))) / 8.0
+        blocks.append(Dataset(mu[:, None], mu + noise, REGRESSION))
+    threshold = draw(_GRID) + draw(st.sampled_from([0.0, 0.125]))  # on or between mu and label values
+    cfg = ProcedureConfig(
+        alpha=draw(st.sampled_from([0.1, 0.3, 0.6])),
+        score=AbsoluteResidual(lambda X: np.asarray(X, dtype=float)[:, 0]),
+        constraint=draw(st.sampled_from([PositiveInterval(), HalfLine(0.0)])),
+        tie_mode=draw(st.sampled_from([TieMode.PER_UNIT, TieMode.DETERMINISTIC])),
+        screening_alpha=draw(st.sampled_from([0.2, 0.5, 0.9])),
+        screening_threshold=threshold,
+    )
+    return (*blocks, cfg, draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_infoscop_case())
+def test_infoscop_equals_cfbh_then_infosp_on_the_kept_rows(case):
+    """One pooled prediction gives what screening with run_cfbh and then run_infosp on the
+    re-sliced kept rows give: the same units, sets and trust threshold, at every exit."""
+    cal_a, cal_b, test, cfg, seed = case
+    out = run_infoscop(cal_a, cal_b, test, cfg, RngStream(seed))
+    selected, sets, tau = _infoscop_reference(cal_a, cal_b, test, cfg, RngStream(seed))
+    assert np.array_equal(out.selected, selected)
+    for column in ("lower", "upper", "lower_open", "upper_open"):
+        assert np.array_equal(getattr(out.sets, column), getattr(sets, column))
+    assert out.diagnostics.get("trust_threshold") == tau
+
+
+@pytest.mark.parametrize("block", ["cal0", "cal"])
+@pytest.mark.parametrize("procedure", ["naive", "infosp", "infosp+", "infosp++", "infosp-modified"])
+def test_a_non_finite_probability_off_the_label_raises_in_every_calibration_block(procedure, block):
+    """A calibration row whose one NaN probability sits at a class other than its label has a
+    finite label score, but no finite set; it raises in every calibration block, as one at the
+    label does.  naive and infosp calibrate on cal0 and cal together."""
+    gen = np.random.default_rng(4)
+    table = gen.dirichlet(np.ones(4), size=110)
+    y = gen.integers(1, 5, size=110)
+    data = Dataset(np.arange(110, dtype=float)[:, None], y, CLASSIFICATION)
+    cal0, cal, test = data.take(slice(0, 40)), data.take(slice(40, 80)), data.take(slice(80, None))
+    row = 3 if block == "cal0" else 43
+    table[row, y[row] % 4] = np.nan  # class y % 4 + 1, never the label
+    cfg = ProcedureConfig(alpha=0.3, score=OneMinusProb(StoredProbs(table)), constraint=MaxSize(2))
+    runs = {
+        "naive": lambda: run_naive(data.take(slice(0, 80)), test, cfg),
+        "infosp": lambda: run_infosp(data.take(slice(0, 80)), test, cfg),
+        "infosp+": lambda: run_infosp_plus(cal, cal0, test, cfg, RngStream(5)),
+        "infosp++": lambda: run_infosp_plus_plus(None, cal, cal0, test, cfg, RngStream(5)),
+        "infosp-modified": lambda: run_infosp_modified(cal, cal0, test, cfg),
+    }
+    with pytest.raises(ValueError, match="calibration scores must be finite"):
+        runs[procedure]()
+
+
 def test_infosp_modified_sets_nested_in_plus_on_shared_u():
     hits = 0
     for seed in range(25):
