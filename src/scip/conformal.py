@@ -16,8 +16,9 @@ A unit with no admissible nonempty set at any level has nu(x) = -inf: p = 1.
 Both rank counts are cheap at n = m = 1e6.  ``count_geq`` hands its keys to
 ``core._ranks``, which splits them into contiguous index chunks, one thread
 per usable CPU from 2^17 keys on, and searches each chunk's keys in ascending
-order, so the sorted scores are read nearly left to right; each chunk writes
-only its own slots, so the counts are the same integers whatever the split.
+order, so the sorted scores are read nearly left to right (a run of 2^12 keys
+only between its least and greatest key); each chunk writes only its own
+slots, so the counts are the same integers whatever the split.
 The level count behind ``score_radius`` is arithmetic, ``floor(q (n + 1))``
 corrected by one step each way, with no level grid held.  A radius is then
 one gather from the sorted scores held between a -inf and a +inf sentinel.
@@ -173,7 +174,7 @@ class CalibrationScores:
         belong to the level-q set exactly when their score is <= the radius.
         """
         q_arr = np.asarray(q, dtype=float)
-        if np.any(~((q_arr >= 0.0) & (q_arr <= 1.0))):
+        if q_arr.size and not (q_arr.min() >= 0.0 and q_arr.max() <= 1.0):  # a NaN fails both
             raise LevelError("conformal levels must lie in [0, 1]")
         radii = self._padded[self.n + 1 - self.min_count_for_level(q_arr)]
         return radii if np.ndim(q) else float(radii)

@@ -67,6 +67,8 @@ class ConfigError(ScipError):
 _CHUNK_KEYS = 1 << 16
 # the largest array a chunk allocates holds this many keys
 _BLOCK_KEYS = 1 << 15
+# a block of more keys than this is searched in runs of this many, each inside its table window
+_WINDOW_KEYS = 1 << 12
 
 
 def _usable_cpus() -> int:
@@ -98,7 +100,8 @@ def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray
     gathers, searches and scatters block by block.  glibc gives each thread
     its own malloc arena, and whole-chunk temporaries freed there stay
     resident: with whole-chunk blocks, the large-pool benchmark (n = m = 1e6,
-    two threads) peaked at 347 MB of RSS against 305 MB.
+    two threads) peaked at 347 MB of RSS against 305 MB.  A chunk allocates its
+    block buffers once; ``_search`` reads a table window per run of keys.
 
     With both sides asked for and at least a block of keys, only ``left`` is
     searched: a key equal to ``table[left]`` ends its run of ties at
@@ -158,20 +161,42 @@ def _rank_chunk(table, keys, words, sides, outs, run_end, lo: int, hi: int):
         part <<= bits
         part |= np.arange(start, start + part.size)
     chunk.sort()
+    buffers = [np.empty(min(_BLOCK_KEYS, hi - lo), t) for t in (keys.dtype, float, bool, outs[0].dtype, outs[0].dtype)]
     for start in range(0, hi - lo, _BLOCK_KEYS):
         at = chunk[start : start + _BLOCK_KEYS]
         at &= (1 << bits) - 1
         at += lo
-        block = keys[at]
+        block, near, ne, left, right = (buffer[: at.size] for buffer in buffers)
+        np.take(keys, at, out=block, mode="clip")  # in range; mode "raise" would buffer the output
         if run_end is None:
-            ranks = [np.searchsorted(table, block, side) for side in sides]
-        else:
-            left = np.searchsorted(table, block, "left")
-            tie = np.minimum(left, table.size - 1)
-            right = np.where(table[tie] == block, run_end[tie], left)
-            ranks = [left if side == "left" else right for side in sides]
-        for out, rank in zip(outs, ranks):
-            out[at] = rank
+            for out, side in zip(outs, sides):
+                _search(table, block, side, left)
+                out[at] = left
+            continue
+        _search(table, block, "left", left)
+        np.take(table, left, out=near, mode="clip")  # clip reads index min(left, table.size - 1)
+        np.not_equal(near, block, out=ne)
+        np.take(run_end, left, out=right, mode="clip")
+        np.copyto(right, left, where=ne)  # a key with no tie in the table: right == left
+        for out, side in zip(outs, sides):
+            out[at] = left if side == "left" else right
+
+
+def _search(table, block, side: str, out):
+    """``out[:] = np.searchsorted(table, block, side)``, in runs of ``_WINDOW_KEYS`` keys past that many.
+
+    A run reads only ``table[lo:hi]``, from its least key's left rank to its greatest's right rank,
+    which holds every rank of the run whatever its order (1e6 ascending keys, 1e6-row table, 2^15-key
+    blocks, one thread: 32 ms against 40 for plain searches).  ``fmin`` skips NaN and ``max`` keeps
+    it: a run with a NaN has hi = table.size, where NaN ranks."""
+    if block.size <= _WINDOW_KEYS:
+        out[:] = np.searchsorted(table, block, side)
+        return
+    for start in range(0, block.size, _WINDOW_KEYS):
+        run = block[start : start + _WINDOW_KEYS]
+        lo = np.searchsorted(table, np.fmin.reduce(run), "left")
+        hi = np.searchsorted(table, run.max(), "right")
+        np.add(np.searchsorted(table[lo:hi], run, side), lo, out=out[start : start + run.size])
 
 
 # ---------------------------------------------------------------------------

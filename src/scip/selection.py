@@ -14,7 +14,8 @@ tied trust off the end of its run of ties.  The counts come back in unit
 order, exact whatever the split, as int32 below 2^31 - 1 null units.  The
 U_j are drawn only once the counts are in hand, and the formula is evaluated
 in the draws' own buffer, so at large m the step holds about 16 bytes per
-test unit at its peak.
+test unit at its peak.  Each run of 2^12 ascending keys searches only the
+slice of sorted null trusts between its least and greatest key.
 Selection applies the step-up BH rule, whose self-consistent form
 alpha_hat = max{a : (alpha/m) #{p <= a} >= a} produces the identical
 selected set.  The counting-knockoff scan over an estimated false discovery
@@ -135,18 +136,20 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
 
     Identical selected set to the self-consistent rule
     max{a in [0,1] : (alpha/m) #{p <= a} >= a}, with max over the empty set
-    read as 0.
+    read as 0.  The p-values that can pass some k are copied out by index
+    (``np.compress``, faster than a boolean index) and sorted in place.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p-values must form a nonempty vector")
-    if np.any(~((p >= 0.0) & (p <= 1.0))):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # a NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     m = p.size
     # alpha * m / m is the largest threshold as the rule computes it; a larger p passes no k
-    order = np.sort(p[p <= alpha * m / m])
+    order = np.compress(p <= alpha * m / m, p)
+    order.sort()
     passing = np.flatnonzero(order <= alpha * np.arange(1, order.size + 1) / m)
     k_hat = int(passing[-1] + 1) if passing.size else 0
     alpha_hat = alpha * k_hat / m
@@ -157,15 +160,15 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
 def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
     """Literal maximization of the self-consistent threshold over its candidate grid.
 
-    Reference path for the equivalence suite; the achievable maxima all lie on
-    {alpha k / m} so the scan is exact.
+    Reference path for the equivalence suite; (alpha/m) #{p <= a} is rounded as
+    alpha #{p <= a} / m, like the grid, so the maxima all lie on {alpha k / m}.
     """
     p = np.asarray(pvalues, dtype=float)
     m = p.size
     candidates = np.concatenate([[0.0], p, alpha * np.arange(1, m + 1) / m])
     candidates = candidates[(candidates >= 0.0) & (candidates <= 1.0)]
     counts = (p[None, :] <= candidates[:, None]).sum(axis=1)
-    feasible = candidates[(alpha / m) * counts >= candidates]
+    feasible = candidates[alpha * counts / m >= candidates]
     alpha_hat = float(feasible.max()) if feasible.size else 0.0
     selected = np.flatnonzero(p <= alpha_hat) if alpha_hat > 0.0 else np.array([], dtype=int)
     return SelectionResult(selected, alpha_hat, p, int(selected.size))

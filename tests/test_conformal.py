@@ -78,6 +78,18 @@ def test_level_out_of_range_rejected():
             cal.score_radius(q)
 
 
+def test_level_range_check_edges():
+    """No level gives no radius; -0.0 is level 0; a NaN among levels in range still raises."""
+    cal = CalibrationScores([1.0, 2.0])
+    empty = cal.score_radius(np.array([]))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+    assert cal.score_radius(-0.0) == cal.score_radius(0.0) == math.inf
+    assert np.array_equal(cal.score_radius(np.array([-0.0, 1.0])), [math.inf, -math.inf])
+    for q in (np.array([0.5, math.nan]), np.array([[math.nan, 0.0]])):
+        with pytest.raises(LevelError):
+            cal.score_radius(q)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 999, 1000, 12345, 999_999, 1_000_000])
 def test_min_count_for_level_matches_grid_search(n):
     """The arithmetic level count equals a search of the grid k/(n+1), k = 1..n+1."""

@@ -466,13 +466,14 @@ _SIDES = [("left",), ("right",), ("left", "right"), ("right", "left")]
     cpus=st.sampled_from([1, 2, 3]),
     chunk_keys=st.integers(1, 300),
     block_keys=st.integers(1, 200),
+    window_keys=st.integers(1, 64),
     sides=st.sampled_from(_SIDES),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, table_size, cpus, chunk_keys,
-                                                  block_keys, sides, seed):
+                                                  block_keys, window_keys, sides, seed):
     """``_ranks`` searches each chunk's keys in key order; each side equals a plain search in the
-    keys' own order, whatever the chunks and blocks."""
+    keys' own order, whatever the chunks, blocks and table windows."""
     gen = np.random.default_rng(seed)
     table = np.sort(np.concatenate([gen.choice([-1.0, 0.0, _TINY, 1.0, 1e300], table_size // 2),
                                     gen.normal(size=table_size - table_size // 2)]))
@@ -483,12 +484,37 @@ def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, t
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scip.core, "_CHUNK_KEYS", chunk_keys)
         patch.setattr(scip.core, "_BLOCK_KEYS", max(block_keys, size // 64))  # at most about 64 blocks
+        patch.setattr(scip.core, "_WINDOW_KEYS", window_keys)
         patch.setattr(scip.core, "_usable_cpus", lambda: cpus)
         ranks = _ranks(table, keys, *sides)
     assert len(ranks) == len(sides)
     for side, rank in zip(sides, ranks):
         assert rank.dtype == np.int32 and rank.shape == (size,)  # table.size + 1 fits in int32
         assert np.array_equal(rank, np.searchsorted(table, keys, side=side))
+
+
+_WINDOW_TABLE = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 5.0])
+_WINDOW_BLOCKS = {  # runs of four keys, in block order; every block is longer than a run
+    "the whole table": [-1.0, 0.5, 4.0, 9.0, 9.5],
+    "a tie on a window edge": [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0],
+    "an empty window": [4.0, 4.0, 4.5, 4.25, 6.0],
+    "a window at table.size": [6.0, 9.0, 7.0, math.inf, 8.0],
+    "NaN keys": [3.0, math.nan, 5.0, -math.nan, math.nan, math.nan, -math.nan, math.nan],
+    "a run of one key": [-math.inf, -0.0, 0.0, 1.0, 3.0],
+    "keys out of order": [5.0, -1.0, 1.0, 0.0, 3.0, 3.0, -0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("block", _WINDOW_BLOCKS.values(), ids=_WINDOW_BLOCKS.keys())
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_windowed_search_matches_plain_search(block, side, monkeypatch):
+    """A block longer than ``_WINDOW_KEYS`` is searched run by run inside each run's table window;
+    every rank equals a plain search's, at each kind of window."""
+    monkeypatch.setattr(scip.core, "_WINDOW_KEYS", 4)
+    block = np.array(block)
+    out = np.full(block.size, -1, dtype=np.int32)
+    scip.core._search(_WINDOW_TABLE, block, side, out)
+    assert np.array_equal(out, np.searchsorted(_WINDOW_TABLE, block, side=side))
 
 
 def test_ranks_with_more_threads_than_cpus(monkeypatch):

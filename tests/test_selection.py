@@ -94,12 +94,15 @@ def _plain_search_pvalues(pool, u):
     cpus=st.sampled_from([1, 2, 3]),
     chunk_keys=st.integers(1, 200),
     block_keys=st.integers(1, 200),
+    window_keys=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pvalues_bit_equal_to_plain_search(tie_mode, n, m, null_frac, values, cpus, chunk_keys, block_keys, seed):
+def test_pvalues_bit_equal_to_plain_search(tie_mode, n, m, null_frac, values, cpus, chunk_keys, block_keys,
+                                           window_keys, seed):
     """The p-values built in the tie-draw buffer equal the written-out formula over a plain search
     in unit order, bit for bit, whether ``_ranks`` derives the right side from run ends (m at least a
-    block), splits the keys over threads (m at least two chunks, several CPUs) or does neither."""
+    block), splits the keys over threads (m at least two chunks, several CPUs), searches inside table
+    windows (blocks longer than a window) or none of these."""
     gen = np.random.default_rng(seed)
     trusts = (lambda size: gen.random(size)) if values == 0 else (lambda size: gen.integers(0, values, size) / 5.0)
     pool = _pool(trusts(n), gen.random(n) < null_frac, trusts(m))
@@ -112,6 +115,7 @@ def test_pvalues_bit_equal_to_plain_search(tie_mode, n, m, null_frac, values, cp
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scip.core, "_CHUNK_KEYS", chunk_keys)
         patch.setattr(scip.core, "_BLOCK_KEYS", max(block_keys, m // 64))  # at most about 64 blocks
+        patch.setattr(scip.core, "_WINDOW_KEYS", window_keys)
         patch.setattr(scip.core, "_usable_cpus", lambda: cpus)
         p = generalized_conformal_pvalues(pool, tie_mode, rng)
         if tie_mode is not TieMode.PER_UNIT:
@@ -122,10 +126,12 @@ def test_pvalues_bit_equal_to_plain_search(tie_mode, n, m, null_frac, values, cp
 
 # The most traced memory the selection step may hold at once at n = m = 2^18 with heavy ties: this
 # many bytes per test unit, plus this many per block key for each chunk's block temporaries.
-# Measured (ten calls per chunk count): 30 bytes per unit with one chunk and 35-37, 35-43, 35-46 with
-# two, three, four; with intp counts and the tie draws taken before the search, 49 and 53-56, 54-61,
-# 60-66.  The budget (35, 42, 49, 56) also fails with only one of the two restored (38 with one chunk).
-_BYTES_PER_UNIT, _BYTES_PER_BLOCK_KEY = 28, 56
+# Measured (ten calls per chunk count): 27.3 bytes per unit with one chunk and 30.6-31.5, 27.4-33.9,
+# 27.4-34.8 with two, three, four; with fresh block temporaries in each chunk instead of reused block
+# buffers, 30.1 and 35-37, 34-38, 34-47; with intp counts and the tie draws taken before the search,
+# 49 and 53-56, 54-61, 60-66.  The budget (29, 33, 37, 41) fails with the fresh temporaries at one and
+# two chunks, and with only one of the int32 counts or the late tie draws restored (38 with one chunk).
+_BYTES_PER_UNIT, _BYTES_PER_BLOCK_KEY = 25, 32
 
 
 def _traced_peak(fn) -> int:
@@ -217,16 +223,39 @@ def test_bh_matches_full_sort_rule(m, alpha, data):
     _assert_full_sort_bh(p, alpha)
 
 
-def test_bh_matches_self_consistent_form():
-    gen = np.random.default_rng(9)
-    for _ in range(1000):
-        m = int(gen.integers(1, 40))
-        p = gen.integers(0, 6, m) / 5.0 if gen.random() < 0.4 else gen.random(m)
-        alpha = float(gen.uniform(0.02, 0.5))
-        a = bh_select(p, alpha)
-        b = self_consistent_select(p, alpha)
-        assert np.array_equal(a.selected, b.selected)
-        assert a.threshold_alpha_hat >= b.threshold_alpha_hat - 1e-15
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(
+    m=st.just(1) | st.integers(1, 40),
+    kind=st.sampled_from(["grid", "uniform", "tied"]),  # grid: p in {0, 0.2, ..., 1}; tied: one p for all
+    alpha=st.floats(0.02, 0.5),
+    data=st.data(),
+)
+def test_bh_matches_self_consistent_form(m, kind, alpha, data):
+    """Step-up BH selects the same units as the self-consistent rule, at a threshold no lower."""
+    value = st.integers(0, 5).map(lambda k: k / 5.0) if kind == "grid" else st.floats(0.0, 1.0)
+    if kind == "tied":
+        p = np.full(m, data.draw(value))
+    else:
+        p = np.array(data.draw(st.lists(value, min_size=m, max_size=m)))
+    a = bh_select(p, alpha)
+    b = self_consistent_select(p, alpha)
+    assert np.array_equal(a.selected, b.selected)
+    assert a.threshold_alpha_hat >= b.threshold_alpha_hat - 1e-15
+
+
+def test_self_consistent_form_rounds_its_threshold_as_bh():
+    """alpha m / m can round below alpha (0.02 * 29 / 29); p-values all equal to alpha then pass no
+    threshold of either form."""
+    p = np.full(29, 0.02)
+    assert 0.02 * 29 / 29 < 0.02
+    assert bh_select(p, 0.02).k_hat == 0 and self_consistent_select(p, 0.02).selected.size == 0
+
+
+@pytest.mark.parametrize("p", [[0.1, math.nan], [math.nan], [0.2, np.nextafter(1.0, 2.0)], [-5e-324, 0.5], [0.1, -math.inf]])
+def test_bh_rejects_p_values_outside_the_unit_interval(p):
+    """A NaN or a p-value outside [0, 1] raises, wherever it sits."""
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bh_select(np.array(p), 0.1)
 
 
 def test_selection_invariant_to_monotone_trust_transform():
