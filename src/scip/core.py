@@ -187,8 +187,9 @@ def _search(table, block, side: str, out):
 
     A run reads only ``table[lo:hi]``, from its least key's left rank to its greatest's right rank,
     which holds every rank of the run whatever its order (1e6 ascending keys, 1e6-row table, 2^15-key
-    blocks, one thread: 32 ms against 40 for plain searches).  ``fmin`` skips NaN and ``max`` keeps
-    it: a run with a NaN has hi = table.size, where NaN ranks."""
+    blocks, one thread: 32 ms against 40 for plain searches, alike for windows of 2^11 to 2^14).
+    ``fmin`` skips NaN and ``max`` keeps it: a run with a NaN has hi = table.size, where NaN ranks.
+    A block of one run is searched whole (reg-sweep's 1,000 keys: 20 us a call, 35 through a window)."""
     if block.size <= _WINDOW_KEYS:
         out[:] = np.searchsorted(table, block, side)
         return

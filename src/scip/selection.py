@@ -160,15 +160,15 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
 def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
     """Literal maximization of the self-consistent threshold over its candidate grid.
 
-    Reference path for the equivalence suite; (alpha/m) #{p <= a} is rounded as
-    alpha #{p <= a} / m, like the grid, so the maxima all lie on {alpha k / m}.
+    Reference path for the equivalence suite; the achievable maxima all lie on
+    {alpha k / m} so the scan is exact.
     """
     p = np.asarray(pvalues, dtype=float)
     m = p.size
     candidates = np.concatenate([[0.0], p, alpha * np.arange(1, m + 1) / m])
     candidates = candidates[(candidates >= 0.0) & (candidates <= 1.0)]
     counts = (p[None, :] <= candidates[:, None]).sum(axis=1)
-    feasible = candidates[alpha * counts / m >= candidates]
+    feasible = candidates[(alpha / m) * counts >= candidates]
     alpha_hat = float(feasible.max()) if feasible.size else 0.0
     selected = np.flatnonzero(p <= alpha_hat) if alpha_hat > 0.0 else np.array([], dtype=int)
     return SelectionResult(selected, alpha_hat, p, int(selected.size))

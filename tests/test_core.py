@@ -494,7 +494,8 @@ def test_search_in_key_order_matches_plain_search(size, palette, integer_keys, t
 
 
 _WINDOW_TABLE = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 5.0])
-_WINDOW_BLOCKS = {  # runs of four keys, in block order; every block is longer than a run
+_WINDOW_BLOCKS = {  # runs of four keys, in block order
+    "a block shorter than a run": [2.0, -1.0, 1.0],
     "the whole table": [-1.0, 0.5, 4.0, 9.0, 9.5],
     "a tie on a window edge": [0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0],
     "an empty window": [4.0, 4.0, 4.5, 4.25, 6.0],
@@ -508,8 +509,8 @@ _WINDOW_BLOCKS = {  # runs of four keys, in block order; every block is longer t
 @pytest.mark.parametrize("block", _WINDOW_BLOCKS.values(), ids=_WINDOW_BLOCKS.keys())
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_windowed_search_matches_plain_search(block, side, monkeypatch):
-    """A block longer than ``_WINDOW_KEYS`` is searched run by run inside each run's table window;
-    every rank equals a plain search's, at each kind of window."""
+    """A block longer than ``_WINDOW_KEYS`` is searched run by run inside each run's table window,
+    a shorter one whole; every rank equals a plain search's, at each kind of window."""
     monkeypatch.setattr(scip.core, "_WINDOW_KEYS", 4)
     block = np.array(block)
     out = np.full(block.size, -1, dtype=np.int32)
