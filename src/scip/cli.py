@@ -14,10 +14,12 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -28,82 +30,12 @@ from .metrics import aggregate
 
 
 @dataclass(frozen=True)
-class _Sweep:
-    """One replication sweep: its study, runner, defaults and the config keys its runner takes."""
-
-    study: str | None  # None: the config's profile names the study
-    runner: str  # looked up on ``scip.experiments`` per call, so a wrapper set there sees every call
-    methods: str
-    alphas: tuple[float, ...]
-    etas: tuple[float, ...] | None  # None: the sweep has no eta axis
-    keys: tuple[str, ...]
-
-
-_SWEEPS = {
-    "regression-sweep": _Sweep(
-        "regression",
-        "regression_replication",
-        "naive,infosp,infoscop,infosp+",
-        (0.1,),
-        (0.0, 0.5, 1.0, 1.5),
-        ("noise_sd", "split_ratio", "screening_alpha", "screening_threshold", "lam", "feature_degree"),
-    ),
-    "classification-sweep": _Sweep(
-        "classification",
-        "classification_replication",
-        "naive,infosp,infosp+,infosp++",
-        (0.05, 0.1, 0.15, 0.2),
-        None,
-        ("max_size", "train_size", "split_ratio"),
-    ),
-    "synthetic-real": _Sweep(
-        None,
-        "synthetic_replication",
-        "naive,infosp,infosp+",
-        (0.1,),
-        None,
-        ("profile", "feasible_frac", "sharpness", "max_size", "split_ratio", "screening_alpha"),
-    ),
-}
-
-_EXPERIMENTS = (*_SWEEPS, "equivalence-suite")
-
-_PROFILES = ("dti-like", "cifar-like")
-
-_KEYS = {
-    "experiment": str,
-    "methods": str,
-    "n": int,
-    "m": int,
-    "reps": int,
-    "alpha": float,
-    "alpha_grid": str,
-    "eta": float,
-    "eta_grid": str,
-    "seed": int,
-    "split_ratio": float,
-    "screening_alpha": float,
-    "screening_threshold": float,
-    "noise_sd": float,
-    "lam": float,
-    "feature_degree": int,
-    "train_size": int,
-    "max_size": int,
-    "profile": str,
-    "feasible_frac": float,
-    "sharpness": float,
-    "instances": int,
-    "jobs": int,
-    "out": str,
-}
-
-# keys that build_config turns into constructor arguments; the rest are copied onto the config
-_SPECIAL_KEYS = {"experiment", "methods", "alpha", "alpha_grid", "eta", "eta_grid"}
-
-
-@dataclass
 class ExperimentConfig:
-    """Validated experiment parameters; unknown keys are rejected at parse time."""
+    """Validated experiment parameters and the CLI's key table; unknown keys are rejected at parse time.
+
+    A field's type parses its key's text (``T | None`` as ``T``); the tuple
+    fields are built from the text keys in ``_TEXT_KEYS``.
+    """
 
     experiment: str
     methods: tuple[str, ...]
@@ -162,11 +94,81 @@ class ExperimentConfig:
         check_methods(sweep.study or self.profile if sweep else self.experiment, self.methods)
 
 
+@dataclass(frozen=True)
+class _Sweep:
+    """One replication sweep: its study, runner and defaults; it reads the keys its runner takes."""
+
+    study: str | None  # None: the config's profile names the study
+    runner: str  # looked up on ``scip.experiments`` per call, so a wrapper set there sees every call
+    methods: str
+    alphas: tuple[float, ...]
+    etas: tuple[float, ...] = ExperimentConfig.etas  # read only by a runner that takes eta
+
+
+_SWEEPS = {
+    "regression-sweep": _Sweep(
+        "regression",
+        "regression_replication",
+        "naive,infosp,infoscop,infosp+",
+        (0.1,),
+        (0.0, 0.5, 1.0, 1.5),
+    ),
+    "classification-sweep": _Sweep(
+        "classification",
+        "classification_replication",
+        "naive,infosp,infosp+,infosp++",
+        (0.05, 0.1, 0.15, 0.2),
+    ),
+    "synthetic-real": _Sweep(
+        None,
+        "synthetic_replication",
+        "naive,infosp,infosp+",
+        (0.1,),
+    ),
+}
+
+_EXPERIMENTS = (*_SWEEPS, "equivalence-suite")
+
+_PROFILES = ("dti-like", "cifar-like")
+
+# the text keys that build_config turns into the tuple fields methods, alphas and etas
+_TEXT_KEYS = {"methods": str, "alpha": float, "alpha_grid": str, "eta": float, "eta_grid": str}
+
+
+def _scalar(hint):
+    """``T`` for a field typed ``T`` or ``T | None``."""
+    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+
+
+_FIELD_KEYS = {
+    name: _scalar(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if typing.get_origin(hint) is not tuple
+}
+_PARSERS = {**_FIELD_KEYS, **_TEXT_KEYS}
+
+
+def _reads(runner: str) -> frozenset[str]:
+    """The keys a runner reads: its parameters, with ``<key>_grid`` read along with ``<key>``."""
+    params = inspect.signature(getattr(experiments, runner)).parameters
+    return frozenset(key for key in _PARSERS if key.removesuffix("_grid") in params)
+
+
+# read once at import, before a test or the benchmark wraps a runner in a function that hides them
+_READS = {name: _reads(sweep.runner) for name, sweep in _SWEEPS.items()}
+# the config fields each sweep passes to its runner; each cell passes alpha and eta
+_RUNNER_FIELDS = {
+    name: tuple(sorted(keys & {f.name for f in fields(ExperimentConfig)})) for name, keys in _READS.items()
+}
+# keys that some sweeps read and others do not: an experiment that does not read one rejects it
+_SWEEP_KEYS = frozenset.union(*_READS.values()) - frozenset.intersection(*_READS.values())
+
+
 def _parse_value(key: str, raw: str):
-    if key not in _KEYS:
+    if key not in _PARSERS:
         raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        return _KEYS[key](raw)
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -204,17 +206,15 @@ def build_config(values: dict) -> ExperimentConfig:
     sweep = _SWEEPS.get(experiment)
     methods_raw = values.get("methods", sweep.methods if sweep else "")
     config = ExperimentConfig(
-        experiment=experiment,
+        **{key: values[key] for key in values.keys() & _FIELD_KEYS},
         methods=tuple(tok.strip() for tok in methods_raw.split(",") if tok.strip()),
-        alphas=_axis(values, "alpha", sweep.alphas if sweep else (0.1,)),
-        etas=_axis(values, "eta", sweep.etas if sweep and sweep.etas else (0.0,)),
+        alphas=_axis(values, "alpha", sweep.alphas if sweep else ExperimentConfig.alphas),
+        etas=_axis(values, "eta", sweep.etas if sweep else ExperimentConfig.etas),
     )
-    for key in _KEYS.keys() - _SPECIAL_KEYS:
-        if key in values:
-            setattr(config, key, values[key])
     config.validate()
-    if not (sweep and sweep.etas) and values.keys() & {"eta", "eta_grid"}:
-        raise ConfigError(f"{experiment} has no eta axis")
+    unread = sorted(values.keys() & (_SWEEP_KEYS - _READS.get(experiment, frozenset())))
+    if unread:
+        raise ConfigError(f"{experiment} does not read {', '.join(unread)}")
     return config
 
 
@@ -240,23 +240,19 @@ def _row(*fields) -> str:
 
 def _cells(config: ExperimentConfig) -> list[tuple[float, float | None]]:
     """The (alpha, eta) cells in output order: eta outermost; eta is None without an eta axis."""
-    etas = config.etas if _SWEEPS[config.experiment].etas else (None,)
+    etas = config.etas if "eta" in _READS[config.experiment] else (None,)
     return [(float(alpha), None if eta is None else float(eta)) for eta in etas for alpha in config.alphas]
 
 
 def _cell_task(args):
     """One replication of one cell: {method: ReplicationMetrics}."""
     config, cell_index, alpha, eta, rep = args
-    sweep = _SWEEPS[config.experiment]
-    runner = getattr(experiments, sweep.runner)
+    runner = getattr(experiments, _SWEEPS[config.experiment].runner)
     cell = {"alpha": alpha} if eta is None else {"alpha": alpha, "eta": eta}
     return runner(
-        methods=config.methods,
-        n=config.n,
-        m=config.m,
         rng=RngStream(config.seed).child(cell_index, rep),
         **cell,
-        **{key: getattr(config, key) for key in sweep.keys},
+        **{key: getattr(config, key) for key in _RUNNER_FIELDS[config.experiment]},
     )
 
 

@@ -351,43 +351,46 @@ def _random_pool(gen: np.random.Generator) -> ScoredPool:
     return ScoredPool(cal, null, test)
 
 
+def _equivalence_check(name: str, instances: int, failure: Callable[[int], dict | None]) -> EquivalenceReport:
+    """Run ``failure`` on each instance index; the report holds the failure dicts it returns."""
+    found = (failure(i) for i in range(instances))
+    return EquivalenceReport(name, instances, tuple(f for f in found if f is not None))
+
+
 def check_bh_self_consistent(seed_rng: RngStream, instances: int) -> EquivalenceReport:
-    failures = []
-    for i in range(instances):
+    def failure(i):
         gen = seed_rng.child(i).generator()
         p = _random_pvalues(gen)
         alpha = float(gen.uniform(0.02, 0.5))
         a = bh_select(p, alpha)
         b = self_consistent_select(p, alpha)
         if not np.array_equal(a.selected, b.selected):
-            failures.append({"instance": i, "pvalues": p.tolist(), "alpha": alpha})
-    return EquivalenceReport("bh-vs-self-consistent", instances, tuple(failures))
+            return {"instance": i, "pvalues": p.tolist(), "alpha": alpha}
+
+    return _equivalence_check("bh-vs-self-consistent", instances, failure)
 
 
 def check_knockoff_deterministic(seed_rng: RngStream, instances: int) -> EquivalenceReport:
-    failures = []
-    for i in range(instances):
+    def failure(i):
         gen = seed_rng.child(i).generator()
         pool = _random_pool(gen)
         alpha = float(gen.uniform(0.05, 0.5))
         ck = counting_knockoff_select(pool, alpha, TieMode.DETERMINISTIC)
         det = bh_select(generalized_conformal_pvalues(pool, TieMode.DETERMINISTIC), alpha)
         if not np.array_equal(ck.selected, det.selected):
-            failures.append(
-                {
-                    "instance": i,
-                    "cal_trust": pool.cal_trust.tolist(),
-                    "cal_null": pool.cal_null.tolist(),
-                    "test_trust": pool.test_trust.tolist(),
-                    "alpha": alpha,
-                }
-            )
-    return EquivalenceReport("knockoff-vs-deterministic-bh", instances, tuple(failures))
+            return {
+                "instance": i,
+                "cal_trust": pool.cal_trust.tolist(),
+                "cal_null": pool.cal_null.tolist(),
+                "test_trust": pool.test_trust.tolist(),
+                "alpha": alpha,
+            }
+
+    return _equivalence_check("knockoff-vs-deterministic-bh", instances, failure)
 
 
 def check_cfbh_clipped(seed_rng: RngStream, instances: int) -> EquivalenceReport:
-    failures = []
-    for i in range(instances):
+    def failure(i):
         gen = seed_rng.child(i, 0).generator()
         n = int(gen.integers(5, 60))
         m = int(gen.integers(1, 40))
@@ -406,8 +409,9 @@ def check_cfbh_clipped(seed_rng: RngStream, instances: int) -> EquivalenceReport
         a = run_cfbh(cal, test, cfg, u_rng)
         b = run_cfbh_plus(cal, test, cfg, u_rng)
         if not np.array_equal(a.selected, b.selected):
-            failures.append({"instance": i, "c0": c0, "alpha": alpha, "n": n, "m": m})
-    return EquivalenceReport("cfbh-vs-cfbh+-one-sided", instances, tuple(failures))
+            return {"instance": i, "c0": c0, "alpha": alpha, "n": n, "m": m}
+
+    return _equivalence_check("cfbh-vs-cfbh+-one-sided", instances, failure)
 
 
 def _random_probs(gen: np.random.Generator, n: int, k: int, coarse: bool) -> np.ndarray:
@@ -419,8 +423,7 @@ def _random_probs(gen: np.random.Generator, n: int, k: int, coarse: bool) -> np.
 
 
 def check_selective_classification(seed_rng: RngStream, instances: int) -> EquivalenceReport:
-    failures = []
-    for i in range(instances):
+    def failure(i):
         gen = seed_rng.child(i).generator()
         n = int(gen.integers(5, 60))
         m = int(gen.integers(1, 40))
@@ -438,8 +441,7 @@ def check_selective_classification(seed_rng: RngStream, instances: int) -> Equiv
         )
         ref = fasi_select(labels[:n], probs[:n, y0 - 1], probs[n:, y0 - 1], y0, alpha)
         if not np.array_equal(ours.selected, ref):
-            failures.append({"instance": i, "variant": "target", "y0": y0, "alpha": alpha})
-            continue
+            return {"instance": i, "variant": "target", "y0": y0, "alpha": alpha}
         ours_all = run_selective_classification(
             cal, test, ProcedureConfig(alpha=alpha, score=OneMinusProb(p_hat), constraint=MaxSize(1))
         )
@@ -448,8 +450,9 @@ def check_selective_classification(seed_rng: RngStream, instances: int) -> Equiv
         expected = ref_classes[ours_all.selected, None] == np.arange(1, k + 1)
         same_classes = np.array_equal(ours_all.sets.member, expected)
         if not (same_sets and same_classes):
-            failures.append({"instance": i, "variant": "argmax", "alpha": alpha})
-    return EquivalenceReport("selective-classification-references", instances, tuple(failures))
+            return {"instance": i, "variant": "argmax", "alpha": alpha}
+
+    return _equivalence_check("selective-classification-references", instances, failure)
 
 
 def run_equivalence_checks(seed: int, instances: int) -> list[EquivalenceReport]:

@@ -10,21 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def fasi_select(cal_y, cal_scores, test_scores, y0: int, alpha: float) -> np.ndarray:
-    """Target-class selection via per-unit quotients.
+def _quotient_select(wrong, s_test, n: int, alpha: float) -> np.ndarray:
+    """The test units selected by per-unit quotients against the wrong calibration scores.
 
-    Q_j = [1 + #{i : Y_i != y0, S_i >= S_j}] / [1 v #{j' : S_j' >= S_j}] * m/(n+1);
+    Q_j = [1 + #{wrong scores >= S_j}] / [1 v #{j' : S_j' >= S_j}] * m/(n+1);
     the threshold is the smallest test score with Q_j <= alpha and every test
     unit at or above it is selected (empty when none qualifies).
     """
-    cal_y = np.asarray(cal_y)
-    s_cal = np.asarray(cal_scores, dtype=float)
-    s_test = np.asarray(test_scores, dtype=float)
-    n, m = s_cal.size, s_test.size
-    other = s_cal[cal_y != y0]
+    m = s_test.size
     q = np.empty(m)
     for j in range(m):
-        num = 1.0 + np.count_nonzero(other >= s_test[j])
+        num = 1.0 + np.count_nonzero(wrong >= s_test[j])
         den = max(1, int(np.count_nonzero(s_test >= s_test[j])))
         q[j] = num / den * m / (n + 1)
     passing = s_test[q <= alpha]
@@ -32,6 +28,13 @@ def fasi_select(cal_y, cal_scores, test_scores, y0: int, alpha: float) -> np.nda
         return np.array([], dtype=int)
     tau = passing.min()
     return np.flatnonzero(s_test >= tau)
+
+
+def fasi_select(cal_y, cal_scores, test_scores, y0: int, alpha: float) -> np.ndarray:
+    """Target-class selection: the wrong calibration scores are those with Y_i != y0."""
+    s_cal = np.asarray(cal_scores, dtype=float)
+    s_test = np.asarray(test_scores, dtype=float)
+    return _quotient_select(s_cal[np.asarray(cal_y) != y0], s_test, s_cal.size, alpha)
 
 
 def zhao_su_select(cal_y, cal_probs, test_probs, alpha: float):
@@ -46,15 +49,4 @@ def zhao_su_select(cal_y, cal_probs, test_probs, alpha: float):
     s_cal = cal_probs.max(axis=1)
     y_hat_test = np.argmax(test_probs, axis=1) + 1
     s_test = test_probs.max(axis=1)
-    n, m = s_cal.size, s_test.size
-    wrong = s_cal[cal_y != y_hat_cal]
-    q = np.empty(m)
-    for j in range(m):
-        num = 1.0 + np.count_nonzero(wrong >= s_test[j])
-        den = max(1, int(np.count_nonzero(s_test >= s_test[j])))
-        q[j] = num / den * m / (n + 1)
-    passing = s_test[q <= alpha]
-    if passing.size == 0:
-        return np.array([], dtype=int), y_hat_test
-    tau = passing.min()
-    return np.flatnonzero(s_test >= tau), y_hat_test
+    return _quotient_select(s_cal[cal_y != y_hat_cal], s_test, s_cal.size, alpha), y_hat_test

@@ -74,10 +74,104 @@ def test_eta_on_a_sweep_without_an_eta_axis_is_a_config_error():
     )
     for values in cases:
         for key, raw in (("eta", 1.0), ("eta_grid", "0,1,2")):
-            with pytest.raises(ConfigError, match=f"{values['experiment']} has no eta axis"):
+            with pytest.raises(ConfigError, match=f"{values['experiment']} does not read {key}"):
                 build_config({**values, key: raw})
             assert main(["--experiment", values["experiment"], "--set", f"{key}={raw}"]) == 2
     assert build_config({"experiment": "regression-sweep", "eta_grid": "0,1,2"}).etas == (0.0, 1.0, 2.0)
+
+
+# the sweep-specific keys each experiment reads; every sweep also reads methods, n, m,
+# split_ratio, alpha and alpha_grid
+_SPECIFIC_READS = {
+    "regression-sweep": {"eta", "eta_grid", "noise_sd", "lam", "feature_degree", "screening_alpha",
+                         "screening_threshold"},
+    "classification-sweep": {"max_size", "train_size"},
+    "synthetic-real": {"profile", "feasible_frac", "sharpness", "max_size", "screening_alpha"},
+    "equivalence-suite": set(),
+}
+
+# a non-default value as text for each key a runner reads, and the value the runner should get
+_RUNNER_VALUES = {
+    "methods": ("naive,infosp", ("naive", "infosp")),
+    "n": ("30", 30),
+    "m": ("12", 12),
+    "split_ratio": ("0.4", 0.4),
+    "noise_sd": ("0.25", 0.25),
+    "lam": ("2.5", 2.5),
+    "feature_degree": ("3", 3),
+    "screening_alpha": ("0.07", 0.07),
+    "screening_threshold": ("0.5", 0.5),
+    "max_size": ("3", 3),
+    "train_size": ("30", 30),
+    "profile": ("cifar-like", "cifar-like"),
+    "feasible_frac": ("0.25", 0.25),
+    "sharpness": ("2.5", 2.5),
+    "eta": ("0.75", 0.75),
+    "eta_grid": ("0.25,0.75", (0.25, 0.75)),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_SPECIFIC_READS))
+def test_a_sweep_specific_key_the_experiment_does_not_read_is_a_config_error(tmp_path, capsys, experiment):
+    unread = set().union(*_SPECIFIC_READS.values()) - _SPECIFIC_READS[experiment]
+    assert unread
+    for key in sorted(unread):
+        text = _RUNNER_VALUES[key][0]
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{experiment} does not read {key}$"):
+            build_config({"experiment": experiment, **_read_config_file(cfg)})
+        out = tmp_path / key
+        argv = ["--experiment", experiment, "--out", str(out), "--set", f"{key}={text}",
+                "--set", "reps=1", "--set", "n=20", "--set", "m=10", "--set", "instances=1"]
+        assert main(argv) == 2
+        assert f"{experiment} does not read {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+_RUNNERS = {
+    "regression-sweep": "regression_replication",
+    "classification-sweep": "classification_replication",
+    "synthetic-real": "synthetic_replication",
+}
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+@pytest.mark.parametrize("experiment", sorted(_RUNNERS))
+def test_every_key_a_runner_reads_arrives_parsed(tmp_path, monkeypatch, experiment, source):
+    """Config-file keys give the alpha and eta grids, --set keys the single alpha and eta."""
+    calls = []
+    runner = getattr(scip.experiments, _RUNNERS[experiment])
+
+    def recorded(**kwargs):
+        calls.append(kwargs)
+        return runner(**kwargs)
+
+    monkeypatch.setattr(scip.experiments, _RUNNERS[experiment], recorded)
+    fields = {"methods", "n", "m", "split_ratio", *_SPECIFIC_READS[experiment]} - {"eta", "eta_grid"}
+    texts = {key: _RUNNER_VALUES[key][0] for key in fields}
+    has_eta = "eta" in _SPECIFIC_READS[experiment]
+    if source == "config":
+        texts.update(alpha_grid="0.15,0.3", **({"eta_grid": _RUNNER_VALUES["eta_grid"][0]} if has_eta else {}))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()), encoding="utf-8")
+        argv = ["--config", str(cfg)]
+        alphas, etas = {0.15, 0.3}, set(_RUNNER_VALUES["eta_grid"][1])
+    else:
+        texts.update(alpha="0.3", **({"eta": _RUNNER_VALUES["eta"][0]} if has_eta else {}))
+        argv = [arg for key, text in texts.items() for arg in ("--set", f"{key}={text}")]
+        alphas, etas = {0.3}, {_RUNNER_VALUES["eta"][1]}
+    argv += ["--experiment", experiment, "--seed", "4", "--out", str(tmp_path / "out"), "--set", "reps=1"]
+    assert main(argv) == 0
+    assert len(calls) == len(alphas) * (len(etas) if has_eta else 1)
+    for kwargs in calls:
+        assert kwargs.keys() == fields | {"rng", "alpha"} | ({"eta"} if has_eta else set())
+        for key in fields:
+            expected = _RUNNER_VALUES[key][1]
+            assert kwargs[key] == expected and type(kwargs[key]) is type(expected), key
+    assert {kwargs["alpha"] for kwargs in calls} == alphas
+    if has_eta:
+        assert {kwargs["eta"] for kwargs in calls} == etas
 
 
 def test_exit_codes(tmp_path, capsys):
