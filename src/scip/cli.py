@@ -70,7 +70,7 @@ class ExperimentConfig:
             (len(self.alphas) >= 1, "alpha_grid must name at least one alpha"),
             (all(0.0 < a < 1.0 for a in self.alphas), "alpha values must lie in (0, 1)"),
             (len(self.etas) >= 1, "eta_grid must name at least one eta"),
-            (all(math.isfinite(e) for e in self.etas), "eta must be finite"),
+            (all(_cube_is_finite(e) for e in self.etas), "eta must be finite and have a finite cube"),
             (self.train_size is None or self.train_size >= 2, "train_size must be >= 2"),
             (self.jobs >= 1, "jobs must be >= 1"),
             (math.isfinite(self.lam) and self.lam > 0.0, "lam must be finite and > 0"),
@@ -92,6 +92,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown profile {self.profile!r}; expected one of {', '.join(_PROFILES)}")
         # the equivalence suite is no study, so it takes no method names
         check_methods(sweep.study or self.profile if sweep else self.experiment, self.methods)
+
+
+def _cube_is_finite(eta: float) -> bool:
+    """Whether ``eta**3``, as the regression predictor computes it, is a finite float."""
+    try:
+        return math.isfinite(eta**3)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,9 @@ def _read_config_file(path: str) -> dict:
 
 
 def _axis(values: dict, key: str, default: tuple) -> tuple[float, ...]:
-    """The ``<key>_grid`` list if given, else the single ``<key>``, else the default."""
+    """The ``<key>_grid`` list if given, else the single ``<key>``, else the default; not both."""
+    if f"{key}_grid" in values and key in values:
+        raise ConfigError(f"give {key} or {key}_grid, not both")
     if f"{key}_grid" in values:
         raw = values[f"{key}_grid"]
         try:
@@ -200,6 +210,9 @@ def _axis(values: dict, key: str, default: tuple) -> tuple[float, ...]:
 
 
 def build_config(values: dict) -> ExperimentConfig:
+    unknown = sorted(values.keys() - _PARSERS.keys())
+    if unknown:
+        raise ConfigError(f"unknown configuration key {', '.join(map(repr, unknown))}")
     experiment = values.get("experiment")
     if experiment is None:
         raise ConfigError("an experiment name is required")

@@ -5,19 +5,19 @@ returns a ProcedureOutput: the selected test indices, their reported sets as
 one column batch (``core.IntervalBatch`` or ``core.ClassBatch``), and
 diagnostics.
 
-Every method predicts all of its calibration and test rows in one call
-(``_pooled_predictions``, test rows last; cfbh++ and regression infosp++
-also predict their training rows) and reads its calibration scores,
-breakpoints, sets and trusts from that array.  The trust-score methods
-(cfbh+, cfbh++, infosp+, infosp++, selective classification) differ only in
-their set constructor and trust, and select through ``_select``: a
-calibration unit is null exactly when its label falls outside its own set,
-and BH over the generalized conformal p-values selects among the test units
-whose set is nonempty; cfbh calls the same ``scip_select_arrays``.  The
-other methods leave through ``_report``, which keeps the candidates whose
-set is nonempty.  Every exit checks each reported set against the active
-constraint.  A NaN or infinite prediction raises ``ValueError`` on a
-calibration row and gives a test row the empty set, which is never reported.
+Every method predicts all of its rows in one call (``_pooled_predictions``:
+the training rows of cfbh++ and regression infosp++ first, test rows last)
+and reads its calibration scores, breakpoints, sets and trusts from that
+array.  The trust-score methods (cfbh+, cfbh++, infosp+, infosp++, selective
+classification) differ only in their set constructor and trust, and select
+through ``_select``: a calibration unit is null exactly when its label falls
+outside its own set, and BH over the generalized conformal p-values selects
+among the test units whose set is nonempty; cfbh calls the same
+``scip_select_arrays``.  The other methods leave through ``_report``, which
+keeps the candidates whose set is nonempty.  Every exit checks each reported
+set against the active constraint.  A NaN or infinite prediction raises
+``ValueError`` on a training or calibration row and gives a test row the
+empty set, which is never reported.
 
 Methods
 -------
@@ -62,7 +62,6 @@ from .core import (
 from .selection import TieMode, bh_select, scip_select_arrays
 from .trust import (
     OptimizerConfig,
-    TrainedScorer,
     class_membership_trust,
     train_trust_classifier,
 )
@@ -164,12 +163,14 @@ def _select(
     return _checked_output(result.selected, sets.take(n + result.selected), config.constraint, diag)
 
 
-def _trained_trust(config: ProcedureConfig, train: Dataset, train_sets: SetBatch) -> TrainedScorer:
-    """The trust classifier fit to whether each training label lies in its own informative set."""
-    labels = np.where(train_sets.covers(train.y), 1, -1)
-    return train_trust_classifier(
+def _trained_trust(config: ProcedureConfig, train: Dataset, X, sets: SetBatch):
+    """The trust classifier fit to whether each training label lies in its own set, the other rows'
+    sets, and their trust; rows of ``X`` and ``sets`` come pooled, the training rows first."""
+    labels = np.where(sets.take(slice(0, train.n)).covers(train.y), 1, -1)
+    scorer = train_trust_classifier(
         train.X, labels, lam=config.lam, config=config.optimizer, feature_degree=config.feature_degree
     )
+    return scorer, sets.take(slice(train.n, None)), scorer.predict(X[train.n :])
 
 
 def _require_residual(config: ProcedureConfig) -> AbsoluteResidual:
@@ -268,11 +269,9 @@ def run_cfbh_plus_plus(
     train: Dataset, cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
     """cfbh+ with a trust score trained to tell labels inside their half line from the rest."""
-    score = _require_residual(config)
-    scorer = _trained_trust(config, train, _half_line_sets(config, score.predict(train.X))[0])
-    X, mu = _pooled_predictions(score, cal, test)
-    sets, _ = _half_line_sets(config, mu)
-    return _select(config, rng, cal.y, sets, scorer.predict(X), scorer=scorer)
+    X, mu = _pooled_predictions(_require_residual(config), train, cal, test)
+    scorer, sets, trust = _trained_trust(config, train, X, _half_line_sets(config, mu)[0])
+    return _select(config, rng, cal.y, sets, trust, scorer=scorer)
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +301,28 @@ def _infosp_core(config: ProcedureConfig, cal_scores: CalibrationScores, pred) -
     return _report(config, result.selected, sets, {"q": q, "tau": tau})
 
 
-def _truncation(cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig):
-    """One call predicts cal0, cal and test: the cal+test rows and predictions, cal0 scores, q0, BH level tau0."""
-    X, cal0_scores, pred = _calibrated(config.score, cal0, cal, test)
-    q0 = cal0_scores.admissible_level(config.constraint.breakpoints(pred))
-    tau0 = bh_select(q0, config.alpha).threshold_alpha_hat
-    return X, pred, cal0_scores, q0, tau0
+def _truncation(config: ProcedureConfig, cal0: Dataset, *blocks: Dataset, skip: int = 0):
+    """The CP-truncated constructor, from one call that predicts cal0, then ``blocks``.
 
-
-def _truncated_sets(score: NonconformityScore, cal0_scores: CalibrationScores, pred, q0, tau0):
-    """The CP-truncated constructor: q_plus = max(q0, tau0) and each unit's level-q_plus set."""
-    q_plus = np.maximum(q0, tau0)
-    return q_plus, score.sets(pred, cal0_scores.score_radius(q_plus))
-
-
-def _infosp_plus_core(
-    cal: Dataset, config: ProcedureConfig, rng: RngStream, truncation, trust=None
-) -> ProcedureOutput:
-    """Truncated levels, per-unit sets, trust, then the shared selection step.
-
-    Each pooled unit gets its ``_truncated_sets`` set.  ``truncation`` is the
-    output of ``_truncation``; ``trust(sets, pred)`` gives the pooled units'
-    trust in place of the default 1 - q_plus.  An empty set gets trust 0
-    either way.
+    Returns the blocks' rows and predictions, each row's I-adjusted level q0,
+    the BH level tau0, q_plus = max(q0, tau0), and each row's level-q_plus
+    set, rows in order.  tau0 is BH's level over the q0 of every row but the
+    first ``skip`` (training rows, which take no part in selection).
     """
-    _, pred, cal0_scores, q0, tau0 = truncation
-    q_plus, sets = _truncated_sets(config.score, cal0_scores, pred, q0, tau0)
-    pooled = np.where(sets.nonempty, 1.0 - q_plus if trust is None else trust(sets, pred), 0.0)
-    return _select(config, rng, cal.y, sets, pooled, q0=q0, tau0=tau0, q_plus=q_plus, trust=pooled)
+    X, cal0_scores, pred = _calibrated(config.score, cal0, *blocks)
+    q0 = cal0_scores.admissible_level(config.constraint.breakpoints(pred))
+    tau0 = bh_select(q0[skip:], config.alpha).threshold_alpha_hat
+    q_plus = np.maximum(q0, tau0)
+    return X, pred, q0, tau0, q_plus, config.score.sets(pred, cal0_scores.score_radius(q_plus))
 
 
 def run_infosp_plus(
     cal: Dataset, cal0: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream
 ) -> ProcedureOutput:
-    """Truncated-level sets with trust 1 - level, then generalized selection."""
-    return _infosp_plus_core(cal, config, rng, _truncation(cal, cal0, test, config))
+    """Truncated-level sets with trust 1 - level (0 for an empty set), then generalized selection."""
+    _, _, q0, tau0, q_plus, sets = _truncation(config, cal0, cal, test)
+    trust = np.where(sets.nonempty, 1.0 - q_plus, 0.0)
+    return _select(config, rng, cal.y, sets, trust, q0=q0, tau0=tau0, q_plus=q_plus, trust=trust)
 
 
 def run_infosp_plus_plus(
@@ -347,27 +333,24 @@ def run_infosp_plus_plus(
     config: ProcedureConfig,
     rng: RngStream,
 ) -> ProcedureOutput:
-    """infosp+ constructor with an estimated-oracle trust score.
+    """infosp+ constructor with an estimated-oracle trust score (0 for an empty set).
 
     Classification reuses the frozen class probabilities (mass of the set);
-    regression trains a coverage classifier on the disjoint training sample.
+    regression trains a coverage classifier on the disjoint training sample,
+    whose rows lead the one predictor call and take no part in tau0.
     """
     if isinstance(config.score, OneMinusProb):
-        def trust(sets, probs):
-            return class_membership_trust(probs, sets.member)
-
-        return _infosp_plus_core(cal, config, rng, _truncation(cal, cal0, test, config), trust)
-    score = _require_residual(config)
-    if train is None:
-        raise ConfigError("regression infosp++ needs a training sample")
-    truncation = _truncation(cal, cal0, test, config)
-    X, _, cal0_scores, _, tau0 = truncation
-    mu_train = score.predict(train.X)
-    q0_train = cal0_scores.admissible_level(config.constraint.breakpoints(mu_train))
-    _, train_sets = _truncated_sets(score, cal0_scores, mu_train, q0_train, tau0)
-    scorer = _trained_trust(config, train, train_sets)
-    pooled_trust = scorer.predict(X)
-    return _infosp_plus_core(cal, config, rng, truncation, lambda sets, mu: pooled_trust)
+        _, probs, q0, tau0, q_plus, sets = _truncation(config, cal0, cal, test)
+        trust = class_membership_trust(probs, sets.member)
+    else:
+        _require_residual(config)
+        if train is None:
+            raise ConfigError("regression infosp++ needs a training sample")
+        X, _, q0, tau0, q_plus, sets = _truncation(config, cal0, train, cal, test, skip=train.n)
+        _, sets, trust = _trained_trust(config, train, X, sets)
+        q0, q_plus = q0[train.n :], q_plus[train.n :]
+    trust = np.where(sets.nonempty, trust, 0.0)
+    return _select(config, rng, cal.y, sets, trust, q0=q0, tau0=tau0, q_plus=q_plus, trust=trust)
 
 
 def run_infosp_modified(
@@ -377,12 +360,13 @@ def run_infosp_modified(
 
     Shares the threshold computed over the pooled truncation p-values, which
     puts it on equal footing with the truncated-level method for containment
-    checks.  No I-adjusted p-value is below 1/(n+1), so tau0 = 0 selects
-    nothing.
+    checks.  A reported unit has q0 <= tau0, so q_plus = tau0 and its set is
+    the level-tau0 set.  No I-adjusted p-value is below 1/(n+1), so tau0 = 0
+    selects nothing.
     """
-    _, pred, cal0_scores, q0, tau0 = _truncation(cal, cal0, test, config)
-    sets = config.score.sets(pred[cal.n :], cal0_scores.score_radius(tau0))
-    return _report(config, np.flatnonzero(q0[cal.n :] <= tau0), sets, {"q0": q0, "tau0": tau0})
+    _, _, q0, tau0, _, sets = _truncation(config, cal0, cal, test)
+    test_rows = slice(cal.n, None)
+    return _report(config, np.flatnonzero(q0[test_rows] <= tau0), sets.take(test_rows), {"q0": q0, "tau0": tau0})
 
 
 def run_infoscop(

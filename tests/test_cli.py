@@ -55,6 +55,37 @@ def test_unknown_keys_rejected(tmp_path):
         _read_config_file(path)
 
 
+def test_build_config_rejects_an_unknown_key():
+    """A dict of values meets the same rule as a config file or --set: no unknown key."""
+    with pytest.raises(ConfigError, match="unknown configuration key 'method'$"):
+        build_config({"experiment": "regression-sweep", "method": "naive"})
+
+
+@pytest.mark.parametrize("key, one, grid", [("alpha", 0.3, "0.1,0.2"), ("eta", 0.5, "0,1")])
+def test_a_key_and_its_grid_together_are_a_config_error(tmp_path, capsys, key, one, grid):
+    with pytest.raises(ConfigError, match=f"^give {key} or {key}_grid, not both$"):
+        build_config({"experiment": "regression-sweep", key: one, f"{key}_grid": grid})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}_grid = {grid}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--experiment", "regression-sweep", "--config", str(cfg), "--set", f"{key}={one}",
+            "--out", str(out), "--set", "reps=1", "--set", "n=20", "--set", "m=6"]
+    assert main(argv) == 2
+    assert f"give {key} or {key}_grid, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_eta_whose_cube_overflows_is_a_config_error(tmp_path, capsys):
+    """The regression predictor computes eta**3, which overflows past about 5.6e102."""
+    argv = ["--experiment", "regression-sweep", "--set", "reps=1", "--set", "n=20", "--set", "m=6"]
+    for eta in ("1e200", "-1e200"):
+        out = tmp_path / f"out{eta}"
+        assert main([*argv, "--set", f"eta={eta}", "--out", str(out)]) == 2
+        assert "eta must be finite and have a finite cube" in capsys.readouterr().err
+        assert not out.exists()
+    assert main([*argv, "--set", "eta=1e100", "--out", str(tmp_path / "big")]) in (0, 3)
+
+
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         build_config({"experiment": "no-such-experiment"})

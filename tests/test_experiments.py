@@ -28,8 +28,8 @@ def test_method_registry_is_stable():
 
 
 # feature rows each method's predictor reads in one replication at n = m = 200 (halves of 100),
-# seed 3, and the predictor calls that read them: the calibration and test rows in one call, the
-# training rows (cfbh++, regression infosp++) in a second
+# seed 3, all in one predictor call: the training rows (cfbh++, regression infosp++), the
+# calibration rows and the test rows
 _PREDICTED_ROWS = {
     "regression": {
         "naive": 400, "cfbh": 400, "cfbh+": 400, "cfbh++": 600,
@@ -37,13 +37,12 @@ _PREDICTED_ROWS = {
     },
     "classification": {"naive": 400, "infosp": 400, "infosp+": 400, "infosp++": 400},
 }
-_TRAINED = {("regression", "cfbh++"), ("regression", "infosp++")}
 
 
 @pytest.mark.parametrize("study", sorted(_PREDICTED_ROWS))
 def test_each_method_predicts_each_row_once(study, monkeypatch):
     """Scores, constraints and set constructors read one prediction per row, from one predictor
-    call per method (two where a trust classifier is trained): no second predictor pass."""
+    call per method: no second predictor pass."""
     name = "gen_regression" if study == "regression" else "gen_classification"
     generate, rows, calls = getattr(scip.experiments, name), [], []
 
@@ -66,7 +65,7 @@ def test_each_method_predicts_each_row_once(study, monkeypatch):
         else:
             classification_replication([method], 200, 200, 0.2, RngStream(3))
         assert rows[-1] == expected, method
-        assert calls[-1] == (2 if (study, method) in _TRAINED else 1), method
+        assert calls[-1] == 1, method
 
 
 def _no_method_may_run(monkeypatch):

@@ -410,6 +410,20 @@ def test_non_finite_mu_hat_is_never_reported_by_any_method(value, method):
         _run_method(method, cal, test, train, wild(cal.X[[3], 0]))
 
 
+@pytest.mark.parametrize("method", ["cfbh++", "infosp++"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_mu_hat_on_a_training_row_raises(value, method):
+    """Training rows lead the one predictor call and follow the calibration-row rule: a NaN or
+    infinite mu_hat on one raises instead of labelling that row outside its set."""
+    gen = np.random.default_rng(0)
+    x = gen.normal(size=160)
+    data = Dataset(x[:, None], x + 0.3 * gen.normal(size=160), REGRESSION)
+    cal, test, train = data.take(slice(0, 60)), data.take(slice(60, 100)), data.take(slice(100, None))
+    wild = lambda X: np.where(X[:, 0] == train.X[3, 0], value, X[:, 0])
+    with pytest.raises(ValueError, match="calibration scores must be finite"):
+        _run_method(method, cal, test, train, wild)
+
+
 @pytest.mark.parametrize("screening_threshold", [0.0, 1e6])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_infoscop_raises_on_a_non_finite_mu_hat_in_its_stage_two_half(value, screening_threshold):
@@ -601,8 +615,12 @@ def test_infosp_plus_plus_regression_trained_trust():
     )
     plus = run_infosp_plus(cal1, cal0, test, cfg, RngStream(31).child(0))
     plusplus = run_infosp_plus_plus(train, cal1, cal0, test, cfg, RngStream(31).child(0))
-    # shared constructor: identical truncated levels, only the trust differs
-    assert np.array_equal(plus.diagnostics["q_plus"], plusplus.diagnostics["q_plus"])
+    # shared constructor: identical truncated levels, only the trust differs; the training rows
+    # share the predictor call but take no part in tau0, q0 or q_plus
+    assert plusplus.diagnostics["tau0"] == plus.diagnostics["tau0"]
+    for key in ("q0", "q_plus"):
+        assert plusplus.diagnostics[key].shape == (cal1.n + test.n,)
+        assert np.array_equal(plus.diagnostics[key], plusplus.diagnostics[key])
     trust = plusplus.diagnostics["trust"]
     nonzero = trust[trust > 0]
     assert np.all((nonzero > 0) & (nonzero < 1))  # logistic range
