@@ -89,6 +89,8 @@ class ProcedureConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.score is None or self.constraint is None:
             raise ConfigError("a method needs a score and a constraint")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigError("lam must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The class-sum trust scores a class set by its estimated probability mass and
 sends the empty set to 0.  The trained variants approximate the oracle score
 pr{Y in C(X) | X = x} by a linear-logistic classifier fit with a
 class-weighted cross-entropy risk (weight lambda on the positive class)
-on a disjoint labeled training sample.  ``softmax`` is the one row softmax:
+on a disjoint labeled training sample; their descent steps cost little more than
+the loss's and the sigmoid's transcendental passes.  ``softmax`` is the one row softmax:
 the simulation designs and the softmax classifier call it, and the
 classifier's loss takes its log-normalizer from the same shifted exponentials.
 ``diversity_scores`` is the one scipy call here (``scipy.linalg``'s Cholesky
@@ -120,7 +121,7 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
     step = 1.0
     converged = False
     for _ in range(config.max_iter):
-        if np.max(np.abs(grad)) < config.grad_tol:
+        if np.maximum.reduce(np.abs(grad)) < config.grad_tol:  # np.max: the same reduce, more dispatch
             converged = True
             break
         step = min(step * 2.0, 1e3)
@@ -165,24 +166,44 @@ class TrainedScorer:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # one exp of -|z| serves both branches, and neither can overflow
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float) -> _Objective:
-    """Mean of lambda-weighted cross-entropy terms; labels are +-1.  The state is z."""
+    """Mean of lambda-weighted cross-entropy terms; labels are +-1.  The state is z.
+
+    A step's cost is the loss's ``np.logaddexp`` and the sigmoid's ``np.exp``, so the rest is kept
+    to few in-place calls with the operations of the plain form in its order: the loss terms go
+    into one buffer reused by every ``value`` call (each call returns a new z), and at lam == 1
+    no weight multiply runs, since every weight is 1.0 and x * 1.0 == x.
+    """
     n = phi.shape[0]
     a = (labels > 0).astype(float)
     w = np.where(labels > 0, lam, 1.0)
     # log(1 + exp(-z)) for positives, log(1 + exp(z)) for negatives; the sign flip is exact
     sgn = np.where(labels > 0, -1.0, 1.0)
 
+    terms = np.empty(n)
+
     def value(theta):
-        z = phi @ theta[:-1] + theta[-1]
-        return float((w * np.logaddexp(0.0, sgn * z)).sum() / n), z
+        z = np.dot(phi, theta[:-1])
+        z += theta[-1]
+        np.multiply(sgn, z, out=terms)
+        np.logaddexp(0.0, terms, out=terms)
+        if lam != 1.0:
+            np.multiply(w, terms, out=terms)
+        return float(np.add.reduce(terms) / n), z
 
     def grad(z):
-        resid = w * (_sigmoid(z) - a) / n
-        return np.concatenate([phi.T @ resid, [resid.sum()]])
+        resid = _sigmoid(z)
+        resid -= a
+        if lam != 1.0:
+            resid *= w
+        resid /= n
+        g = np.empty(phi.shape[1] + 1)
+        np.dot(phi.T, resid, out=g[:-1])
+        g[-1] = np.add.reduce(resid)
+        return g
 
     return _Objective(value, grad)
 
@@ -200,8 +221,8 @@ def train_trust_classifier(
     set, or the one-/two-sided relabelings used by the enhanced procedures).
     """
     labels = np.asarray(labels)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < np.inf:  # NaN fails both comparisons
+        raise ValueError("lam must be finite and > 0")
     if np.all(labels > 0) or np.all(labels < 0):
         raise DegenerateLabelsError("training labels are all one class")
     phi = polynomial_features(X, feature_degree)

@@ -4,9 +4,11 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scip
 import scip.experiments
@@ -472,6 +474,59 @@ def test_run_that_fails_after_validation_leaves_no_output_directory(tmp_path, ca
     assert main(argv) == 3
     assert "at least two classes" in capsys.readouterr().err
     assert not out.exists()
+
+
+_EDGE_TEXTS = st.sampled_from(("nan", "inf", "-inf", "1e300", "-1e300", "5e-324", "0", "-1", "-2.5"))
+# texts inside each key's range, half of the draws, so that some runs get past validation; sizes
+# stay small and jobs stays 1, so a run takes milliseconds
+_IN_RANGE_TEXTS = {
+    "n": ("4", "12", "20"), "m": ("1", "6"), "reps": ("1",), "seed": ("0", "3"), "jobs": ("1",),
+    "instances": ("1", "2"), "split_ratio": ("0.3", "0.5"), "alpha": ("0.1", "0.5"),
+    "eta": ("0.5", "1.5"), "screening_alpha": ("0.2",), "screening_threshold": ("0.5",),
+    "noise_sd": ("0.5",), "lam": ("1", "2.5"), "feature_degree": ("1", "3"), "train_size": ("2", "10"),
+    "max_size": ("1", "2"), "feasible_frac": ("0.5",), "sharpness": ("1.5",),
+    "profile": ("dti-like", "cifar-like", "bogus"),
+}
+_GRID_TEXT = st.lists(_EDGE_TEXTS | st.sampled_from(("0.1", "0.5", "1.5")), max_size=3).map(",".join)
+_METHOD_NAMES = ("naive", "cfbh", "cfbh+", "cfbh++", "infosp", "infosp+", "infosp++", "infoscop", "bogus")
+_KEY_TEXTS = {
+    **{key: _EDGE_TEXTS | st.sampled_from(texts) for key, texts in _IN_RANGE_TEXTS.items()},
+    "alpha_grid": _GRID_TEXT,
+    "eta_grid": _GRID_TEXT,
+    "methods": st.lists(st.sampled_from(_METHOD_NAMES), min_size=1, max_size=3).map(",".join),
+}
+
+
+def _set_pairs(experiment):
+    """Up to two (key, text) pairs: half of them from the keys the experiment reads, half from all."""
+    unread = scip.cli._SWEEP_KEYS - scip.cli._READS.get(experiment, frozenset())
+
+    def pair(keys):
+        return st.one_of([st.tuples(st.just(key), _KEY_TEXTS[key]) for key in sorted(keys)])
+
+    return st.lists(pair(_KEY_TEXTS.keys() - unread) | pair(_KEY_TEXTS.keys()), max_size=2)
+
+
+@pytest.mark.parametrize("experiment", ["regression-sweep", "classification-sweep", "synthetic-real",
+                                        "equivalence-suite"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_generated_setting_ends_in_a_documented_exit(experiment, data):
+    """Exit 0 with both CSVs (the equivalence suite writes none), or 2 or 3 with no output
+    directory; ``main`` never raises, and a RuntimeWarning fails the test."""
+    assert _KEY_TEXTS.keys() == scip.cli._PARSERS.keys() - {"experiment", "out"}
+    pairs = data.draw(_set_pairs(experiment))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["--experiment", experiment, "--out", str(out), "--set", "seed=1", "--set", "reps=1",
+                "--set", "n=12", "--set", "m=4", "--set", "instances=1"]
+        argv += [arg for key, text in pairs for arg in ("--set", f"{key}={text}")]
+        code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0 and experiment != "equivalence-suite":
+            assert (out / "per_replication.csv").is_file() and (out / "aggregate.csv").is_file()
+        else:
+            assert not out.exists()
 
 
 # SHA-256 of (per_replication.csv, aggregate.csv), recorded when the reported

@@ -779,6 +779,16 @@ def test_config_needs_a_score_and_a_constraint():
         ProcedureConfig(alpha=0.1, score=AbsoluteResidual(lambda X: X[:, 0]), constraint=None)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_lam_must_be_finite_and_positive_in_the_config_and_the_trainer(lam):
+    """The CLI's rule holds in the library too: before, NaN and inf gave back an unfit scorer."""
+    with pytest.raises(ConfigError, match="lam must be finite and > 0"):
+        ProcedureConfig(alpha=0.1, score=AbsoluteResidual(lambda X: X[:, 0]), constraint=PositiveInterval(), lam=lam)
+    X = np.linspace(-1.0, 1.0, 8)[:, None]
+    with pytest.raises(ValueError, match="lam must be finite and > 0"):
+        train_trust_classifier(X, np.where(X[:, 0] > 0.3, 1, -1), lam=lam)
+
+
 def test_same_seed_same_output():
     cal, test, train, mu_hat = _regression_bundle(21)
     cfg = ProcedureConfig(alpha=0.15, score=AbsoluteResidual(mu_hat), constraint=PositiveInterval())

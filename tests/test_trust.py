@@ -382,6 +382,32 @@ def test_objective_call_bit_equal_to_reference():
         assert np.array_equal(grad, ref_grad)
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.5])  # 1.0 skips the weight multiply
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 7, 257])
+def test_objective_bit_equal_and_its_state_unchanged_by_later_calls(lam, degree, n):
+    """The loss terms' reused buffer never aliases a returned z, which ``grad`` reads later."""
+    from scip.trust import _weighted_logistic_objective
+
+    X, labels = _trust_sample(75 + n, n=n, d=1)
+    labels[:2] = [1, -1]
+    phi = polynomial_features(X, degree)
+    fn = _weighted_logistic_objective(phi, labels, lam=lam)
+    ref = _reference_logistic(phi, labels, lam)
+    gen = np.random.default_rng(76)
+    thetas = [scale * gen.normal(size=phi.shape[1] + 1) for scale in (0.1, 1.0, 30.0, 400.0)]
+    states = []
+    for theta in thetas:
+        val, z = fn.value(theta)
+        states.append((z, z.copy()))
+        ref_val, ref_grad = ref(theta)
+        assert val == ref_val
+        assert np.array_equal(fn.grad(z), ref_grad)
+    for (z, kept), theta in zip(states, thetas):
+        assert np.array_equal(z, kept)
+        assert np.array_equal(fn.grad(z), ref(theta)[1])
+
+
 def test_descent_evaluates_the_gradient_once_per_accepted_step():
     from scip.trust import _gd_minimize, _Objective, _weighted_logistic_objective
 
