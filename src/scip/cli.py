@@ -216,6 +216,9 @@ def build_config(values: dict) -> ExperimentConfig:
     experiment = values.get("experiment")
     if experiment is None:
         raise ConfigError("an experiment name is required")
+    unread = sorted(values.keys() & (_SWEEP_KEYS - _READS.get(experiment, frozenset())))
+    if unread and experiment in _EXPERIMENTS:  # before any range check; validate names an unknown one
+        raise ConfigError(f"{experiment} does not read {', '.join(unread)}")
     sweep = _SWEEPS.get(experiment)
     methods_raw = values.get("methods", sweep.methods if sweep else "")
     config = ExperimentConfig(
@@ -225,9 +228,6 @@ def build_config(values: dict) -> ExperimentConfig:
         etas=_axis(values, "eta", sweep.etas if sweep else ExperimentConfig.etas),
     )
     config.validate()
-    unread = sorted(values.keys() & (_SWEEP_KEYS - _READS.get(experiment, frozenset())))
-    if unread:
-        raise ConfigError(f"{experiment} does not read {', '.join(unread)}")
     return config
 
 

@@ -113,6 +113,18 @@ def test_eta_on_a_sweep_without_an_eta_axis_is_a_config_error():
     assert build_config({"experiment": "regression-sweep", "eta_grid": "0,1,2"}).etas == (0.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("setting", ["lam=nan", "eta_grid="])
+def test_an_unread_key_is_named_before_its_value_is_range_checked(tmp_path, capsys, setting):
+    """A value the range checks would reject still gets the unread-key message, with no output."""
+    key = setting.split("=")[0]
+    out = tmp_path / "out"
+    assert main(["--experiment", "classification-sweep", "--set", setting, "--out", str(out)]) == 2
+    assert f"classification-sweep does not read {key}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="^unknown experiment 'no-such-experiment'$"):
+        build_config({"experiment": "no-such-experiment", "lam": 1.0})
+
+
 # the sweep-specific keys each experiment reads; every sweep also reads methods, n, m,
 # split_ratio, alpha and alpha_grid
 _SPECIFIC_READS = {
