@@ -1,8 +1,9 @@
 """Shared domain types: prediction sets, informativeness constraints, datasets, RNG streams.
 
 Prediction sets are held in columns, one set per row: an ``IntervalBatch``
-(one real interval per row, for regression) or a ``ClassBatch`` (one
-membership row over the classes 1..K per unit, for classification).
+(one closed float interval per row, for regression; an open end is held as
+the next float inside it) or a ``ClassBatch`` (one membership row over the
+classes 1..K per unit, for classification).
 Informativeness constraints are monotone set predicates: whenever a set is
 admissible, every nonempty subset of it is admissible too.  Each constraint
 judges a whole batch at once with ``admits``, and reads a score's
@@ -207,48 +208,41 @@ def _search(table, block, side: str, out):
 
 @dataclass(frozen=True, eq=False)
 class IntervalBatch:
-    """One interval per row: the set ``{y : lower[i] <(=) y <(=) upper[i]}``, strict at an open end.
+    """One closed float interval per row: the set ``{y : lower[i] <= y <= upper[i]}``.
 
-    A row is empty when lower > upper, or when lower == upper and either
-    end is open.
+    An open end at c is held as the next float inside it (``np.nextafter``), which holds the same
+    finite labels.  A row is empty when it holds no finite float (lower > upper, lower = inf, upper =
+    -inf or a NaN end); a ±inf label lies in a nonempty row whose end on its side is infinite.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_open: np.ndarray
-    upper_open: np.ndarray
 
     @classmethod
     def from_radius(cls, mu, radius) -> "IntervalBatch":
-        """Closed residual sublevel intervals [mu - r, mu + r]: empty for r < 0 or a non-finite mu,
-        the open line for r = inf; an end past the float range rounds to an infinite one."""
-        mu, radius = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(radius, dtype=float))
-        empty = (radius < 0.0) | ~np.isfinite(mu)
-        full = radius == math.inf
+        """Residual sublevel intervals [mu - r, mu + r]: empty for r < 0 or a non-finite mu, the
+        whole line for r = inf; an end past the float range rounds to an infinite one."""
+        radius = np.where(np.less(radius, 0.0), -math.inf, radius)  # empty even where mu -+ r rounds to mu
         with np.errstate(invalid="ignore", over="ignore"):
-            lower = np.where(empty, math.inf, mu - radius)
-            upper = np.where(empty, -math.inf, mu + radius)
-        return cls(lower, upper, full, full)
+            return cls(np.subtract(mu, radius), np.add(mu, radius))
 
     @property
     def nonempty(self) -> np.ndarray:
-        return (self.lower < self.upper) | ((self.lower == self.upper) & ~(self.lower_open | self.upper_open))
+        return (self.lower <= self.upper) & (self.lower < math.inf) & (self.upper > -math.inf)
 
     def covers(self, y) -> np.ndarray:
-        """Row i contains y[i], respecting open and closed ends."""
+        """Row i is nonempty and contains y[i]."""
         y = np.asarray(y)
         if not np.issubdtype(y.dtype, np.floating):
             raise TaskMismatchError(f"interval membership needs real (float) labels, got {y.dtype}")
-        above = (y > self.lower) | ((y == self.lower) & ~self.lower_open)
-        below = (y < self.upper) | ((y == self.upper) & ~self.upper_open)
-        return above & below
+        return self.nonempty & (y >= self.lower) & (y <= self.upper)
 
     def measure(self) -> np.ndarray:
         """Length per row; 0 for an empty row, inf for an unbounded one."""
         return np.subtract(self.upper, self.lower, out=np.zeros(self.lower.shape), where=self.nonempty)
 
     def take(self, rows) -> "IntervalBatch":
-        return IntervalBatch(self.lower[rows], self.upper[rows], self.lower_open[rows], self.upper_open[rows])
+        return IntervalBatch(self.lower[rows], self.upper[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,19 +347,20 @@ def _positive_or_never(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
     A NaN or infinite mu has an empty set at every radius
     (``IntervalBatch.from_radius``), so it has no admissible nonempty set.
+    v is formed without warnings: mu - c past ±max is the ±inf it stands for, inf - inf a NaN.
     """
     return np.where((v > 0.0) & np.isfinite(mu), v, -math.inf)
 
 
 def _past_rounding(constraint: InformativeConstraint, mu, nu, nu_past) -> np.ndarray:
-    """``nu``, or ``nu_past`` where the closed set at the largest radius below ``nu`` is not admitted.
+    """``_positive_or_never`` of nu, or of nu_past where the closed set at the largest radius below nu is not admitted.
 
     nu = fl(mu - c) is rounded, so that set can end exactly on the constant
     c.  ``nu_past`` is nu taken against the next float past c; every radius
     below it keeps the set's end strictly on the admitted side of c.
     """
     inside = IntervalBatch.from_radius(mu, np.nextafter(nu, -math.inf))
-    return np.where(constraint.admits(inside), nu, nu_past)
+    return _positive_or_never(np.where(constraint.admits(inside), nu, nu_past), mu)
 
 
 @dataclass(frozen=True)
@@ -391,7 +386,8 @@ class LowerBoundedInterval(InformativeConstraint):
 
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "LowerBoundedInterval")
-        return _positive_or_never(mu - self.c, mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _positive_or_never(mu - self.c, mu)
 
 
 @dataclass(frozen=True)
@@ -401,13 +397,12 @@ class HalfLine(InformativeConstraint):
     c0: float
 
     def admits(self, batch):
-        b = _intervals(batch)
-        return (b.lower > self.c0) | ((b.lower == self.c0) & b.lower_open)
+        return _intervals(batch).lower > self.c0
 
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "HalfLine")
-        nu = _past_rounding(self, mu, mu - self.c0, mu - np.nextafter(self.c0, math.inf))
-        return _positive_or_never(nu, mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _past_rounding(self, mu, mu - self.c0, mu - np.nextafter(self.c0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -423,15 +418,14 @@ class TargetHalfLines(InformativeConstraint):
 
     def admits(self, batch):
         b = _intervals(batch)
-        below = (b.upper < self.c_l) | ((b.upper == self.c_l) & b.upper_open)
-        above = (b.lower > self.c_u) | ((b.lower == self.c_u) & b.lower_open)
-        return below | above
+        return (b.upper < self.c_l) | (b.lower > self.c_u)
 
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "TargetHalfLines")
-        nu = np.maximum(self.c_l - mu, mu - self.c_u)
-        past = np.maximum(np.nextafter(self.c_l, -math.inf) - mu, mu - np.nextafter(self.c_u, math.inf))
-        return _positive_or_never(_past_rounding(self, mu, nu, past), mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nu = np.maximum(self.c_l - mu, mu - self.c_u)
+            past = np.maximum(np.nextafter(self.c_l, -math.inf) - mu, mu - np.nextafter(self.c_u, math.inf))
+            return _past_rounding(self, mu, nu, past)
 
 
 @dataclass(frozen=True)

@@ -188,26 +188,31 @@ def _require_class_prob(config: ProcedureConfig) -> OneMinusProb:
 
 
 def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBatch, np.ndarray]:
-    """cfbh+'s constructor and mu-based trust, per prediction mu; both ends of each set are open.
+    """cfbh+'s constructor and mu-based trust, per prediction mu.
 
     HalfLine(c0): (c0, inf) with trust mu_hat.  TargetHalfLines(c_l, c_u):
     (c_u, inf) when mu_hat >= (c_l + c_u)/2, else (-inf, c_l), with trust
-    the distance of mu_hat from that midpoint.  A NaN or infinite mu_hat
-    gets the empty set and trust 0, as in ``IntervalBatch.from_radius``.
+    the distance of mu_hat from that midpoint, which must be finite.  An open
+    end is held as the next float inside it: (c0, inf) is [nextafter(c0, inf),
+    inf], empty for c0 >= max.  A NaN or infinite mu_hat gets the empty set
+    and trust 0, as in ``IntervalBatch.from_radius``.
     """
     constraint = config.constraint
     if isinstance(constraint, HalfLine):
         up, c_below, c_above, trust = np.ones(mu.shape, dtype=bool), constraint.c0, constraint.c0, mu
     elif isinstance(constraint, TargetHalfLines):
         mid = (constraint.c_l + constraint.c_u) / 2.0
+        if not np.isfinite(mid):  # an infinite end, or c_l + c_u past ±max: no distance to rank by
+            raise ConfigError("cfbh+ and cfbh++ need a finite midpoint (c_l + c_u) / 2")
         up, c_below, c_above, trust = mid - mu <= 0.0, constraint.c_l, constraint.c_u, np.abs(mid - mu)
     else:
         raise ConfigError("cfbh+ and cfbh++ need a HalfLine or TargetHalfLines constraint")
     finite = np.isfinite(mu)
-    lower = np.where(finite, np.where(up, c_above, -np.inf), np.inf)
-    upper = np.where(finite, np.where(up, np.inf, c_below), -np.inf)
-    open_ends = np.ones(mu.shape, dtype=bool)
-    return IntervalBatch(lower, upper, open_ends, open_ends), np.where(finite, trust, 0.0)
+    with np.errstate(over="ignore"):
+        above, below = np.nextafter(c_above, np.inf), np.nextafter(c_below, -np.inf)
+    lower = np.where(finite, np.where(up, above, -np.inf), np.inf)
+    upper = np.where(finite, np.where(up, np.inf, below), -np.inf)
+    return IntervalBatch(lower, upper), np.where(finite, trust, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStrea
     paper's score also subtracts c0: a common shift changes no rank (rounded,
     it can only merge near-ties), and leaving it out keeps the scores finite
     for c0 = inf.  A test unit whose half line is empty (a NaN or infinite
-    mu_hat, or c0 = inf) gets p-value 1.
+    mu_hat, or c0 >= max) gets p-value 1.
     """
     if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
@@ -418,7 +423,8 @@ def run_selective_classification(
     Deterministic ties make the selection coincide with the mirror-process
     style references.  A test row with a NaN or infinite probability gets the
     empty set and trust 0, so it is never reported; such a calibration row
-    raises ``ValueError``, as it does for infosp.
+    raises ``ValueError``, as it does for infosp.  Under a SingletonClass(y0)
+    with y0 outside the classes 1..K every row's set is empty.
     """
     score = _require_class_prob(config)
     constraint = config.constraint
@@ -427,10 +433,8 @@ def run_selective_classification(
         raise ConfigError("selective classification needs SingletonClass or MaxSize(1)")
 
     probs = _pooled_predictions(score, cal, test)[1]
-    finite = _finite_rows(probs)
-    rows = np.arange(probs.shape[0])
-    classes = np.full(rows.size, constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
-    member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & finite[:, None]
-    trust = np.where(finite, probs[rows, classes - 1], 0.0)
+    classes = np.full(probs.shape[0], constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
+    member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & _finite_rows(probs)[:, None]
+    trust = np.where(member, probs, 0.0).sum(axis=1)  # the one member's probability, or 0
     deterministic = replace(config, tie_mode=TieMode.DETERMINISTIC)
     return _select(deterministic, None, cal.y, ClassBatch(member), trust)

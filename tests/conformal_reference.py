@@ -17,9 +17,9 @@ from scip.conformal import AbsoluteResidual, OneMinusProb
 def conformal_set(x_row, cal_values, score, q):
     """The level-q conformal set of one unit, for a residual or class-probability score.
 
-    Classification: the tuple of member classes.  Regression: ``(lower,
-    upper)``, closed at a finite end and open at an infinite one, or None
-    when the set is empty.
+    Classification: the tuple of member classes.  Regression: the closed
+    ends ``(lower, upper)`` (the whole line at r = inf is ``(-inf, inf)``),
+    or None when the set is empty.
     """
     cal_values = np.asarray(cal_values, dtype=float)
 

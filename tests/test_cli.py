@@ -578,6 +578,22 @@ def test_csv_bytes_pinned(tmp_path):
         assert digests == expected, config.experiment
 
 
+def test_a_screening_threshold_at_max_reports_nothing(tmp_path, capsys):
+    """--set screening_threshold=max passes validate, and (max, inf) holds no finite label, so cfbh,
+    cfbh+ and infoscop's screen report nothing (before, cfbh reported (max, inf) for most units)."""
+    code = main([
+        "--experiment", "regression-sweep", "--seed", "9", "--out", str(tmp_path / "max"),
+        "--set", "reps=4", "--set", "n=60", "--set", "m=40", "--set", "eta_grid=1.0",
+        "--set", "alpha=0.9", "--set", "screening_alpha=0.9", "--set", "methods=cfbh,cfbh+,infoscop",
+        "--set", "screening_threshold=1.7976931348623157e308",
+    ])
+    assert code == 0
+    rows = (tmp_path / "max" / "aggregate.csv").read_text(encoding="utf-8").splitlines()
+    header = rows[0].split(",")
+    cpow = {row.split(",")[1]: float(row.split(",")[header.index("cpow")]) for row in rows[1:]}
+    assert cpow == {"cfbh": 0.0, "cfbh+": 0.0, "infoscop": 0.0}
+
+
 _FRESH_PROCESS = """
 import sys
 

@@ -29,11 +29,16 @@ _PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
 def _intervals(lower, upper, lower_open=False, upper_open=False) -> IntervalBatch:
-    """An interval batch from per-row ends; scalar open flags apply to every row."""
+    """An interval batch from per-row ends, each finite open end held as the next float inside it;
+    scalar open flags apply to every row."""
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    flags = (np.broadcast_to(np.asarray(f, dtype=bool), lower.shape).copy() for f in (lower_open, upper_open))
-    return IntervalBatch(lower, upper, *flags)
+
+    def inward(end, is_open, toward):
+        with np.errstate(over="ignore"):  # past +-max the next float is +-inf
+            return np.where(np.asarray(is_open, dtype=bool) & np.isfinite(end), np.nextafter(end, toward), end)
+
+    return IntervalBatch(inward(lower, lower_open, math.inf), inward(upper, upper_open, -math.inf))
 
 
 def _class_sets(rows, n_classes) -> ClassBatch:
@@ -46,6 +51,7 @@ def _class_sets(rows, n_classes) -> ClassBatch:
 
 def test_open_endpoint_excludes_boundary():
     above = _intervals([2.0, 2.0], [math.inf, math.inf], lower_open=True, upper_open=True)
+    assert above.lower.tolist() == [np.nextafter(2.0, 3.0)] * 2  # (2, inf) is held as [next float above 2, inf]
     assert above.covers(np.array([2.0, 2.0001])).tolist() == [False, True]
 
 
@@ -65,7 +71,8 @@ def test_measures():
 
 
 def test_open_point_row_is_empty():
-    """(c, c) with an open end holds no point: empty, measure 0, covers nothing; [c, c] holds c."""
+    """(c, c) with an open end holds no point: empty, measure 0, covers nothing; [c, c] holds c;
+    [inf, inf] and [-inf, -inf] hold no finite float, so they are empty too."""
     c = np.array([1.0, 1.0, 1.0, 1.0, math.inf, -math.inf])
     batch = _intervals(c, c, [True, False, True, False, True, True], [False, True, True, False, True, True])
     assert batch.nonempty.tolist() == [False, False, False, True, False, False]
@@ -80,7 +87,7 @@ def test_task_mismatch_errors():
         _class_sets([(1, 2)], 2).covers(np.array([1.5]))
 
 
-# Interval rows on a 1/8 grid, exactly representable in floats; None marks an infinite (open) end.
+# Interval rows on a 1/8 grid, exactly representable in floats; None marks an infinite end.
 _END = st.one_of(st.none(), st.integers(-40, 40))
 
 
@@ -113,7 +120,8 @@ def _exact_covers(row, y: Fraction) -> bool:
 @_PROPERTY
 @given(_interval_rows(), st.data())
 def test_contains_agrees_with_rational_oracle(rows, data):
-    """``covers`` and ``nonempty`` on each row agree with the exact rule on rational ends."""
+    """``covers`` and ``nonempty`` on each row agree with the exact rule on rational ends: an open end
+    held as the next float inside it holds the same finite labels."""
     exact, batch = rows
     y = data.draw(st.lists(st.integers(-42, 42), min_size=len(exact), max_size=len(exact)))
     expected = [_exact_covers(row, Fraction(v, 8)) for row, v in zip(exact, y)]
@@ -131,8 +139,8 @@ def _exact_admits(constraint, row) -> bool:
     def below(c):
         return up is not None and (up < c or (up == c and up_open))
 
-    if isinstance(constraint, PositiveInterval):
-        return lo is not None and lo > 0
+    if isinstance(constraint, PositiveInterval):  # every member is > 0, as for HalfLine(0)
+        return above(0)
     if isinstance(constraint, LowerBoundedInterval):
         return lo is not None and lo >= Fraction(constraint.c)
     if isinstance(constraint, HalfLine):
@@ -173,56 +181,55 @@ def _random_interval_rows(gen, m):
     """Rows with open and closed ends, open and closed points, infinite and empty rows, on a 1/4 grid."""
     lower = gen.integers(-8, 9, m) / 4.0
     upper = lower + gen.integers(0, 5, m) / 4.0
-    lower_open = gen.random(m) < 0.5
-    upper_open = gen.random(m) < 0.5
     inf_lo, inf_up = gen.random(m) < 0.15, gen.random(m) < 0.15
-    lower[inf_lo], lower_open[inf_lo] = -np.inf, True
-    upper[inf_up], upper_open[inf_up] = np.inf, True
+    lower[inf_lo], upper[inf_up] = -np.inf, np.inf
     empty = gen.random(m) < 0.2
     lower[empty], upper[empty] = upper[empty] + 0.25, lower[empty] - gen.integers(0, 3, empty.sum()) / 4.0
     lower[empty & (gen.random(m) < 0.3)] = np.inf
-    return IntervalBatch(lower, upper, lower_open, upper_open)
+    return _intervals(lower, upper, gen.random(m) < 0.5, gen.random(m) < 0.5)
 
 
 def test_interval_batch_matches_its_sets():
-    """Every column operation equals its per-row definition written out on plain floats."""
+    """Every column operation equals its per-row definition written out on plain floats: a row is
+    the closed interval [lower, upper], empty when it holds no finite float."""
     gen = np.random.default_rng(4259)
     for _ in range(200):
         m = int(gen.integers(0, 30))
         batch = _random_interval_rows(gen, m)
         y = gen.integers(-12, 13, m) / 4.0
         y[gen.random(m) < 0.05] = np.inf
-        columns = (batch.lower, batch.upper, batch.lower_open, batch.upper_open)
+        y[gen.random(m) < 0.05] = -np.inf
+        columns = (batch.lower, batch.upper)
         covers, measure, nonempty = [], [], []
-        for lo, up, lo_open, up_open, v in zip(*(c.tolist() for c in columns), y.tolist()):
-            held = lo < up or (lo == up and not (lo_open or up_open))
+        for lo, up, v in zip(*(c.tolist() for c in columns), y.tolist()):
+            held = lo <= up and lo < math.inf and up > -math.inf
             nonempty.append(held)
             measure.append(up - lo if held else 0.0)
-            covers.append(held and (lo < v < up or (v == lo and not lo_open) or (v == up and not up_open)))
+            covers.append(held and lo <= v <= up)
         assert batch.covers(y).tolist() == covers
         assert batch.measure().tolist() == measure
         assert batch.nonempty.tolist() == nonempty
         rows = gen.permutation(m)[: m // 2]
         taken = batch.take(rows)
-        for column, full in zip((taken.lower, taken.upper, taken.lower_open, taken.upper_open), columns):
+        for column, full in zip((taken.lower, taken.upper), columns):
             assert column.tolist() == [full[j] for j in rows]
     with pytest.raises(TaskMismatchError):
         _random_interval_rows(gen, 3).covers(np.array([1, 2, 3]))
 
 
 def test_interval_batch_from_radius():
-    """[mu - r, mu + r] for finite r >= 0, the open line at r = inf, empty for r < 0."""
-    mu = np.array([0.5, -1.0, 2.0, 3.0, 0.0, 1.5])
-    radius = np.array([0.25, 0.0, math.inf, -0.5, -math.inf, 1e-300])
+    """[mu - r, mu + r] for finite r >= 0, the whole line at r = inf, empty for r < 0 (also where
+    mu -+ r rounds to one point, as 1.5 -+ 1e-300 does)."""
+    mu = np.array([0.5, -1.0, 2.0, 3.0, 0.0, 1.5, 1.5])
+    radius = np.array([0.25, 0.0, math.inf, -0.5, -math.inf, 1e-300, -1e-300])
     batch = IntervalBatch.from_radius(mu, radius)
-    assert batch.nonempty.tolist() == [True, True, True, False, False, True]
+    assert batch.nonempty.tolist() == [True, True, True, False, False, True, False]
+    assert batch.covers(np.full(7, 1.5)).tolist() == [False, False, True, False, False, True, False]
     held = batch.take(np.array([0, 1, 2, 5]))
     assert held.lower.tolist() == [0.25, -1.0, -math.inf, 1.5]  # 1.5 -+ 1e-300 rounds to 1.5
     assert held.upper.tolist() == [0.75, -1.0, math.inf, 1.5]
-    assert held.lower_open.tolist() == held.upper_open.tolist() == [False, False, True, False]
     shared = IntervalBatch.from_radius(mu[:2], 0.25)
     assert (shared.lower.tolist(), shared.upper.tolist()) == ([0.25, -1.25], [0.75, -0.75])
-    assert not (shared.lower_open.any() or shared.upper_open.any())
 
 
 def test_interval_batch_from_radius_non_finite_mu_is_empty():
@@ -232,6 +239,47 @@ def test_interval_batch_from_radius_non_finite_mu_is_empty():
     assert batch.nonempty.tolist() == [False, False, False, False, True]
     assert not batch.covers(np.array([math.inf, -math.inf, 0.0, math.inf, 1.0]))[:4].any()
     assert batch.measure().tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+_MAX = sys.float_info.max
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.5, 1e308, -1e308, _MAX, -_MAX, math.inf, -math.inf,
+                math.nan]
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(-4.0, 4.0))
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_from_radius_closed_form_matches_the_rule_with_open_ends(data):
+    """Over (mu, r) with NaN, +-inf, negative r (also r that rounds away, as -1e-300 does at mu = 1.5),
+    -0.0 and sums past +-max, a row is nonempty exactly when mu is finite and r >= 0, and holds a
+    finite y exactly when y lies between the rounded ends, or anywhere at r = inf (the rule of the
+    open line and closed finite ends)."""
+    size = data.draw(st.integers(1, 8), "size")
+    mu = np.array(data.draw(st.lists(_ANY_FLOAT, min_size=size, max_size=size), "mu"))
+    radius = np.array(data.draw(st.lists(st.one_of(_ANY_FLOAT, st.just(-1e-300)), min_size=size, max_size=size), "r"))
+    batch = IntervalBatch.from_radius(mu, radius)
+    held = [math.isfinite(m) and r >= 0.0 for m, r in zip(mu.tolist(), radius.tolist())]
+    assert batch.nonempty.tolist() == held
+    for i, (m, r) in enumerate(zip(mu.tolist(), radius.tolist())):
+        lo, up = m - r, m + r  # Python floats round past +-max to +-inf, as numpy does
+        near = [v for end in (lo, up, m) if math.isfinite(end) for v in (end, math.nextafter(end, -math.inf),
+                                                                           math.nextafter(end, math.inf))]
+        for y in [v for v in near + [0.0, _MAX, -_MAX] if math.isfinite(v)]:
+            inside = held[i] and (r == math.inf or lo <= y <= up)
+            assert batch.take([i]).covers(np.array([y])).tolist() == [inside], (m, r, y)
+
+
+def test_infinite_label_lies_in_a_row_whose_end_on_its_side_is_infinite():
+    """An infinite end is closed: +-inf lies in the whole line, in a half line's far end and in an
+    end that overflowed, as long as the row holds a finite float; a finite end or an empty row
+    holds neither."""
+    rows = IntervalBatch.from_radius([0.0, 1e308, 1.0, math.inf, 0.0], [math.inf, 1e308, 0.5, 1.0, -1.0])
+    assert rows.upper.tolist()[:2] == [math.inf, math.inf]  # r = inf, and 1e308 + 1e308 overflowed
+    assert rows.covers(np.full(5, math.inf)).tolist() == [True, True, False, False, False]
+    assert rows.covers(np.full(5, -math.inf)).tolist() == [True, False, False, False, False]
+    above = _intervals([2.0, _MAX], [math.inf, math.inf], lower_open=True)  # (2, inf), and (max, inf): no finite float
+    assert above.nonempty.tolist() == [True, False]
+    assert above.covers(np.full(2, math.inf)).tolist() == [True, False]
 
 
 def test_class_batch_matches_its_sets():
@@ -272,15 +320,12 @@ _EIGHTH = st.integers(-48, 48).map(lambda k: k / 8.0)
 
 
 def _shrunk(data, batch: IntervalBatch) -> IntervalBatch:
-    """A random subset of each row: each end kept or moved inward, and any end maybe opened."""
+    """A random subset of each row: each end kept or moved inward, and any finite end maybe opened."""
     columns = ([], [], [], [])
-    for lo, up, lo_open, up_open in zip(batch.lower.tolist(), batch.upper.tolist(),
-                                        batch.lower_open.tolist(), batch.upper_open.tolist()):
+    for lo, up in zip(batch.lower.tolist(), batch.upper.tolist()):
         sub_lo = max(lo, data.draw(st.one_of(st.just(-math.inf), _EIGHTH)))
         sub_up = min(up, data.draw(st.one_of(st.just(math.inf), _EIGHTH)))
-        sub_lo_open = data.draw(st.booleans()) or (sub_lo == lo and lo_open)
-        sub_up_open = data.draw(st.booleans()) or (sub_up == up and up_open)
-        for column, value in zip(columns, (sub_lo, sub_up, sub_lo_open, sub_up_open)):
+        for column, value in zip(columns, (sub_lo, sub_up, data.draw(st.booleans()), data.draw(st.booleans()))):
             column.append(value)
     return _intervals(*columns)
 

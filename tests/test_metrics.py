@@ -8,8 +8,7 @@ from scip.metrics import ReplicationMetrics, aggregate, mfcr_estimate, replicati
 
 
 def _closed(lower, upper) -> IntervalBatch:
-    closed = np.zeros(len(lower), dtype=bool)
-    return IntervalBatch(np.array(lower, dtype=float), np.array(upper, dtype=float), closed, closed)
+    return IntervalBatch(np.array(lower, dtype=float), np.array(upper, dtype=float))
 
 
 def test_hit_miss_counting():
@@ -34,8 +33,7 @@ def test_rpow_reciprocal_sizes():
 
 
 def test_rpow_unbounded_sets_contribute_zero():
-    sets = IntervalBatch(np.array([0.0, 0.0]), np.array([np.inf, 2.0]), np.array([True, False]),
-                         np.array([True, False]))  # (0, inf) and [0, 2]
+    sets = _closed([np.nextafter(0.0, 1.0), 0.0], [np.inf, 2.0])  # (0, inf) and [0, 2]
     truth = np.array([1.0, 1.0])
     assert replication_metrics(np.array([0, 1]), sets, truth).rpow == pytest.approx(0.5)
 
@@ -63,11 +61,10 @@ def test_batch_scores_match_the_per_set_loop():
         selected = gen.permutation(40)[:m]
         truth = gen.normal(size=40)
         n_false, rpow = 0, 0.0
-        columns = (sets.lower, sets.upper, sets.lower_open, sets.upper_open)
-        for j, lo, up, lo_open, up_open in zip(selected.tolist(), *(c.tolist() for c in columns)):
-            y = float(truth[j])
-            n_false += not ((y > lo or (y == lo and not lo_open)) and (y < up or (y == up and not up_open)))
-            size = up - lo if lo < up or (lo == up and not (lo_open or up_open)) else 0.0
+        for j, centre, r in zip(selected.tolist(), mu.tolist(), radius.tolist()):
+            y, held = float(truth[j]), r >= 0.0  # [centre - r, centre + r], empty for r < 0
+            n_false += not (held and centre - r <= y <= centre + r)
+            size = (centre + r) - (centre - r) if held else 0.0
             rpow += 0.0 if math.isinf(size) else (math.inf if size == 0.0 else 1.0 / size)
         got = replication_metrics(selected, sets, truth)
         assert (got.n_false, got.n_selected, got.rpow) == (n_false, m, rpow)

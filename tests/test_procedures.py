@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -13,8 +15,10 @@ from scip.core import (
     ConfigError,
     ConstraintViolationError,
     Dataset,
+    DegenerateLabelsError,
     HalfLine,
     IntervalBatch,
+    LowerBoundedInterval,
     MaxSize,
     PositiveInterval,
     REGRESSION,
@@ -26,6 +30,7 @@ from scip.metrics import replication_metrics
 from scip.procedures import (
     ProcedureConfig,
     _checked_output,
+    _half_line_sets,
     run_cfbh,
     run_cfbh_plus,
     run_cfbh_plus_plus,
@@ -39,7 +44,7 @@ from scip.procedures import (
 )
 from scip.selection import ScoredPool, TieMode, bh_select, generalized_conformal_pvalues
 from scip.simgen import MuHatEta, StoredProbs, gen_regression, true_class_probs
-from scip.trust import train_trust_classifier
+from scip.trust import OptimizerConfig, train_trust_classifier
 
 from conformal_reference import conformal_set
 
@@ -53,11 +58,10 @@ def _regression_bundle(seed, n=80, m=50, eta=0.5):
 
 
 def _rows(sets):
-    """Each batch row as plain values: a tuple of classes, or (lower, upper, lower_open, upper_open)."""
+    """Each batch row as plain values: a tuple of classes, or the closed ends (lower, upper)."""
     if isinstance(sets, ClassBatch):
         return [tuple((np.flatnonzero(row) + 1).tolist()) for row in sets.member]
-    columns = (sets.lower, sets.upper, sets.lower_open, sets.upper_open)
-    return list(zip(*(c.tolist() for c in columns)))
+    return list(zip(sets.lower.tolist(), sets.upper.tolist()))
 
 
 def _nonempty_and_admitted(out, constraint) -> bool:
@@ -131,7 +135,8 @@ def test_two_sided_direction_and_sets():
 
 
 def test_midpoint_tie_goes_to_upper_half_line():
-    """Directional constructor: mu_hat exactly at (c_l + c_u)/2 reports (c_u, inf)."""
+    """Directional constructor: mu_hat exactly at (c_l + c_u)/2 reports (c_u, inf), held as
+    [next float above c_u, inf]; (-inf, c_l) is held as [-inf, next float below c_l]."""
     constraint = TargetHalfLines(0.0, 2.0)
     mu_hat = lambda X: np.asarray(X, dtype=float).reshape(-1)
     # no calibration unit is null, so every test unit gets p = 1/(n+1) and is selected
@@ -144,13 +149,14 @@ def test_midpoint_tie_goes_to_upper_half_line():
     cfg = ProcedureConfig(
         alpha=0.5, score=AbsoluteResidual(mu_hat), constraint=constraint, tie_mode=TieMode.DETERMINISTIC
     )
-    above = (2.0, np.inf, True, True)
-    expected = [above, above, (-np.inf, 0.0, True, True)]
+    above = (np.nextafter(2.0, np.inf), np.inf)
+    expected = [above, above, (-np.inf, -5e-324)]
     for out in (
         run_cfbh_plus(cal, test, cfg, RngStream(40)),
         run_cfbh_plus_plus(train, cal, test, cfg, RngStream(40)),
     ):
         assert out.selected.tolist() == [0, 1, 2] and _rows(out.sets) == expected
+        assert out.sets.covers(np.array([2.0, np.nextafter(2.0, np.inf), -5e-324])).tolist() == [False, True, True]
 
 
 def test_cfbh_plus_plus_boundary_training_label_is_negative():
@@ -171,6 +177,77 @@ def test_cfbh_plus_plus_boundary_training_label_is_negative():
     closed = np.where(up, y_train >= 2.0, y_train <= 0.0)  # the closed rule counts the boundary labels in
     other = train_trust_classifier(x_train[:, None], np.where(closed, 1, -1), lam=cfg.lam, config=cfg.optimizer)
     assert not np.array_equal(scorer.weights, other.weights)
+
+
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("constraint", [HalfLine(_MAX), TargetHalfLines(-_MAX, _MAX)])
+def test_a_half_line_past_max_is_empty_and_never_reported(constraint):
+    """(max, inf) and (-inf, -max) hold no finite label: every such row is empty and gets p-value 1,
+    so cfbh and cfbh+ report nothing (before, they reported the open row (max, inf), which no label
+    can fall in).  cfbh++ finds every training label outside its set and raises."""
+    x = np.linspace(-2.0, 2.0, 24)
+    cal = Dataset(x[:, None], x + 0.1, REGRESSION)
+    test = Dataset(np.array([[3.0], [4.0], [-3.0]]), None, REGRESSION)  # the strongest trusts when one-sided
+    identity = lambda X: np.asarray(X, dtype=float)[:, 0]
+    cfg = ProcedureConfig(alpha=0.5, score=AbsoluteResidual(identity), constraint=constraint,
+                          tie_mode=TieMode.DETERMINISTIC)
+    sets = _half_line_sets(cfg, identity(test.X))[0]
+    assert not sets.nonempty.any() and not sets.covers(np.array([3.0, 1e308, -1e308])).any()
+    runs = [run_cfbh_plus] + ([run_cfbh] if isinstance(constraint, HalfLine) else [])
+    for run in runs:
+        out = run(cal, test, cfg, RngStream(1))
+        assert out.n_reported == 0
+        assert out.diagnostics["result"].pvalues.tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(DegenerateLabelsError):
+        run_cfbh_plus_plus(cal, cal, test, cfg, RngStream(1))
+
+
+def test_directional_constructor_needs_a_finite_midpoint():
+    """TargetHalfLines with an infinite end, or with c_l + c_u past max, has no finite midpoint to
+    rank mu_hat by: cfbh+ and cfbh++ raise ConfigError; infosp takes the constraint."""
+    cal, test, train, mu_hat = _regression_bundle(7, n=30, m=10)
+    for constraint in (TargetHalfLines(0.0, np.inf), TargetHalfLines(-np.inf, 0.0), TargetHalfLines(_MAX, _MAX)):
+        cfg = ProcedureConfig(alpha=0.3, score=AbsoluteResidual(mu_hat), constraint=constraint)
+        with pytest.raises(ConfigError, match="finite midpoint"):
+            run_cfbh_plus(cal, test, cfg, RngStream(1))
+        with pytest.raises(ConfigError, match="finite midpoint"):
+            run_cfbh_plus_plus(train, cal, test, cfg, RngStream(1))
+        assert _nonempty_and_admitted(run_infosp(cal, test, cfg), constraint)
+
+
+_THRESHOLD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, _MAX, -_MAX, np.inf, -np.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(c=_THRESHOLD, other=_THRESHOLD, mu=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
+def test_half_line_rows_hold_exactly_the_finite_labels_past_their_constant(c, other, mu):
+    """Each (c, inf) row is held as [next float above c, inf] and (-inf, c) as [-inf, next float below
+    c]: a row holds a finite y exactly when y > c0, or, by its side, y < c_l or y > c_u."""
+    mu = np.array(mu)
+    identity = AbsoluteResidual(lambda X: X[:, 0])
+    labels = {c, other, 0.0, _MAX, -_MAX, *mu.tolist()}
+    labels |= {math.nextafter(v, to) for v in list(labels) for to in (-np.inf, np.inf)}
+    labels = np.array(sorted(v for v in labels if math.isfinite(v)))
+    c_l, c_u = sorted((c, other))
+    for constraint in (HalfLine(c), TargetHalfLines(c_l, c_u)):
+        if isinstance(constraint, TargetHalfLines) and not math.isfinite((c_l + c_u) / 2.0):
+            continue
+        sets, _ = _half_line_sets(ProcedureConfig(alpha=0.1, score=identity, constraint=constraint), mu)
+        for i, centre in enumerate(mu.tolist()):
+            row = sets.take(np.full(labels.size, i))
+            if isinstance(constraint, HalfLine):
+                expected = labels > c
+            elif (c_l + c_u) / 2.0 - centre <= 0.0:  # the upper half line
+                expected = labels > c_u
+            else:
+                expected = labels < c_l
+            assert np.array_equal(row.covers(labels), expected), (constraint, centre)
+            assert sets.nonempty[i] == expected.any()  # the labels hold the next float past each constant
 
 
 _GRID = st.integers(-12, 12).map(lambda k: k / 4.0)  # coarse values force ties among trusts and labels
@@ -572,10 +649,7 @@ def test_infosp_plus_sets_match_per_row_sets_at_truncated_levels():
         cal0_scores = score.eval(cal0.X, cal0.y)
         q_plus = out.diagnostics["q_plus"][cal1.n :]
         for j, row in zip(out.selected, _rows(out.sets)):
-            ref = conformal_set(test.X[j], cal0_scores, score, q_plus[j])
-            if isinstance(score, AbsoluteResidual):  # closed finite ends, open infinite ones
-                ref = (*ref, bool(np.isinf(ref[0])), bool(np.isinf(ref[1])))
-            assert row == ref
+            assert row == conformal_set(test.X[j], cal0_scores, score, q_plus[j])
 
 
 def test_infosp_plus_zero_truncation_keeps_raw_levels():
@@ -707,9 +781,147 @@ def test_infoscop_equals_cfbh_then_infosp_on_the_kept_rows(case):
     out = run_infoscop(cal_a, cal_b, test, cfg, RngStream(seed))
     selected, sets, tau = _infoscop_reference(cal_a, cal_b, test, cfg, RngStream(seed))
     assert np.array_equal(out.selected, selected)
-    for column in ("lower", "upper", "lower_open", "upper_open"):
+    for column in ("lower", "upper"):
         assert np.array_equal(getattr(out.sets, column), getattr(sets, column))
     assert out.diagnostics.get("trust_threshold") == tau
+
+
+# constants at the edges of the floats: signed zeros, the least subnormal, +-max and +-inf
+_EDGE_CONSTANTS = [0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, np.inf, -np.inf, -0.5, 0.25]
+_PREDICTION = st.one_of(_GRID, st.sampled_from([5e-324, -5e-324, -0.0, 0.5, 0.25 + 2**-50]))
+
+
+def _interval_methods(constraint, train, cal, cal0, test, config, rng):
+    """Every method that takes ``constraint``, on the CLI's split of the calibration rows, by name;
+    cfbh+ and cfbh++ take a HalfLine, or a TargetHalfLines with a finite midpoint."""
+    runs = {
+        "naive": lambda: run_naive(cal0, test, config),
+        "infosp": lambda: run_infosp(cal0, test, config),
+        "infosp+": lambda: run_infosp_plus(cal, cal0, test, config, rng),
+        "infosp++": lambda: run_infosp_plus_plus(train, cal, cal0, test, config, rng),
+        "infosp-modified": lambda: run_infosp_modified(cal, cal0, test, config),
+        "infoscop": lambda: run_infoscop(cal0, cal, test, config, rng),
+    }
+    if isinstance(constraint, HalfLine) or (isinstance(constraint, TargetHalfLines)
+                                            and np.isfinite((constraint.c_l + constraint.c_u) / 2.0)):
+        runs["cfbh+"] = lambda: run_cfbh_plus(cal, test, config, rng)
+        runs["cfbh++"] = lambda: run_cfbh_plus_plus(train, cal, test, config, rng)
+    if isinstance(constraint, HalfLine):
+        runs["cfbh"] = lambda: run_cfbh(cal, test, config, rng)
+    return runs
+
+
+@st.composite
+def _edge_pipeline_case(draw, c):
+    """Blocks (train, cal, cal0, test) whose feature is the row's index into a table of predictions,
+    with heavy ties among them; test predictions may be NaN or infinite; an interval constraint at
+    edge constant c."""
+    sizes = [draw(st.integers(2, 12)) for _ in range(4)]
+    finite = st.lists(_PREDICTION, min_size=sum(sizes[:3]), max_size=sum(sizes[:3]))
+    wild = st.one_of(_PREDICTION, st.sampled_from([np.nan, np.inf, -np.inf]))
+    table = np.array(draw(finite) + draw(st.lists(wild, min_size=sizes[3], max_size=sizes[3])))
+    noise = draw(st.lists(st.sampled_from([0.0, 0.125, -0.25, 1.0]), min_size=table.size, max_size=table.size))
+    data = Dataset(np.arange(table.size, dtype=float)[:, None], np.nan_to_num(table, posinf=0.0, neginf=0.0) + noise,
+                   REGRESSION)
+    ends = np.cumsum([0] + sizes)
+    blocks = [data.take(slice(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+    c_other = draw(st.sampled_from(_EDGE_CONSTANTS + [None]))
+    constraint = draw(st.sampled_from([
+        HalfLine(c), TargetHalfLines(*sorted((c, c if c_other is None else c_other))),  # None: c_l == c_u
+        LowerBoundedInterval(c), PositiveInterval(),
+    ]))
+    config = ProcedureConfig(
+        alpha=draw(st.sampled_from([0.2, 0.5, 0.9])),
+        score=AbsoluteResidual(lambda X: table[np.asarray(X, dtype=float)[:, 0].astype(int)]),
+        constraint=constraint,
+        tie_mode=draw(st.sampled_from(list(TieMode))),
+        screening_alpha=draw(st.sampled_from([0.5, 0.9])),
+        screening_threshold=draw(st.sampled_from(_EDGE_CONSTANTS)),
+        optimizer=OptimizerConfig(max_iter=20),  # the trainers' fit is not under test
+    )
+    return (*blocks, config)
+
+
+def _row_holds_an_admitted_finite_float(constraint, lo: float, up: float) -> bool:
+    """A row [lo, up] holds a finite float, and every float in it meets the constraint."""
+    if not max(lo, -_MAX) <= min(up, _MAX):
+        return False
+    if isinstance(constraint, PositiveInterval):
+        return lo > 0.0
+    if isinstance(constraint, LowerBoundedInterval):
+        return lo >= constraint.c
+    if isinstance(constraint, HalfLine):
+        return lo > constraint.c0
+    return up < constraint.c_l or lo > constraint.c_u
+
+
+@pytest.mark.parametrize("c", _EDGE_CONSTANTS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_every_method_reports_only_nonempty_admitted_sets_at_edge_constants(c, data):
+    """No method raises from its reported-set check for any interval constraint it takes: at
+    constants 0.0, -0.0, 5e-324, +-max and +-inf, with c_l == c_u and infinite target ends, NaN and
+    infinite test predictions and tied scores; each reported row holds a finite float and meets the
+    constraint, and a test row with a non-finite prediction is never reported.  A trainer may find
+    all its labels on one side (a half line past every label): that raises DegenerateLabelsError."""
+    train, cal, cal0, test, config = data.draw(_edge_pipeline_case(c))
+    constraint = config.constraint
+    for method, run in _interval_methods(constraint, train, cal, cal0, test, config, RngStream(3)).items():
+        try:
+            out = run()
+        except DegenerateLabelsError:
+            assert method in ("cfbh++", "infosp++")
+            continue
+        assert out.sets.nonempty.all() and constraint.admits(out.sets).all()
+        rows = zip(out.sets.lower.tolist(), out.sets.upper.tolist())
+        assert all(_row_holds_an_admitted_finite_float(constraint, lo, up) for lo, up in rows), method
+        assert np.isfinite(config.score.predict(test.X)[out.selected]).all(), method
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_class_method_reports_only_nonempty_admitted_sets(data):
+    """The class counterpart: no method raises from its reported-set check under MaxSize(k0) or
+    SingletonClass(y0), k0 and y0 up to K + 1, with K = 1 to 4, tied probabilities and NaN or
+    infinite test probabilities; each reported row has a member and meets the constraint, and a
+    test row with a non-finite probability is never reported."""
+    k = data.draw(st.integers(1, 4), "K")
+    sizes = [data.draw(st.integers(2, 10)) for _ in range(3)]  # cal, cal0, test
+    weights = st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)  # few values: heavy ties
+    rows = data.draw(st.lists(weights, min_size=sum(sizes), max_size=sum(sizes)), "weights")
+    table = np.array(rows, dtype=float) / np.sum(rows, axis=1, keepdims=True)
+    wild = data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, None]), min_size=sizes[2],
+                              max_size=sizes[2]), "wild")
+    for row, value in zip(table[sum(sizes[:2]):], wild):
+        if value is not None:
+            row[data.draw(st.integers(0, k - 1))] = value
+    y = np.array(data.draw(st.lists(st.integers(1, k), min_size=table.shape[0], max_size=table.shape[0])))
+    full = Dataset(np.arange(table.shape[0], dtype=float)[:, None], y, CLASSIFICATION)
+    cal, cal0, test = full.take(slice(0, sizes[0])), full.take(slice(sizes[0], sum(sizes[:2]))), \
+        full.take(slice(sum(sizes[:2]), None))
+    constraint = data.draw(st.sampled_from([MaxSize(j) for j in range(1, k + 2)] +
+                                           [SingletonClass(j) for j in range(1, k + 2)]))
+    config = ProcedureConfig(alpha=data.draw(st.sampled_from([0.2, 0.5, 0.9])), score=OneMinusProb(StoredProbs(table)),
+                             constraint=constraint, tie_mode=data.draw(st.sampled_from(list(TieMode))))
+    rng = RngStream(3)
+    runs = {
+        "naive": lambda: run_naive(cal0, test, config),
+        "infosp": lambda: run_infosp(cal0, test, config),
+        "infosp+": lambda: run_infosp_plus(cal, cal0, test, config, rng),
+        "infosp++": lambda: run_infosp_plus_plus(None, cal, cal0, test, config, rng),
+        "infosp-modified": lambda: run_infosp_modified(cal, cal0, test, config),
+    }
+    if isinstance(constraint, SingletonClass) or constraint.k0 == 1:
+        runs["selective classification"] = lambda: run_selective_classification(cal, test, config)
+    for method, run in runs.items():
+        out = run()
+        assert out.sets.nonempty.all() and constraint.admits(out.sets).all()
+        for row in _rows(out.sets):
+            if isinstance(constraint, MaxSize):
+                assert 1 <= len(row) <= constraint.k0, method
+            else:
+                assert row == (constraint.y0,), method
+        assert np.isfinite(table[sum(sizes[:2]) + out.selected]).all(), method
 
 
 @pytest.mark.parametrize("block", ["cal0", "cal"])
@@ -762,6 +974,8 @@ def test_selective_classification_modes():
     cfg_t = ProcedureConfig(alpha=0.2, score=OneMinusProb(true_class_probs), constraint=SingletonClass(2))
     out_t = run_selective_classification(cal, test, cfg_t)
     assert _rows(out_t.sets) == [(2,)] * out_t.n_reported
+    outside = replace(cfg_t, constraint=SingletonClass(5), alpha=0.9)  # no class 5 among K = 4: every set is empty
+    assert run_selective_classification(cal, test, outside).n_reported == 0
     cfg_a = ProcedureConfig(alpha=0.2, score=OneMinusProb(true_class_probs), constraint=MaxSize(1))
     out_a = run_selective_classification(cal, test, cfg_a)
     top = np.argmax(true_class_probs(test.X), axis=1) + 1
@@ -802,8 +1016,7 @@ def test_same_seed_same_output():
 
 
 def test_reported_set_check_rejects_empty_rows():
-    closed = np.zeros(2, dtype=bool)
-    sets = IntervalBatch(np.array([1.0, 2.0]), np.array([2.0, 1.0]), closed, closed)  # row 1 is empty
+    sets = IntervalBatch(np.array([1.0, 2.0]), np.array([2.0, 1.0]))  # row 1 is empty
     with pytest.raises(ConstraintViolationError, match="unit 7: empty set"):
         _checked_output(np.array([3, 7]), sets, PositiveInterval(), {})
     member = np.array([[True, False, False], [False, False, False]])
@@ -812,8 +1025,7 @@ def test_reported_set_check_rejects_empty_rows():
 
 
 def test_reported_set_check_rejects_inadmissible_rows():
-    closed = np.zeros(2, dtype=bool)
-    sets = IntervalBatch(np.array([1.0, -0.5]), np.array([2.0, 1.0]), closed, closed)
+    sets = IntervalBatch(np.array([1.0, -0.5]), np.array([2.0, 1.0]))
     with pytest.raises(ConstraintViolationError, match="unit 7: reported set violates"):
         _checked_output(np.array([3, 7]), sets, PositiveInterval(), {})
     member = np.array([[True, False, False], [True, True, True]])
