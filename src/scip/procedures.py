@@ -167,12 +167,14 @@ def _select(
 
 def _trained_trust(config: ProcedureConfig, train: Dataset, X, sets: SetBatch):
     """The trust classifier fit to whether each training label lies in its own set, the other rows'
-    sets, and their trust; rows of ``X`` and ``sets`` come pooled, the training rows first."""
+    sets, and their trust (0 for an empty set, so a NaN feature there reaches no selection); rows
+    of ``X`` and ``sets`` come pooled, the training rows first."""
     labels = np.where(sets.take(slice(0, train.n)).covers(train.y), 1, -1)
     scorer = train_trust_classifier(
         train.X, labels, lam=config.lam, config=config.optimizer, feature_degree=config.feature_degree
     )
-    return scorer, sets.take(slice(train.n, None)), scorer.predict(X[train.n :])
+    sets = sets.take(slice(train.n, None))
+    return scorer, sets, np.where(sets.nonempty, scorer.predict(X[train.n :]), 0.0)
 
 
 def _require_residual(config: ProcedureConfig) -> AbsoluteResidual:
@@ -237,14 +239,16 @@ def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> Procedure
 def run_cfbh(cal: Dataset, test: Dataset, config: ProcedureConfig, rng: RngStream) -> ProcedureOutput:
     """Clipped-score conformal p-values + BH; reports the half line above the threshold.
 
-    The clipped score mu_hat(x) - 2M 1{y > c0} drops every calibration label
-    above c0 below every test unit, whose score is mu_hat(x).  The clip
-    constant M exceeds the realized sup of |mu_hat| over the pooled sample,
-    which is all the equivalence with the trust-score route needs.  The
-    paper's score also subtracts c0: a common shift changes no rank (rounded,
-    it can only merge near-ties), and leaving it out keeps the scores finite
-    for c0 = inf.  A test unit whose half line is empty (a NaN or infinite
-    mu_hat, or c0 >= max) gets p-value 1.
+    The paper's clipped score mu_hat(x) - 2M 1{y > c0}, with M past the
+    realized sup of |mu_hat|, drops every calibration label above c0 below
+    every test unit, whose score is mu_hat(x).  Only that order matters, so a
+    calibration unit with y > c0 scores the float just below the pooled
+    minimum instead, which stays finite where 2M would overflow (-max, tied
+    with a test score of -max, when the minimum is -max).  The paper's score
+    also subtracts c0: a common shift changes no rank (rounded, it can only
+    merge near-ties), and leaving it out keeps the scores finite for c0 = inf.
+    A test unit whose half line is empty (a NaN or infinite mu_hat, or
+    c0 >= max) gets p-value 1.
     """
     if not isinstance(config.constraint, HalfLine):
         raise ConfigError("cfbh tests a half-line null; use a HalfLine constraint")
@@ -255,12 +259,12 @@ def _cfbh_core(config: ProcedureConfig, rng: RngStream, cal_y, mu) -> ProcedureO
     """cfbh on pooled predictions ``mu``: the first ``cal_y.size`` are calibration rows, the rest test rows."""
     n = cal_y.size
     sets, v = _half_line_sets(config, mu)
-    big_m = float(np.abs(v).max()) + 1.0
-    v_cal = v[:n] - 2.0 * big_m * (cal_y > config.constraint.c0)
+    clip = max(float(np.nextafter(v.min(), -np.inf)), -np.finfo(float).max)
+    v_cal = np.where(cal_y > config.constraint.c0, clip, v[:n])
     result = scip_select_arrays(
         v_cal, np.ones(n, dtype=bool), v[n:], config.alpha, config.tie_mode, rng, test_eligible=sets.nonempty[n:]
     )
-    return _report(config, result.selected, sets.take(slice(n, None)), {"result": result, "big_m": big_m})
+    return _report(config, result.selected, sets.take(slice(n, None)), {"result": result, "clip": clip})
 
 
 def run_cfbh_plus(
@@ -356,7 +360,6 @@ def run_infosp_plus_plus(
         X, _, q0, tau0, q_plus, sets = _truncation(config, cal0, train, cal, test, skip=train.n)
         _, sets, trust = _trained_trust(config, train, X, sets)
         q0, q_plus = q0[train.n :], q_plus[train.n :]
-    trust = np.where(sets.nonempty, trust, 0.0)
     return _select(config, rng, cal.y, sets, trust, q0=q0, tau0=tau0, q_plus=q_plus, trust=trust)
 
 

@@ -4,18 +4,22 @@ The class-sum trust scores a class set by its estimated probability mass and
 sends the empty set to 0.  The trained variants approximate the oracle score
 pr{Y in C(X) | X = x} by a linear-logistic classifier fit with a
 class-weighted cross-entropy risk (weight lambda on the positive class)
-on a disjoint labeled training sample; their descent steps cost little more than
-the loss's and the sigmoid's transcendental passes, and a doubled step that a cheap
-vectorized bound proves is rejected skips the exact loss.  ``softmax`` is the one
-row softmax: the simulation designs and the softmax classifier call it, and the
-classifier's loss takes its log-normalizer from the same shifted exponentials.
+on a disjoint labeled training sample.  Their descent decides each step from
+a certified bracket on the loss, built with numpy's vectorized ``np.exp`` and
+``np.log1p``, and computes the exact loss (libm's, inside ``np.logaddexp``)
+only where two brackets overlap; the loss trace is computed on first read.
+``softmax`` is the one row softmax: the simulation designs and the softmax
+classifier call it, and the classifier's loss takes its log-normalizer from
+the same shifted exponentials.
 ``diversity_scores`` is the one scipy call here (``scipy.linalg``'s Cholesky
 solves), and it imports scipy only when it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -93,15 +97,20 @@ class OptimizerConfig:
 
 
 class _Objective(NamedTuple):
-    """A smooth loss in two steps: ``value(theta) -> (loss, state)`` and ``grad(state)``.
+    """A smooth loss in three steps: ``bracket``, ``exact`` and ``grad``.
 
-    Calling it returns ``(loss, grad)`` at ``theta``.  The optional screen ``exceeds(theta, bound)``
-    is True only when ``value(theta)[0] >= bound`` is certain, and False when it cannot tell.
+    ``bracket(theta) -> (lo, hi, state)`` holds the loss, lo <= loss <= hi, or is (-inf, inf);
+    ``exact(state)`` is the loss itself and ``grad(state)`` its gradient, both at the bracketed theta.
+    ``value(theta)`` returns ``(loss, state)``, and calling it returns ``(loss, grad)``.
     """
 
-    value: Callable[[np.ndarray], tuple[float, Any]]
+    bracket: Callable[[np.ndarray], tuple[float, float, Any]]
+    exact: Callable[[Any], float]
     grad: Callable[[Any], np.ndarray]
-    exceeds: Callable[[np.ndarray, float], bool] | None = None
+
+    def value(self, theta: np.ndarray) -> tuple[float, Any]:
+        state = self.bracket(theta)[2]
+        return self.exact(state), state
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         loss, state = self.value(theta)
@@ -112,20 +121,22 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
     """Descend until the gradient sup-norm passes tol or the budget runs out.
 
     Step sizes warm-start from the previously accepted step (doubled; from 1
-    before the first), then halve until the loss decreases; the loss trace is
-    non-increasing by construction.  Candidate steps are judged by their loss
-    alone: the gradient is evaluated only at the start and at each accepted
-    step, once per entry of the loss trace.
+    before the first), then halve until the loss decreases; the losses of the
+    accepted points are non-increasing by construction.  Returns the accepted
+    points, the start first, one per row, and whether the descent converged.
 
-    The doubled step, each iteration's first and most often rejected candidate, alone goes first
-    through ``objective.exceeds`` if set; a certain rejection halves the step as a failed
-    ``cand_loss < loss`` does, so the path is the plain descent's.  Later candidates are mostly
-    accepted, so screening them would only add the screen's cost.
+    A candidate is accepted when its bracket lies below the current point's
+    (``c_hi < lo``) and rejected when above it (``c_lo >= hi``); only when the
+    brackets overlap are the exact losses compared, each point's computed once
+    from its bracket's state.  Each decision is the one ``cand_loss < loss``
+    would make, so the path is the plain descent's.  The gradient is taken at
+    the start and at each accepted point.
     """
     w = w0.astype(float).copy()
-    loss, state = objective.value(w)
+    lo, hi, state = objective.bracket(w)
+    loss = None  # the exact loss at w, once a near-tie has needed it
     grad = objective.grad(state)
-    trace = [float(loss)]
+    path = [w]
     step = 1.0
     converged = False
     for _ in range(config.max_iter):
@@ -133,19 +144,30 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
             converged = True
             break
         step = min(step * 2.0, 1e3)
-        if objective.exceeds is not None and objective.exceeds(w - step * grad, loss):
-            step *= 0.5  # the doubled step certainly fails cand_loss < loss
         while step > 1e-18:
             cand = w - step * grad
-            cand_loss, cand_state = objective.value(cand)
-            if cand_loss < loss:
+            c_lo, c_hi, c_state = objective.bracket(cand)
+            c_loss = None
+            if c_hi < lo:
                 break
+            if c_lo < hi:  # the brackets overlap: the exact losses decide
+                if loss is None:
+                    loss = objective.exact(state)
+                c_loss = objective.exact(c_state)
+                if c_loss < loss:
+                    break
             step *= 0.5
         else:
             break  # no descent direction at float resolution
-        w, loss, grad = cand, cand_loss, objective.grad(cand_state)
-        trace.append(float(loss))
-    return w, np.asarray(trace), converged
+        w, lo, hi, state, loss = cand, c_lo, c_hi, c_state, c_loss
+        grad = objective.grad(state)
+        path.append(w)
+    return np.array(path), converged
+
+
+def _loss_trace(objective: _Objective, path: np.ndarray) -> np.ndarray:
+    """The exact loss at each accepted point of a descent, in order."""
+    return np.array([objective.value(theta.copy())[0] for theta in path])
 
 
 def polynomial_features(X: np.ndarray, degree: int) -> np.ndarray:
@@ -158,13 +180,22 @@ def polynomial_features(X: np.ndarray, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainedScorer:
-    """Linear-logistic trust score g(x) = sigmoid(w . phi(x) + b) in (0, 1)."""
+    """Linear-logistic trust score g(x) = sigmoid(w . phi(x) + b) in (0, 1).
+
+    ``path`` holds the descent's accepted points, one per row, and ``fit_inputs`` its objective's
+    inputs (features, labels, lam); ``loss_trace``, the loss at each point, is computed on first read.
+    """
 
     weights: np.ndarray
     bias: float
     feature_degree: int
-    loss_trace: np.ndarray
     converged: bool
+    path: np.ndarray = field(repr=False)
+    fit_inputs: tuple = field(repr=False)
+
+    @cached_property
+    def loss_trace(self) -> np.ndarray:
+        return _loss_trace(_weighted_logistic_objective(*self.fit_inputs), self.path)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         phi = polynomial_features(X, self.feature_degree)
@@ -173,62 +204,69 @@ class TrainedScorer:
         return np.clip(_sigmoid(z), 1e-300, np.nextafter(1.0, 0.0))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # one exp of -|z| serves both branches, and neither can overflow
-    e = np.exp(-np.abs(z))
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # one exp of -|z| (``e``, if given) serves both branches, and neither can overflow
+    if e is None:
+        e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-_SCREEN_SLACK, _SCREEN_MIN_BOUND = 1e-12, 1e-290  # the logistic ``exceeds``: margin, least bound
+_SCREEN_SLACK, _SCREEN_MIN_BOUND = 1e-12, 1e-290  # the logistic bracket: relative margin, least mean
 
 
 def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float) -> _Objective:
-    """Mean of lambda-weighted cross-entropy terms; labels are +-1.  The state is z.
+    """Mean of lambda-weighted cross-entropy terms; labels are +-1.  The state is (z, exp(-|z|)).
 
-    A step's cost is the loss's ``np.logaddexp`` and the sigmoid's ``np.exp``, so the rest is kept
-    to few in-place calls with the operations of the plain form in its order: the loss terms go
-    into one buffer reused by every ``value`` and ``exceeds`` call (each call returns a new z), and
-    at lam == 1 no weight multiply runs, since every weight is 1.0 and x * 1.0 == x.
+    ``exact`` is the plain form, the mean of w * np.logaddexp(0, t) with t = sgn * z (libm's scalar
+    exp and log1p in numpy's loop).  ``bracket`` takes the same terms as w * (max(t, 0) + log1p(e)),
+    e = exp(-|z|), with numpy's vectorized ``np.exp`` and ``np.log1p``, and widens their mean s to
+    [s (1 - _SCREEN_SLACK), s (1 + _SCREEN_SLACK)].  That holds the exact loss: logaddexp(0, t) is
+    max(t, 0) + log1p(exp(-|t|)) and |t| = |z|; every term of either sum is nonnegative and within
+    a few ulps of w * log(1 + e^t) (no exp can overflow); pairwise sums of nonnegative terms agree
+    to about log2(n) * eps relative; the slack covers both by two orders of magnitude at n = 1e6,
+    and the gap seen on real candidates (under 5e-16) by more than three.  A mean that is NaN,
+    infinite or under _SCREEN_MIN_BOUND * max(lam, 1) (where the absolute error of underflowed terms
+    could pass the slack) gives (-inf, inf), and the exact loss decides.  The sigmoid in ``grad``
+    reads the bracket's e, which is the bits of ``np.exp(-np.abs(z))``.
 
-    ``exceeds(theta, bound)`` takes the mean of w * log1p(exp(min(sgn * z, 700))) on the same z,
-    with numpy's vectorized ``np.exp`` and ``np.log1p`` for the scalar ``np.logaddexp`` loop, and is
-    True only past bound * (1 + _SCREEN_SLACK).  That proves the loss >= bound: every term of either
-    sum is nonnegative and within a few ulps of w * log(1 + e^u) (past the clip a screen term only
-    falls, and ``np.exp`` cannot overflow); pairwise sums of nonnegative terms agree to about
-    log2(n) * eps relative; the slack covers both by two orders of magnitude at n = 1e6, and the gap
-    seen on real candidates (under 5e-16) by more than three.  A NaN or non-finite sum, or a bound
-    under _SCREEN_MIN_BOUND (where underflowed terms' absolute error could matter), is False.
+    A step costs its transcendental passes and few in-place calls: both sums' terms go into
+    buffers reused by every call (each ``bracket`` returns a new z and e), and at lam == 1 no weight
+    multiply runs, since every weight is 1.0 and x * 1.0 == x.
     """
     n = phi.shape[0]
     a = (labels > 0).astype(float)
     w = np.where(labels > 0, lam, 1.0)
     # log(1 + exp(-z)) for positives, log(1 + exp(z)) for negatives; the sign flip is exact
     sgn = np.where(labels > 0, -1.0, 1.0)
+    least = _SCREEN_MIN_BOUND * max(lam, 1.0)
+    terms, log1p_e = np.empty(n), np.empty(n)
 
-    terms = np.empty(n)
-
-    def value(theta):
+    def bracket(theta):
         z = np.dot(phi, theta[:-1])
         z += theta[-1]
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
         np.multiply(sgn, z, out=terms)
+        np.maximum(terms, 0.0, out=terms)
+        np.log1p(e, out=log1p_e)
+        np.add(terms, log1p_e, out=terms)
+        if lam != 1.0:
+            np.multiply(w, terms, out=terms)
+        s = float(np.add.reduce(terms)) / n
+        if least <= s < np.inf:
+            return s * (1.0 - _SCREEN_SLACK), s * (1.0 + _SCREEN_SLACK), (z, e)
+        return -np.inf, np.inf, (z, e)
+
+    def exact(state):
+        np.multiply(sgn, state[0], out=terms)
         np.logaddexp(0.0, terms, out=terms)
         if lam != 1.0:
             np.multiply(w, terms, out=terms)
-        return float(np.add.reduce(terms) / n), z
+        return float(np.add.reduce(terms) / n)
 
-    def exceeds(theta, bound):
-        z = np.dot(phi, theta[:-1])
-        z += theta[-1]
-        np.multiply(sgn, z, out=terms)
-        np.minimum(terms, 700.0, out=terms)
-        np.exp(terms, out=terms)
-        np.log1p(terms, out=terms)
-        if lam != 1.0:
-            np.multiply(w, terms, out=terms)
-        return bound >= _SCREEN_MIN_BOUND and bound * (1.0 + _SCREEN_SLACK) < np.add.reduce(terms) / n < np.inf
-
-    def grad(z):
-        resid = _sigmoid(z)
+    def grad(state):
+        resid = _sigmoid(*state)
         resid -= a
         if lam != 1.0:
             resid *= w
@@ -238,7 +276,7 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
         g[-1] = np.add.reduce(resid)
         return g
 
-    return _Objective(value, grad, exceeds)
+    return _Objective(bracket, exact, grad)
 
 
 def train_trust_classifier(
@@ -253,7 +291,7 @@ def train_trust_classifier(
     ``labels`` are +-1 (+1 marks units whose label lies in their informative
     set, or the one-/two-sided relabelings used by the enhanced procedures).
     """
-    labels = np.asarray(labels)
+    labels = np.array(labels)  # a copy: the scorer keeps it for its loss trace
     if not 0.0 < lam < np.inf:  # NaN fails both comparisons
         raise ValueError("lam must be finite and > 0")
     if not np.all((labels == 1) | (labels == -1)):
@@ -261,15 +299,14 @@ def train_trust_classifier(
     if np.all(labels > 0) or np.all(labels < 0):
         raise DegenerateLabelsError("training labels are all one class")
     phi = polynomial_features(X, feature_degree)
-    objective = _weighted_logistic_objective(phi, labels, lam)
-    theta0 = np.zeros(phi.shape[1] + 1)
-    theta, trace, converged = _gd_minimize(objective, theta0, config)
+    path, converged = _gd_minimize(_weighted_logistic_objective(phi, labels, lam), np.zeros(phi.shape[1] + 1), config)
     return TrainedScorer(
-        weights=theta[:-1],
-        bias=float(theta[-1]),
+        weights=path[-1, :-1].copy(),
+        bias=float(path[-1, -1]),
         feature_degree=feature_degree,
-        loss_trace=trace,
         converged=converged,
+        path=path,
+        fit_inputs=(phi, labels, lam),
     )
 
 
@@ -291,13 +328,49 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return ez / total
 
 
+def _softmax_objective(phi: np.ndarray, y: np.ndarray, n_classes: int) -> _Objective:
+    """Softmax cross-entropy over flattened (p + 1, K) weights; labels are 1..K.
+
+    Its bracket is the exact loss at both ends, so the descent compares exact losses; the state is
+    (z, log_norm, loss).
+    """
+    n, p = phi.shape
+    labelled = (np.arange(n), y - 1)
+    onehot = np.zeros((n, n_classes))
+    onehot[labelled] = 1.0
+
+    def bracket(theta):
+        W = theta.reshape(p + 1, n_classes)
+        z = phi @ W[:-1] + W[-1]
+        _, total, zmax = _exp_shifted(z)
+        log_norm = zmax[:, 0] + np.log(total[:, 0])
+        loss = float((log_norm - z[labelled]).sum() / n)
+        return loss, loss, (z, log_norm, loss)
+
+    def grad(state):
+        z, log_norm, _ = state
+        resid = (np.exp(z - log_norm[:, None]) - onehot) / n
+        return np.vstack([phi.T @ resid, resid.sum(axis=0)]).ravel()
+
+    return _Objective(bracket, itemgetter(2), grad)
+
+
 @dataclass(frozen=True)
 class SoftmaxScorer:
-    """Multinomial-logistic class probabilities over the raw features."""
+    """Multinomial-logistic class probabilities over the raw features.
+
+    ``path`` and ``fit_inputs`` (features, labels, K) give ``loss_trace`` on first read, as for
+    ``TrainedScorer``.
+    """
 
     weights: np.ndarray  # (n_features + 1, K), last row is the intercept
-    loss_trace: np.ndarray
     converged: bool
+    path: np.ndarray = field(repr=False)
+    fit_inputs: tuple = field(repr=False)
+
+    @cached_property
+    def loss_trace(self) -> np.ndarray:
+        return _loss_trace(_softmax_objective(*self.fit_inputs), self.path)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return softmax(polynomial_features(X, 1) @ self.weights[:-1] + self.weights[-1])
@@ -310,26 +383,10 @@ def train_softmax_classifier(
     config: OptimizerConfig = OptimizerConfig(),
 ) -> SoftmaxScorer:
     """Fit softmax cross-entropy by the same descent scheme; labels are 1..K."""
-    y = np.asarray(y)
+    y = np.array(y)  # a copy: the scorer keeps it for its loss trace
     if np.unique(y).size < 2:
         raise DegenerateLabelsError("softmax training needs at least two classes present")
     phi = polynomial_features(X, 1)
-    n, p = phi.shape
-    labelled = (np.arange(n), y - 1)
-    onehot = np.zeros((n, n_classes))
-    onehot[labelled] = 1.0
-
-    def value(theta):
-        W = theta.reshape(p + 1, n_classes)
-        z = phi @ W[:-1] + W[-1]
-        _, total, zmax = _exp_shifted(z)
-        log_norm = zmax[:, 0] + np.log(total[:, 0])
-        return float((log_norm - z[labelled]).sum() / n), (z, log_norm)
-
-    def grad(state):
-        z, log_norm = state
-        resid = (np.exp(z - log_norm[:, None]) - onehot) / n
-        return np.vstack([phi.T @ resid, resid.sum(axis=0)]).ravel()
-
-    theta, trace, converged = _gd_minimize(_Objective(value, grad), np.zeros((p + 1) * n_classes), config)
-    return SoftmaxScorer(theta.reshape(p + 1, n_classes), trace, converged)
+    theta0 = np.zeros((phi.shape[1] + 1) * n_classes)
+    path, converged = _gd_minimize(_softmax_objective(phi, y, n_classes), theta0, config)
+    return SoftmaxScorer(path[-1].reshape(phi.shape[1] + 1, n_classes).copy(), converged, path, (phi, y, n_classes))

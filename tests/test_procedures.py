@@ -204,6 +204,42 @@ def test_a_half_line_past_max_is_empty_and_never_reported(constraint):
         run_cfbh_plus_plus(cal, cal, test, cfg, RngStream(1))
 
 
+def test_cfbh_selects_what_cfbh_plus_selects_with_a_prediction_near_max():
+    """A calibration mu_hat of 1e308 made the old clip constant 2M overflow (inf * 0 is NaN) and cfbh
+    raise; the clipped scores are now the float below the pooled minimum, so cfbh's p-values are
+    cfbh+'s."""
+    mu_cal = np.append(np.linspace(-1.0, 1.0, 19), 1e308)
+    cal = Dataset(mu_cal[:, None], np.where(np.arange(20) % 2 == 0, -1.0, 1.0), REGRESSION)  # 1e308: y > c0
+    test = Dataset(np.arange(2.0, 7.0)[:, None], None, REGRESSION)
+    identity = lambda X: np.asarray(X, dtype=float)[:, 0]
+    cfg = ProcedureConfig(alpha=0.2, score=AbsoluteResidual(identity), constraint=HalfLine(0.0),
+                          tie_mode=TieMode.DETERMINISTIC)
+    plus = run_cfbh_plus(cal, test, cfg, RngStream(1))
+    out = run_cfbh(cal, test, cfg, RngStream(1))
+    assert plus.selected.tolist() == [0, 1, 2, 3, 4]
+    assert np.array_equal(out.selected, plus.selected)
+    assert np.array_equal(out.diagnostics["result"].pvalues, plus.diagnostics["result"].pvalues)
+    assert out.diagnostics["clip"] == np.nextafter(-1.0, -np.inf)
+
+
+@pytest.mark.parametrize("method", ["cfbh++", "infosp++"])
+def test_a_nan_test_feature_is_never_reported_by_the_trained_methods(method):
+    """A NaN feature makes a test row's prediction and trained trust NaN.  Its set is empty, so its
+    trust is 0 and it is never reported; cfbh++ raised "trust scores must be finite" before."""
+    gen = np.random.default_rng(0)
+    x = gen.normal(size=160)
+    data = Dataset(x[:, None], x + 0.3 * gen.normal(size=160), REGRESSION)
+    cal, test, train = data.take(slice(0, 60)), data.take(slice(60, 100)), data.take(slice(100, None))
+    bad_rows = [3, 5]
+    X_test = test.X.copy()
+    X_test[bad_rows, 0] = np.nan
+    identity = lambda X: np.asarray(X, dtype=float)[:, 0]
+    out, pvalues = _run_method(method, cal, Dataset(X_test, test.y, REGRESSION), train, identity)
+    assert not set(bad_rows) & set(out.selected.tolist())
+    assert np.all(pvalues[bad_rows] == 1.0)
+    assert out.n_reported > 0
+
+
 def test_directional_constructor_needs_a_finite_midpoint():
     """TargetHalfLines with an infinite end, or with c_l + c_u past max, has no finite midpoint to
     rank mu_hat by: cfbh+ and cfbh++ raise ConfigError; infosp takes the constraint."""

@@ -386,7 +386,7 @@ def test_objective_call_bit_equal_to_reference():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 7, 257])
 def test_objective_bit_equal_and_its_state_unchanged_by_later_calls(lam, degree, n):
-    """The loss terms' reused buffer never aliases a returned z, which ``grad`` reads later."""
+    """The loss terms' reused buffers never alias a returned state, which ``exact`` and ``grad`` read later."""
     from scip.trust import _weighted_logistic_objective
 
     X, labels = _trust_sample(75 + n, n=n, d=1)
@@ -398,35 +398,43 @@ def test_objective_bit_equal_and_its_state_unchanged_by_later_calls(lam, degree,
     thetas = [scale * gen.normal(size=phi.shape[1] + 1) for scale in (0.1, 1.0, 30.0, 400.0)]
     states = []
     for theta in thetas:
-        val, z = fn.value(theta)
-        states.append((z, z.copy()))
+        val, state = fn.value(theta)
+        states.append((state, [part.copy() for part in state]))
         ref_val, ref_grad = ref(theta)
         assert val == ref_val
-        assert np.array_equal(fn.grad(z), ref_grad)
-    for (z, kept), theta in zip(states, thetas):
-        assert np.array_equal(z, kept)
-        assert np.array_equal(fn.grad(z), ref(theta)[1])
+        assert np.array_equal(fn.grad(state), ref_grad)
+    for (state, kept), theta in zip(states, thetas):
+        assert all(np.array_equal(part, copy) for part, copy in zip(state, kept))
+        ref_val, ref_grad = ref(theta)
+        assert fn.exact(state) == ref_val
+        assert np.array_equal(fn.grad(state), ref_grad)
+
+
+def _counted(inner):
+    """``inner`` with each of its three steps counted in the returned dict."""
+    from scip.trust import _Objective
+
+    calls = {"bracket": 0, "exact": 0, "grad": 0}
+
+    def counting(name):
+        def step(arg):
+            calls[name] += 1
+            return getattr(inner, name)(arg)
+
+        return step
+
+    return calls, _Objective(counting("bracket"), counting("exact"), counting("grad"))
 
 
 def test_descent_evaluates_the_gradient_once_per_accepted_step():
-    from scip.trust import _gd_minimize, _Objective, _weighted_logistic_objective
+    from scip.trust import _gd_minimize, _weighted_logistic_objective
 
     X, labels = _trust_sample(74, d=1)
-    inner = _weighted_logistic_objective(polynomial_features(X, 2), labels, lam=2.5)
-    calls = {"value": 0, "grad": 0}
-
-    def value(theta):
-        calls["value"] += 1
-        return inner.value(theta)
-
-    def grad(state):
-        calls["grad"] += 1
-        return inner.grad(state)
-
-    _, trace, converged = _gd_minimize(_Objective(value, grad), np.zeros(3), OptimizerConfig())
+    calls, objective = _counted(_weighted_logistic_objective(polynomial_features(X, 2), labels, lam=2.5))
+    path, converged = _gd_minimize(objective, np.zeros(3), OptimizerConfig())
     assert converged
-    assert calls["grad"] == len(trace)
-    assert calls["value"] > calls["grad"]  # some candidates were rejected, and got no gradient
+    assert calls["grad"] == len(path)
+    assert calls["bracket"] > calls["grad"]  # some candidates were rejected, and got no gradient
 
 
 _SIGMOID_EDGES = np.array(
@@ -468,6 +476,8 @@ def test_trainer_rejects_a_label_other_than_plus_or_minus_one(bad):
         train_trust_classifier(X, np.full(40, bad))  # checked before the one-class rule
 
 
+
+
 def _logistic_problem(seed, n, d, degree, lam, separable):
     from scip.trust import _weighted_logistic_objective
 
@@ -476,6 +486,13 @@ def _logistic_problem(seed, n, d, degree, lam, separable):
         labels = np.where(X[:, 0] > 0, 1, -1)
     phi = polynomial_features(X, degree)
     return phi, _weighted_logistic_objective(phi, labels, lam), _reference_logistic(phi, labels, lam)
+
+
+def _assert_bracket_holds(lo, hi, loss):
+    if math.isinf(lo) or math.isinf(hi):
+        assert (lo, hi) == (-math.inf, math.inf)
+    else:
+        assert 0.0 < lo <= loss <= hi
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -487,13 +504,13 @@ def _logistic_problem(seed, n, d, degree, lam, separable):
     separable=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_screen_certifies_only_what_the_exact_loss_confirms(n, log_lam, degree, log_z, separable, seed):
-    """exceeds(theta, bound) True implies value(theta)[0] >= bound, at bounds a few ulps from the loss.
+def test_bracket_holds_the_exact_loss_of_a_fit(n, log_lam, degree, log_z, separable, seed):
+    """lo <= loss <= hi at thetas of real fits, or the bracket is (-inf, inf).
 
     max |z| is 10**log_z; separable labels with z = +-scale * x put every unit on its right side
-    (terms underflow) or every one on its wrong side (terms past the clip).
+    (terms underflow) or every one on its wrong side (terms past exp's overflow for e^t).
     """
-    phi, fn, _ = _logistic_problem(seed, n, 1, degree, 10.0**log_lam, separable)
+    phi, fn, ref = _logistic_problem(seed, n, 1, degree, 10.0**log_lam, separable)
     gen = np.random.default_rng(seed)
     theta = np.zeros(phi.shape[1] + 1)
     if separable:
@@ -501,36 +518,72 @@ def test_screen_certifies_only_what_the_exact_loss_confirms(n, log_lam, degree, 
     else:
         theta = gen.normal(size=theta.size)
     theta *= 10.0**log_z / max(1e-300, float(np.abs(phi @ theta[:-1] + theta[-1]).max()))
-    loss = fn.value(theta)[0]
-    bounds = [loss, loss * (1.0 - 1e-13), loss * (1.0 + 1e-13), loss * (1.0 - 1e-9)]
-    for direction in (math.inf, -math.inf):
-        bound = loss
-        for _ in range(4):
-            bound = float(np.nextafter(bound, direction))
-            bounds.append(bound)
-    for bound in bounds:
-        if fn.exceeds(theta, bound):
-            assert fn.value(theta)[0] >= bound
+    lo, hi, state = fn.bracket(theta)
+    loss = fn.exact(state)
+    assert loss == ref(theta)[0]
+    _assert_bracket_holds(lo, hi, loss)
 
 
-def test_screen_leaves_tiny_bounds_and_nan_to_the_exact_loss():
+_BRACKET_CENTERS = [0.0, 37.0, -37.0, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 10_000),
+    centers=st.lists(st.sampled_from(_BRACKET_CENTERS), min_size=1, max_size=4),
+    log_spread=st.floats(-16.0, 1.0),
+    lam=st.sampled_from([0.3, 1.0, 2.5]),
+    sides=st.sampled_from(["random", "right", "wrong"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bracket_holds_the_exact_loss_at_the_edges_of_exp(n, centers, log_spread, lam, sides, seed):
+    """Whenever the bracket is finite, lo <= exact loss <= hi.
+
+    The feature is z itself (theta = (1, 0)), drawn around the edges of the exp and log1p loops: 0,
+    where logaddexp's two branches meet; +-37, where log1p(exp(-|z|)) falls under an ulp of |z|;
+    +-700 and +-745, where exp(-|z|) goes subnormal and then to 0; and +-800.  Labels on the right
+    side of every z make every term that tail; on the wrong side, every term is about |z|.
+    """
     from scip.trust import _weighted_logistic_objective
+
+    gen = np.random.default_rng(seed)
+    z = gen.choice(centers, n) + 10.0**log_spread * gen.standard_normal(n)
+    labels = {
+        "random": np.where(gen.random(n) < 0.5, 1, -1),
+        "right": np.where(z >= 0, 1, -1),
+        "wrong": np.where(z >= 0, -1, 1),
+    }[sides]
+    fn = _weighted_logistic_objective(z[:, None], labels, lam)
+    lo, hi, state = fn.bracket(np.array([1.0, 0.0]))
+    assert np.array_equal(state[0], z)
+    _assert_bracket_holds(lo, hi, fn.exact(state))
+
+
+def test_bracket_is_infinite_for_tiny_and_nan_means():
+    from scip.trust import _SCREEN_MIN_BOUND, _weighted_logistic_objective
 
     X, labels = _trust_sample(78, n=50)
     fn = _weighted_logistic_objective(polynomial_features(X, 1), labels, 1.0)
-    theta = np.array([0.3, -0.2])
-    assert fn.exceeds(theta, 0.5 * fn.value(theta)[0])
-    for bound in (1e-300, 0.0, -1.0, math.nan):
-        assert not fn.exceeds(theta, bound)  # under the least bound, or NaN: value decides
-    assert not fn.exceeds(np.array([math.nan, 0.0]), 0.5)
+    lo, hi, state = fn.bracket(np.array([0.3, -0.2]))
+    _assert_bracket_holds(lo, hi, fn.exact(state))
+    assert math.isfinite(lo)
+    assert fn.bracket(np.array([math.nan, 0.0]))[:2] == (-math.inf, math.inf)
+    # both units on their right side, exp(-720) and exp(-730) subnormal: a mean under the least one
+    right = np.array([[-720.0], [730.0]])
+    for lam in (1.0, 1e280):  # under lam * _SCREEN_MIN_BOUND, though 1e280 e^-730 passes the bound
+        fn = _weighted_logistic_objective(right, np.array([-1, 1]), lam)
+        lo, hi, state = fn.bracket(np.array([1.0, 0.0]))
+        assert (lo, hi) == (-math.inf, math.inf)
+        assert 0.0 < fn.exact(state) < lam * _SCREEN_MIN_BOUND
 
 
-def _assert_screened_descent_is_the_reference(phi, fn, ref, config):
-    from scip.trust import _gd_minimize
+def _assert_descent_is_the_reference(phi, fn, ref, config):
+    from scip.trust import _gd_minimize, _loss_trace
 
-    w, trace, converged = _gd_minimize(fn, np.zeros(phi.shape[1] + 1), config)
+    path, converged = _gd_minimize(fn, np.zeros(phi.shape[1] + 1), config)
     ref_w, ref_trace, ref_converged = _reference_descent(ref, np.zeros(phi.shape[1] + 1), config)
-    assert np.array_equal(w, ref_w)
+    trace = _loss_trace(fn, path)
+    assert np.array_equal(path[-1], ref_w)
     assert np.array_equal(trace, ref_trace)
     assert converged == ref_converged
     return trace, converged
@@ -547,9 +600,9 @@ def _assert_screened_descent_is_the_reference(phi, fn, ref, config):
     grad_tol=st.sampled_from([1e-8, 0.0]),
     separable=st.booleans(),
 )
-def test_screened_descent_bit_equal_to_reference(seed, n, d, degree, log_lam, max_iter, grad_tol, separable):
+def test_bracketed_descent_bit_equal_to_reference(seed, n, d, degree, log_lam, max_iter, grad_tol, separable):
     phi, fn, ref = _logistic_problem(seed, n, d, degree, 10.0**log_lam, separable)
-    _assert_screened_descent_is_the_reference(phi, fn, ref, OptimizerConfig(max_iter, grad_tol))
+    _assert_descent_is_the_reference(phi, fn, ref, OptimizerConfig(max_iter, grad_tol))
 
 
 @pytest.mark.parametrize(
@@ -560,40 +613,52 @@ def test_screened_descent_bit_equal_to_reference(seed, n, d, degree, log_lam, ma
         ("step", False, OptimizerConfig(grad_tol=0.0)),  # no decrease at float resolution
     ],
 )
-def test_screened_descent_bit_equal_to_reference_at_each_exit(exit_kind, separable, config):
+def test_bracketed_descent_bit_equal_to_reference_at_each_exit(exit_kind, separable, config):
     phi, fn, ref = _logistic_problem(79, 300, 1, 2, 2.5, separable)
-    trace, converged = _assert_screened_descent_is_the_reference(phi, fn, ref, config)
+    trace, converged = _assert_descent_is_the_reference(phi, fn, ref, config)
     budget = trace.size == config.max_iter + 1
     assert (converged, budget) == {"converged": (True, False), "budget": (False, True), "step": (False, False)}[exit_kind]
 
 
-@pytest.mark.parametrize("d, degree, least_cut", [(2, 3, 0.3), (1, 2, 0.0)])
-def test_screen_cuts_the_loss_evaluations_of_a_descent(d, degree, least_cut):
-    """The screen saves one value call per certain rejection of the doubled step.
+def test_descent_with_every_decision_exact_is_the_reference(monkeypatch):
+    """With an infinite slack every bracket is (-inf, inf), so every decision reads the exact losses."""
+    import scip.trust
 
-    The share saved grows with the fit's length: the (2, 3) fit takes 2,024 steps and the screen
-    saves 47% of its value calls (the trainer fits of regression replications, 42%); the 39-step
-    (1, 2) fit accepts its doubled step more often early on and saves 22%.
+    monkeypatch.setattr(scip.trust, "_SCREEN_SLACK", math.inf)
+    phi, fn, ref = _logistic_problem(80, 300, 2, 2, 2.5, False)
+    calls, counted = _counted(fn)
+    assert fn.bracket(np.zeros(phi.shape[1] + 1))[:2] == (-math.inf, math.inf)
+    _assert_descent_is_the_reference(phi, counted, ref, OptimizerConfig())
+    assert calls["exact"] == calls["bracket"]  # each point's exact loss, once
+
+
+@pytest.mark.parametrize("d, degree", [(2, 3), (1, 2)])
+def test_bracket_settles_most_decisions_of_a_descent(d, degree):
+    """The exact loss runs only where two brackets overlap.
+
+    Every point is bracketed once, where the plain descent computed its exact loss.  The (2, 3)
+    fit takes 2,023 steps and computes 953 exact losses over 4,048 points (24%); the 39-step (1, 2)
+    fit, 24 over 78 (31%).  Near-ties gather where the fit converges, at steps that change the loss
+    by less than the bracket's relative slack.
     """
-    from scip.trust import _gd_minimize, _Objective, _weighted_logistic_objective
+    from scip.trust import _gd_minimize, _weighted_logistic_objective
 
     X, labels = _trust_sample(74, d=d)
-    inner = _weighted_logistic_objective(polynomial_features(X, degree), labels, lam=2.5)
-    runs = {}
-    for screen in (None, inner.exceeds):
-        calls = {"value": 0, "grad": 0}
+    calls, objective = _counted(_weighted_logistic_objective(polynomial_features(X, degree), labels, lam=2.5))
+    path, converged = _gd_minimize(objective, np.zeros(d * degree + 1), OptimizerConfig())
+    assert converged and calls["grad"] == len(path)
+    assert 0 < calls["exact"] < 0.4 * calls["bracket"]
 
-        def value(theta):
-            calls["value"] += 1
-            return inner.value(theta)
 
-        def grad(state):
-            calls["grad"] += 1
-            return inner.grad(state)
+def test_scorers_pickle_and_compute_their_loss_trace_on_first_read():
+    import pickle
 
-        w, trace, converged = _gd_minimize(_Objective(value, grad, screen), np.zeros(d * degree + 1), OptimizerConfig())
-        assert converged and calls["grad"] == len(trace)
-        runs[screen is None] = (w, trace, calls["value"])
-    (w, trace, screened), (plain_w, plain_trace, plain) = runs[False], runs[True]
-    assert np.array_equal(w, plain_w) and np.array_equal(trace, plain_trace)
-    assert screened < plain and screened <= (1.0 - least_cut) * plain
+    X, labels = _trust_sample(81, d=2)
+    config = OptimizerConfig(max_iter=50)
+    scorer = pickle.loads(pickle.dumps(train_trust_classifier(X, labels, lam=2.5, config=config, feature_degree=2)))
+    assert "loss_trace" not in vars(scorer)
+    assert np.array_equal(scorer.loss_trace, _reference_trust_fit(X, labels, 2.5, 2, config)[1])
+    assert scorer.loss_trace is scorer.loss_trace  # computed once
+    y = np.where(labels > 0, 1, 2) + (X[:, 1] > 0.8).astype(int)
+    soft = pickle.loads(pickle.dumps(train_softmax_classifier(X, y, 3, config=config)))
+    assert np.array_equal(soft.loss_trace, _reference_softmax_fit(X, y, 3, config)[1])
