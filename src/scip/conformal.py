@@ -85,11 +85,8 @@ class OneMinusProb:
 
     @staticmethod
     def scores(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """1 - p_y per probability row and label y in 1..K; ``eval(X, y)`` is ``scores(predict(X), y)``."""
+        """1 - p_y per probability row and label y in 1..K."""
         return 1.0 - probs[np.arange(probs.shape[0]), np.asarray(y) - 1]
-
-    def eval(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.scores(self.predict(X), y)
 
     sets = staticmethod(ClassBatch.from_radius)  # {y : 1 - p_y <= r} per probability row and radius r
 

@@ -4,6 +4,13 @@ Each replication is a pure function of (cell parameters, replication stream),
 so scheduling and parallelism cannot change results.  Method randomness is
 drawn from per-method child streams keyed by a fixed registry, which keeps a
 method's output invariant to which other methods run alongside it.
+
+The equivalence suite holds four exact-equality checks on random instances:
+BH against its self-consistent form, the counting-knockoff scan against BH
+on deterministic p-values, cfbh against one-sided cfbh+, and selective
+classification (BH over generalized p-values) against the counting-knockoff
+scan over the FASI and Zhao-Su pools, each built from the class
+probabilities and labels alone.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .procedures import (
     run_infosp_plus,
     run_selective_classification,
 )
-from .references import fasi_select, zhao_su_select
 from .selection import (
     ScoredPool,
     TieMode,
@@ -439,15 +445,18 @@ def check_selective_classification(seed_rng: RngStream, instances: int) -> Equiv
         ours = run_selective_classification(
             cal, test, ProcedureConfig(alpha=alpha, score=OneMinusProb(p_hat), constraint=SingletonClass(y0))
         )
-        ref = fasi_select(labels[:n], probs[:n, y0 - 1], probs[n:, y0 - 1], y0, alpha)
+        target = ScoredPool(probs[:n, y0 - 1], labels[:n] != y0, probs[n:, y0 - 1])
+        ref = counting_knockoff_select(target, alpha, TieMode.DETERMINISTIC).selected
         if not np.array_equal(ours.selected, ref):
             return {"instance": i, "variant": "target", "y0": y0, "alpha": alpha}
         ours_all = run_selective_classification(
             cal, test, ProcedureConfig(alpha=alpha, score=OneMinusProb(p_hat), constraint=MaxSize(1))
         )
-        ref_all, ref_classes = zhao_su_select(labels[:n], probs[:n], probs[n:], alpha)
+        classes, top = np.argmax(probs, axis=1) + 1, probs.max(axis=1)
+        argmax = ScoredPool(top[:n], labels[:n] != classes[:n], top[n:])
+        ref_all = counting_knockoff_select(argmax, alpha, TieMode.DETERMINISTIC).selected
         same_sets = np.array_equal(ours_all.selected, ref_all)
-        expected = ref_classes[ours_all.selected, None] == np.arange(1, k + 1)
+        expected = classes[n:][ours_all.selected, None] == np.arange(1, k + 1)
         same_classes = np.array_equal(ours_all.sets.member, expected)
         if not (same_sets and same_classes):
             return {"instance": i, "variant": "argmax", "alpha": alpha}

@@ -17,7 +17,8 @@ among the test units whose set is nonempty; cfbh calls the same
 keeps the candidates whose set is nonempty.  Every exit checks each reported
 set against the active constraint.  A NaN or infinite prediction raises
 ``ValueError`` on a training or calibration row and gives a test row the
-empty set, which is never reported.
+empty set, which is never reported; so is a test row whose trust is NaN or
+infinite.
 
 Methods
 -------
@@ -154,12 +155,17 @@ def _select(
 
     Rows of ``sets`` and ``trusts`` come pooled: the first ``cal_y.size`` are
     calibration units, the rest test units.  Test units with an empty set are
-    never selected, and keep their slot in BH's denominator.
+    never selected, and keep their slot in BH's denominator; so is a test unit
+    whose trust is NaN or infinite (a NaN trust feature the predictor does not
+    read, say), which selection sees with trust 0.  A calibration unit's
+    non-finite trust raises ``ValueError``.
     """
     n = cal_y.size
     null = ~sets.take(slice(0, n)).covers(cal_y)  # an empty set covers nothing
+    finite = np.isfinite(trusts[n:])
     result = scip_select_arrays(
-        trusts[:n], null, trusts[n:], config.alpha, config.tie_mode, rng, test_eligible=sets.nonempty[n:]
+        trusts[:n], null, np.where(finite, trusts[n:], 0.0), config.alpha, config.tie_mode, rng,
+        test_eligible=sets.nonempty[n:] & finite,
     )
     diag = {"result": result, **diagnostics}
     return _checked_output(result.selected, sets.take(n + result.selected), config.constraint, diag)
@@ -423,10 +429,10 @@ def run_selective_classification(
     A SingletonClass constraint targets one fixed class; a MaxSize(1)
     constraint uses the argmax-class constructor (ties go to the smallest
     class index).  The trust is the probability of the reported class.
-    Deterministic ties make the selection coincide with the mirror-process
-    style references.  A test row with a NaN or infinite probability gets the
-    empty set and trust 0, so it is never reported; such a calibration row
-    raises ``ValueError``, as it does for infosp.  Under a SingletonClass(y0)
+    Deterministic ties make the selection coincide with the counting-knockoff
+    scan over the FASI or Zhao-Su pool.  A test row with a NaN or infinite
+    probability gets the empty set and trust 0, so it is never reported; such
+    a calibration row raises ``ValueError``, as it does for infosp.  Under a SingletonClass(y0)
     with y0 outside the classes 1..K every row's set is empty.
     """
     score = _require_class_prob(config)
@@ -438,6 +444,6 @@ def run_selective_classification(
     probs = _pooled_predictions(score, cal, test)[1]
     classes = np.full(probs.shape[0], constraint.y0) if fixed else np.argmax(probs, axis=1) + 1
     member = (classes[:, None] == np.arange(1, probs.shape[1] + 1)) & _finite_rows(probs)[:, None]
-    trust = np.where(member, probs, 0.0).sum(axis=1)  # the one member's probability, or 0
+    trust = class_membership_trust(probs, member)  # the one member's probability, or 0
     deterministic = replace(config, tie_mode=TieMode.DETERMINISTIC)
     return _select(deterministic, None, cal.y, ClassBatch(member), trust)

@@ -20,7 +20,10 @@ Selection applies the step-up BH rule, whose self-consistent form
 alpha_hat = max{a : (alpha/m) #{p <= a} >= a} produces the identical
 selected set.  The counting-knockoff scan over an estimated false discovery
 proportion reproduces BH on deterministic (U = 1) p-values and, with a
-single shared U, the homogeneous variant.
+single shared U, the homogeneous variant.  Over the FASI pool (one target
+class's probability as trust) and the Zhao-Su pool (the largest
+probability) it is the selective-classification reference of the
+equivalence suite.
 """
 
 from __future__ import annotations

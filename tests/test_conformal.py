@@ -278,7 +278,7 @@ def test_nan_probabilities_get_level_one():
     assert i_adjusted_pvalues(X, cal, score, MaxSize(2)).tolist() == [pytest.approx(0.4), 1.0]
     assert i_adjusted_pvalues(X, cal, score, SingletonClass(1)).tolist() == [pytest.approx(0.4), 1.0]
     with pytest.raises(ValueError, match="calibration scores must be finite"):
-        CalibrationScores(score.eval(X, np.array([1, 1])))
+        CalibrationScores(score.scores(score.predict(X), np.array([1, 1])))
 
 
 _QUARTER = st.integers(-8, 16).map(lambda k: k / 4.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scip.conformal import AbsoluteResidual
 from scip.core import ConfigError, Dataset, REGRESSION, RngStream, TargetHalfLines
 from scip.experiments import (
     METHODS,
+    check_selective_classification,
     classification_replication,
     regression_replication,
     run_equivalence_checks,
@@ -182,6 +184,22 @@ def test_equivalence_checks_report_counterexamples():
     reports = run_equivalence_checks(seed=5150, instances=40)
     assert all(r.passed for r in reports)
     assert all(r.instances == 40 for r in reports)
+
+
+def test_selective_classification_check_reports_counterexamples(monkeypatch):
+    """A selective classification that drops its first selected unit fails the check against the
+    FASI and Zhao-Su scans; each failure names its instance and variant."""
+    run = scip.experiments.run_selective_classification
+
+    def drop_first(cal, test, config):
+        out = run(cal, test, config)
+        return replace(out, selected=out.selected[1:], sets=out.sets.take(slice(1, None)))
+
+    monkeypatch.setattr(scip.experiments, "run_selective_classification", drop_first)
+    report = check_selective_classification(RngStream(5150), 40)
+    assert not report.passed
+    assert all(f["instance"] in range(40) for f in report.failures)
+    assert {f["variant"] for f in report.failures} == {"target", "argmax"}
 
 
 def test_synthetic_zero_feasible_fraction_reports_nothing():

@@ -223,21 +223,29 @@ def test_cfbh_selects_what_cfbh_plus_selects_with_a_prediction_near_max():
 
 
 @pytest.mark.parametrize("method", ["cfbh++", "infosp++"])
-def test_a_nan_test_feature_is_never_reported_by_the_trained_methods(method):
-    """A NaN feature makes a test row's prediction and trained trust NaN.  Its set is empty, so its
-    trust is 0 and it is never reported; cfbh++ raised "trust scores must be finite" before."""
+@pytest.mark.parametrize("column", [0, 1])
+def test_a_nan_test_feature_is_never_reported_by_the_trained_methods(method, column):
+    """A NaN feature makes a test row's trained trust NaN.  In column 0, which mu_hat reads, the
+    prediction is NaN too: the set is empty, so the trust is 0.  In column 1, which mu_hat ignores,
+    the set stays nonempty and selection makes the row ineligible.  Either way the row is never
+    reported; cfbh++ raised "trust scores must be finite" on column 0 before, and both methods on
+    column 1.  A NaN feature on a calibration row raises, whichever column holds it."""
     gen = np.random.default_rng(0)
-    x = gen.normal(size=160)
-    data = Dataset(x[:, None], x + 0.3 * gen.normal(size=160), REGRESSION)
+    x = gen.normal(size=(160, 2))
+    data = Dataset(x, x[:, 0] + 0.3 * gen.normal(size=160), REGRESSION)
     cal, test, train = data.take(slice(0, 60)), data.take(slice(60, 100)), data.take(slice(100, None))
-    bad_rows = [3, 5]
+    bad_rows = np.argsort(test.X[:, 0])[-2:].tolist()  # the largest mu_hat: nonempty sets, high trust
     X_test = test.X.copy()
-    X_test[bad_rows, 0] = np.nan
-    identity = lambda X: np.asarray(X, dtype=float)[:, 0]
-    out, pvalues = _run_method(method, cal, Dataset(X_test, test.y, REGRESSION), train, identity)
+    X_test[bad_rows, column] = np.nan
+    first = lambda X: np.asarray(X, dtype=float)[:, 0]
+    out, pvalues = _run_method(method, cal, Dataset(X_test, test.y, REGRESSION), train, first)
     assert not set(bad_rows) & set(out.selected.tolist())
     assert np.all(pvalues[bad_rows] == 1.0)
     assert out.n_reported > 0
+    X_cal = cal.X.copy()
+    X_cal[-1, column] = np.nan  # the last calibration row selects under both methods
+    with pytest.raises(ValueError, match="must be finite"):
+        _run_method(method, Dataset(X_cal, cal.y, REGRESSION), test, train, first)
 
 
 def test_directional_constructor_needs_a_finite_midpoint():
@@ -682,7 +690,7 @@ def test_infosp_plus_sets_match_per_row_sets_at_truncated_levels():
         cfg = ProcedureConfig(alpha=0.3, score=score, constraint=constraint)
         out = run_infosp_plus(cal1, cal0, test, cfg, RngStream(18))
         assert out.n_reported > 0
-        cal0_scores = score.eval(cal0.X, cal0.y)
+        cal0_scores = score.scores(score.predict(cal0.X), cal0.y)
         q_plus = out.diagnostics["q_plus"][cal1.n :]
         for j, row in zip(out.selected, _rows(out.sets)):
             assert row == conformal_set(test.X[j], cal0_scores, score, q_plus[j])
