@@ -180,7 +180,11 @@ def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
 def counting_knockoff_fdp(pool: ScoredPool, tau: float, u: float = 1.0) -> float:
     """FDP estimate at trust threshold tau; u = 1 gives the deterministic form
     [1 + #{i : null_i, T_i >= tau}] / (1 v #{j : T_j >= tau}) * m / (n + 1)."""
-    null_t = pool.cal_trust[pool.cal_null]
+    return _knockoff_fdp(pool, pool.cal_trust[pool.cal_null], tau, u)
+
+
+def _knockoff_fdp(pool: ScoredPool, null_t: np.ndarray, tau: float, u: float) -> float:
+    """``counting_knockoff_fdp`` over the pool's null trusts ``null_t``, indexed once by the caller."""
     num = np.count_nonzero(null_t > tau) + (1.0 + np.count_nonzero(null_t == tau)) * u
     den = max(1, int(np.count_nonzero(pool.test_trust >= tau)))
     return float(num / den * pool.m / (pool.n + 1))
@@ -202,9 +206,8 @@ def counting_knockoff_select(
         raise ValueError("counting-knockoff selection needs a shared or deterministic tie regime")
     draw = _tie_draws(tie_mode, rng)
     u = float(draw(1)[0])
-    feasible = [
-        tau for tau in np.unique(pool.test_trust) if counting_knockoff_fdp(pool, float(tau), u) <= alpha
-    ]
+    null_t = pool.cal_trust[pool.cal_null]
+    feasible = [tau for tau in np.unique(pool.test_trust) if _knockoff_fdp(pool, null_t, float(tau), u) <= alpha]
     # the matching generalized p-values (same shared u), attached as diagnostics
     pvals = _pvalues_at(pool, draw)
     if not feasible:

@@ -8,6 +8,10 @@ on a disjoint labeled training sample.  Their descent decides each step from
 a certified bracket on the loss, built with numpy's vectorized ``np.exp`` and
 ``np.log1p``, and computes the exact loss (libm's, inside ``np.logaddexp``)
 only where two brackets overlap; the loss trace is computed on first read.
+That loss is convex, so the tangent plane at the previous accepted point bounds
+it from below: an iteration's first candidate (the doubled step) that this
+plane, less a margin that covers its rounding, puts at or above the current
+point's bracket is rejected without a bracket of its own.
 ``softmax`` is the one row softmax: the simulation designs and the softmax
 classifier call it, and the classifier's loss takes its log-normalizer from
 the same shifted exponentials.
@@ -17,6 +21,7 @@ solves), and it imports scipy only when it runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -97,16 +102,19 @@ class OptimizerConfig:
 
 
 class _Objective(NamedTuple):
-    """A smooth loss in three steps: ``bracket``, ``exact`` and ``grad``.
+    """A smooth convex loss in three steps, ``bracket``, ``exact`` and ``grad``, and a rounding scale.
 
     ``bracket(theta) -> (lo, hi, state)`` holds the loss, lo <= loss <= hi, or is (-inf, inf);
     ``exact(state)`` is the loss itself and ``grad(state)`` its gradient, both at the bracketed theta.
+    ``rounding`` is the per-fit kappa of the tangent certificate's margin (see ``_gd_minimize``),
+    fixed when the objective is built; the default, inf, never certifies.
     ``value(theta)`` returns ``(loss, state)``, and calling it returns ``(loss, grad)``.
     """
 
     bracket: Callable[[np.ndarray], tuple[float, float, Any]]
     exact: Callable[[Any], float]
     grad: Callable[[Any], np.ndarray]
+    rounding: float = math.inf
 
     def value(self, theta: np.ndarray) -> tuple[float, Any]:
         state = self.bracket(theta)[2]
@@ -131,6 +139,32 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
     from its bracket's state.  Each decision is the one ``cand_loss < loss``
     would make, so the path is the plain descent's.  The gradient is taken at
     the start and at each accepted point.
+
+    An iteration's first candidate c is rejected with no bracket when the
+    tangent plane at the previous accepted point p certifies it: with p's lo_p
+    and gradient g_p, D = g_p . (c - p) and N = |c|_1 + |p|_1, summed in Python
+    floats, when
+
+        lo_p + D - _BRACKET_SLACK (hi + |lo_p| + |D|) - rounding (1 + N) >= hi.
+
+    The argument: let delta be the rounding of the computed z = phi theta + b
+    at p.  The loss with z shifted by delta is convex in theta, equals at p the
+    loss of p's computed z, and has there the gradient that ``grad`` computes,
+    up to the rounding of its residuals and of their sums.  So at c its value
+    is at least lo_p + D less four gaps: (i) from lo_p to the loss of p's
+    computed z, and from that of c's to the exact loss at c; (ii) the rounding
+    of z at c and at p; (iii) the gradient's rounding, times |c - p|_1 <= N;
+    (iv) the rounding of D's few terms.  ``rounding (1 + N)``, from the
+    objective's per-fit scale, holds (ii) to (iv) twice over, so the margin's
+    own few roundings are covered too; the slack term holds (i), which is the
+    bracket's relative gap (lo_p lies under the loss of p's computed z), and
+    the sum lo_p + D.
+    So the exact loss at c is at least hi, which is at least the exact loss at
+    the current point, and the plain descent rejects c too.  A lo_p or hi that
+    is not finite gives no certificate, nor does a rounding bound of 1 or more
+    (below it, phi and N are small enough that no sum in z can overflow), so
+    an objective without a finite scale is never certified; the first
+    iteration has no previous point.
     """
     w = w0.astype(float).copy()
     lo, hi, state = objective.bracket(w)
@@ -139,13 +173,20 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
     path = [w]
     step = 1.0
     converged = False
+    tangent = None  # the previous accepted point, its lo and its gradient, as lists, while they can certify
     for _ in range(config.max_iter):
         if np.maximum.reduce(np.abs(grad)) < config.grad_tol:  # np.max: the same reduce, more dispatch
             converged = True
             break
         step = min(step * 2.0, 1e3)
+        certify = tangent is not None and hi < math.inf  # the first candidate, if a tangent can reject it
         while step > 1e-18:
             cand = w - step * grad
+            if certify:
+                certify = False
+                if _tangent_rejects(objective.rounding, tangent, cand, hi):
+                    step *= 0.5
+                    continue
             c_lo, c_hi, c_state = objective.bracket(cand)
             c_loss = None
             if c_hi < lo:
@@ -159,10 +200,22 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
             step *= 0.5
         else:
             break  # no descent direction at float resolution
+        tangent = (w.tolist(), lo, grad.tolist()) if math.isfinite(lo) and objective.rounding < 1.0 else None
         w, lo, hi, state, loss = cand, c_lo, c_hi, c_state, c_loss
         grad = objective.grad(state)
         path.append(w)
     return np.array(path), converged
+
+
+def _tangent_rejects(rounding: float, tangent: tuple, cand: np.ndarray, hi: float) -> bool:
+    """Whether the tangent plane (point, lo, gradient) certifies the loss at ``cand`` >= ``hi``."""
+    point, lo_p, g_p = tangent
+    dot = norm = 0.0
+    for g, p, c in zip(g_p, point, cand.tolist()):
+        dot += g * (c - p)
+        norm += abs(c) + abs(p)
+    bound = rounding * (1.0 + norm)
+    return bound < 1.0 and lo_p + dot - _BRACKET_SLACK * (hi + abs(lo_p) + abs(dot)) - bound >= hi
 
 
 def _loss_trace(objective: _Objective, path: np.ndarray) -> np.ndarray:
@@ -211,7 +264,8 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-_SCREEN_SLACK, _SCREEN_MIN_BOUND = 1e-12, 1e-290  # the logistic bracket: relative margin, least mean
+# the logistic bracket's relative margin, which the tangent certificate's margin shares, and its least mean
+_BRACKET_SLACK, _BRACKET_MIN_BOUND = 1e-12, 1e-290
 
 
 def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float) -> _Objective:
@@ -220,14 +274,24 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
     ``exact`` is the plain form, the mean of w * np.logaddexp(0, t) with t = sgn * z (libm's scalar
     exp and log1p in numpy's loop).  ``bracket`` takes the same terms as w * (max(t, 0) + log1p(e)),
     e = exp(-|z|), with numpy's vectorized ``np.exp`` and ``np.log1p``, and widens their mean s to
-    [s (1 - _SCREEN_SLACK), s (1 + _SCREEN_SLACK)].  That holds the exact loss: logaddexp(0, t) is
+    [s (1 - _BRACKET_SLACK), s (1 + _BRACKET_SLACK)].  That holds the exact loss: logaddexp(0, t) is
     max(t, 0) + log1p(exp(-|t|)) and |t| = |z|; every term of either sum is nonnegative and within
     a few ulps of w * log(1 + e^t) (no exp can overflow); pairwise sums of nonnegative terms agree
     to about log2(n) * eps relative; the slack covers both by two orders of magnitude at n = 1e6,
     and the gap seen on real candidates (under 5e-16) by more than three.  A mean that is NaN,
-    infinite or under _SCREEN_MIN_BOUND * max(lam, 1) (where the absolute error of underflowed terms
+    infinite or under _BRACKET_MIN_BOUND * max(lam, 1) (where the absolute error of underflowed terms
     could pass the slack) gives (-inf, inf), and the exact loss decides.  The sigmoid in ``grad``
     reads the bracket's e, which is the bits of ``np.exp(-np.abs(z))``.
+
+    ``rounding`` is kappa = 2 max(lam, 1) Phi (n + 2k + 20) u, with Phi =
+    max(1, max |phi|), k = p + 1 parameters and u = 2**-53 (gamma_m = m u / (1 - m u) below).  The
+    computed z at theta is within gamma_k Phi |theta|_1 of phi theta + b, and the mean loss is
+    max(lam, 1)-Lipschitz in z, so (ii) is at most max(lam, 1) Phi gamma_k N.  A residual's sigmoid
+    (a few ulps of exp, then an add and a divide) and its three operations put 14u of w / n >= its
+    size into it, and BLAS's n-term sums add gamma_n, so each gradient entry is within
+    max(lam, 1) Phi (gamma_n + 14u) of the shifted loss's, which is (iii) per unit of N.  D's
+    k terms add gamma_(k+1) |g_p|_inf <= gamma_(k+1) max(lam, 1) Phi per unit of N, which is (iv).
+    The three sum to under max(lam, 1) Phi (n + 2k + 17) u N, half of kappa N at most.
 
     A step costs its transcendental passes and few in-place calls: both sums' terms go into
     buffers reused by every call (each ``bracket`` returns a new z and e), and at lam == 1 no weight
@@ -238,8 +302,9 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
     w = np.where(labels > 0, lam, 1.0)
     # log(1 + exp(-z)) for positives, log(1 + exp(z)) for negatives; the sign flip is exact
     sgn = np.where(labels > 0, -1.0, 1.0)
-    least = _SCREEN_MIN_BOUND * max(lam, 1.0)
+    least = _BRACKET_MIN_BOUND * max(lam, 1.0)
     terms, log1p_e = np.empty(n), np.empty(n)
+    rounding = 2.0 * max(lam, 1.0) * float(np.abs(phi).max(initial=1.0)) * (n + 2 * phi.shape[1] + 22) * 2.0**-53
 
     def bracket(theta):
         z = np.dot(phi, theta[:-1])
@@ -255,7 +320,7 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
             np.multiply(w, terms, out=terms)
         s = float(np.add.reduce(terms)) / n
         if least <= s < np.inf:
-            return s * (1.0 - _SCREEN_SLACK), s * (1.0 + _SCREEN_SLACK), (z, e)
+            return s * (1.0 - _BRACKET_SLACK), s * (1.0 + _BRACKET_SLACK), (z, e)
         return -np.inf, np.inf, (z, e)
 
     def exact(state):
@@ -276,7 +341,7 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
         g[-1] = np.add.reduce(resid)
         return g
 
-    return _Objective(bracket, exact, grad)
+    return _Objective(bracket, exact, grad, rounding)
 
 
 def train_trust_classifier(
@@ -332,7 +397,7 @@ def _softmax_objective(phi: np.ndarray, y: np.ndarray, n_classes: int) -> _Objec
     """Softmax cross-entropy over flattened (p + 1, K) weights; labels are 1..K.
 
     Its bracket is the exact loss at both ends, so the descent compares exact losses; the state is
-    (z, log_norm, loss).
+    (z, log_norm, loss).  It sets no rounding scale, so no tangent plane rejects its doubled steps.
     """
     n, p = phi.shape
     labelled = (np.arange(n), y - 1)

@@ -216,10 +216,13 @@ def _reference_softmax(phi, y, n_classes):
     return value_and_grad
 
 
-def _reference_descent(value_and_grad, w0, config):
+def _reference_descent(value_and_grad, w0, config, path=None):
+    """The plain descent: (last point, loss trace, converged); each accepted point goes into ``path``, if given."""
     w = w0.astype(float).copy()
     loss, grad = value_and_grad(w)
     trace = [float(loss)]
+    path = [] if path is None else path
+    path.append(w)
     step = 1.0
     converged = False
     for _ in range(config.max_iter):
@@ -237,6 +240,7 @@ def _reference_descent(value_and_grad, w0, config):
             break
         w, loss, grad = cand, cand_loss, cand_grad
         trace.append(float(loss))
+        path.append(w)
     return w, np.asarray(trace), converged
 
 
@@ -423,7 +427,7 @@ def _counted(inner):
 
         return step
 
-    return calls, _Objective(counting("bracket"), counting("exact"), counting("grad"))
+    return calls, _Objective(counting("bracket"), counting("exact"), counting("grad"), inner.rounding)
 
 
 def test_descent_evaluates_the_gradient_once_per_accepted_step():
@@ -560,7 +564,7 @@ def test_bracket_holds_the_exact_loss_at_the_edges_of_exp(n, centers, log_spread
 
 
 def test_bracket_is_infinite_for_tiny_and_nan_means():
-    from scip.trust import _SCREEN_MIN_BOUND, _weighted_logistic_objective
+    from scip.trust import _BRACKET_MIN_BOUND, _weighted_logistic_objective
 
     X, labels = _trust_sample(78, n=50)
     fn = _weighted_logistic_objective(polynomial_features(X, 1), labels, 1.0)
@@ -570,11 +574,11 @@ def test_bracket_is_infinite_for_tiny_and_nan_means():
     assert fn.bracket(np.array([math.nan, 0.0]))[:2] == (-math.inf, math.inf)
     # both units on their right side, exp(-720) and exp(-730) subnormal: a mean under the least one
     right = np.array([[-720.0], [730.0]])
-    for lam in (1.0, 1e280):  # under lam * _SCREEN_MIN_BOUND, though 1e280 e^-730 passes the bound
+    for lam in (1.0, 1e280):  # under lam * _BRACKET_MIN_BOUND, though 1e280 e^-730 passes the bound
         fn = _weighted_logistic_objective(right, np.array([-1, 1]), lam)
         lo, hi, state = fn.bracket(np.array([1.0, 0.0]))
         assert (lo, hi) == (-math.inf, math.inf)
-        assert 0.0 < fn.exact(state) < lam * _SCREEN_MIN_BOUND
+        assert 0.0 < fn.exact(state) < lam * _BRACKET_MIN_BOUND
 
 
 def _assert_descent_is_the_reference(phi, fn, ref, config):
@@ -624,7 +628,7 @@ def test_descent_with_every_decision_exact_is_the_reference(monkeypatch):
     """With an infinite slack every bracket is (-inf, inf), so every decision reads the exact losses."""
     import scip.trust
 
-    monkeypatch.setattr(scip.trust, "_SCREEN_SLACK", math.inf)
+    monkeypatch.setattr(scip.trust, "_BRACKET_SLACK", math.inf)
     phi, fn, ref = _logistic_problem(80, 300, 2, 2, 2.5, False)
     calls, counted = _counted(fn)
     assert fn.bracket(np.zeros(phi.shape[1] + 1))[:2] == (-math.inf, math.inf)
@@ -636,18 +640,180 @@ def test_descent_with_every_decision_exact_is_the_reference(monkeypatch):
 def test_bracket_settles_most_decisions_of_a_descent(d, degree):
     """The exact loss runs only where two brackets overlap.
 
-    Every point is bracketed once, where the plain descent computed its exact loss.  The (2, 3)
-    fit takes 2,023 steps and computes 953 exact losses over 4,048 points (24%); the 39-step (1, 2)
-    fit, 24 over 78 (31%).  Near-ties gather where the fit converges, at steps that change the loss
-    by less than the bracket's relative slack.
+    Every point is bracketed at most once, where the plain descent computed its exact loss; the
+    tangent plane rejects some doubled steps with no bracket.  The (2, 3) fit takes 2,023 steps and
+    computes 953 exact losses over 2,644 brackets (36%) of the plain descent's 4,048 points; the
+    39-step (1, 2) fit, 24 over 70 (34%) of 78.  Near-ties gather where the fit converges, at steps
+    that change the loss by less than the bracket's relative slack.
     """
     from scip.trust import _gd_minimize, _weighted_logistic_objective
 
     X, labels = _trust_sample(74, d=d)
-    calls, objective = _counted(_weighted_logistic_objective(polynomial_features(X, degree), labels, lam=2.5))
+    phi = polynomial_features(X, degree)
+    calls, objective = _counted(_weighted_logistic_objective(phi, labels, lam=2.5))
     path, converged = _gd_minimize(objective, np.zeros(d * degree + 1), OptimizerConfig())
+    points = []
+    ref = _reference_logistic(phi, labels, 2.5)
+    _reference_descent(lambda theta: points.append(theta) or ref(theta), np.zeros(d * degree + 1), OptimizerConfig())
     assert converged and calls["grad"] == len(path)
+    assert calls["bracket"] <= len(points)
     assert 0 < calls["exact"] < 0.4 * calls["bracket"]
+
+
+def _assert_same_path(fn, ref, w0, config):
+    from scip.trust import _gd_minimize
+
+    path, converged = _gd_minimize(fn, w0, config)
+    ref_path = []
+    _, _, ref_converged = _reference_descent(ref, w0, config, ref_path)
+    assert np.array_equal(path, np.array(ref_path))
+    assert converged == ref_converged
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 1000),
+    d=st.integers(1, 2),
+    degree=st.integers(1, 3),
+    log_lam=st.floats(-2.0, 2.0),
+    log_scale=st.floats(-2.0, 2.0),
+    log_sharpness=st.floats(0.0, 2.0),
+    max_iter=st.integers(1, 1000),
+)
+def test_tangent_certified_descent_same_path_as_reference(seed, n, d, degree, log_lam, log_scale, log_sharpness,
+                                                           max_iter):
+    """The logistic descent, whose doubled steps the tangent plane may reject, takes the plain descent's path.
+
+    Labels follow a logistic signal 1 to 100 times as steep as ``_trust_sample``'s, so they are near
+    separable; the features are scaled by 1e-2 to 1e2 before their powers are taken.
+    """
+    from scip.trust import _weighted_logistic_objective
+
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n, d))
+    signal = 10.0**log_sharpness * (1.5 * X[:, 0] - 0.7 * X[:, -1] ** 2 + 0.5)
+    labels = np.where(2.0 * gen.random(n) < 1.0 + np.tanh(signal / 2.0), 1, -1)  # sigmoid(signal), no overflow
+    labels[:2] = [1, -1]
+    phi = polynomial_features(10.0**log_scale * X, degree)
+    lam = 10.0**log_lam
+    w0 = np.zeros(phi.shape[1] + 1)
+    _assert_same_path(_weighted_logistic_objective(phi, labels, lam), _reference_logistic(phi, labels, lam), w0,
+                      OptimizerConfig(max_iter=max_iter))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 500),
+    d=st.integers(1, 3),
+    n_classes=st.integers(2, 5),
+    log_scale=st.floats(-2.0, 2.0),
+    log_sharpness=st.floats(0.0, 2.0),
+    max_iter=st.integers(1, 500),
+)
+def test_softmax_descent_same_path_as_reference(seed, n, d, n_classes, log_scale, log_sharpness, max_iter):
+    """The softmax descent, which sets no rounding scale and so is never certified, takes the plain
+    descent's path; the labels are near-separable argmax classes."""
+    from scip.trust import _softmax_objective
+
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n, d))
+    logits = 10.0**log_sharpness * X @ gen.normal(size=(d, n_classes)) + gen.gumbel(size=(n, n_classes))
+    y = 1 + logits.argmax(axis=1)
+    y[:n_classes] = np.arange(1, n_classes + 1)
+    phi = polynomial_features(10.0**log_scale * X, 1)
+    w0 = np.zeros((d + 1) * n_classes)
+    _assert_same_path(_softmax_objective(phi, y, n_classes), _reference_softmax(phi, y, n_classes), w0,
+                      OptimizerConfig(max_iter=max_iter))
+
+
+def test_tangent_margin_covers_the_rounding_of_z():
+    """Where z = phi theta + b cancels large terms, the plane less only the slack passes the exact loss.
+
+    With phi near 100, theta near 1e6 and b near -1e8, z is O(1) but carries the rounding of
+    1e8 (about 1e-8), so the exact loss at a candidate near p is off from the true one by far more
+    than the bracket's 1e-12 relative slack.  At such candidates the tangent plane less only the
+    slack term reaches the candidate's own exact loss (rounded up), which a certificate would wrongly
+    call a lower bound; the rounding term (about 2e-4 here) withholds it.  A candidate far uphill is
+    still certified.
+    """
+    from scip.trust import _BRACKET_SLACK, _tangent_rejects, _weighted_logistic_objective
+
+    gen = np.random.default_rng(0)
+    phi = (100.0 + 1e-6 * gen.normal(size=20))[:, None]
+    labels = np.where(gen.random(20) < 0.5, 1, -1)
+    fn = _weighted_logistic_objective(phi, labels, 1.0)
+    p = np.array([1e6, -1e8])
+    lo_p, _, state = fn.bracket(p)
+    g_p = fn.grad(state)
+    tangent = (p.tolist(), lo_p, g_p.tolist())
+    wrong = 0
+    for _ in range(200):
+        cand = p + gen.normal(size=2) * 10.0 ** gen.uniform(-10.0, -6.0)
+        hi = math.nextafter(fn.value(cand)[0], math.inf)  # the exact loss at cand lies below hi
+        dot = float(g_p @ (cand - p))
+        if lo_p + dot - _BRACKET_SLACK * (hi + abs(lo_p) + abs(dot)) >= hi:
+            wrong += 1
+            assert not _tangent_rejects(fn.rounding, tangent, cand, hi)
+    assert wrong >= 100
+    uphill = p + 1e-2 * g_p
+    assert _tangent_rejects(fn.rounding, tangent, uphill, fn.value(p)[0])
+
+
+def test_rounding_scale_of_intercept_only_and_nan_features():
+    """A fit with no feature column has a finite scale and descends as the plain descent does; a NaN
+    feature makes the scale NaN, which certifies nothing."""
+    from scip.trust import _weighted_logistic_objective
+
+    _, labels = _trust_sample(79, n=60)
+    phi = np.empty((60, 0))
+    fn = _weighted_logistic_objective(phi, labels, 2.0)
+    assert 0.0 < fn.rounding < 1e-12
+    _assert_same_path(fn, _reference_logistic(phi, labels, 2.0), np.zeros(1), OptimizerConfig())
+    assert math.isnan(_weighted_logistic_objective(np.array([[1.0], [math.nan]]), np.array([1, -1]), 1.0).rounding)
+
+
+def test_tangent_plane_rejects_most_doubled_steps_of_regression_fits(monkeypatch):
+    """On the trust fits of seeded regression replications, the tangent plane at the previous point
+    rejects most doubled steps with no bracket, and never the first iteration's, which has no
+    previous point.
+
+    The fits are cfbh++'s and infosp++'s at n = m = 1000 and four eta.  A step the plane rejects is a
+    candidate the plain descent evaluates and this one does not bracket; every iteration opens with a
+    doubled step, and the plane can act from the second on.  It settled 688 of 815 such steps
+    (84%; one of the eight fits runs out its 400-step budget); with no certificate, or a margin
+    grown until it never holds, none.
+    """
+    import scip.procedures
+    from scip.core import RngStream
+    from scip.experiments import regression_replication
+    from scip.trust import _gd_minimize, _weighted_logistic_objective
+
+    fits = []
+
+    def capture(X, labels, lam, config, feature_degree):
+        fits.append((polynomial_features(X, feature_degree), labels, lam, config))
+        return train_trust_classifier(X, labels, lam=lam, config=config, feature_degree=feature_degree)
+
+    monkeypatch.setattr(scip.procedures, "train_trust_classifier", capture)
+    for eta in (0.0, 0.5, 1.0, 1.5):
+        regression_replication(["cfbh++", "infosp++"], 1000, 1000, eta, 0.1, RngStream(27).child(int(10 * eta)))
+    assert len(fits) == 8
+    doubled = settled = 0
+    for phi, labels, lam, config in fits:
+        fn = _weighted_logistic_objective(phi, labels, lam)
+        ref = _reference_logistic(phi, labels, lam)
+        bracketed, evaluated = [], []
+        bracket = lambda theta: bracketed.append(theta) or fn.bracket(theta)  # noqa: E731
+        path, _ = _gd_minimize(fn._replace(bracket=bracket), np.zeros(phi.shape[1] + 1), config)
+        ref_path = []
+        _reference_descent(lambda theta: evaluated.append(theta) or ref(theta), path[0], config, ref_path)
+        assert np.array_equal(path, np.array(ref_path))
+        assert np.array_equal(bracketed[1], path[0] - 2.0 * fn(path[0])[1])  # the first doubled step, bracketed
+        settled += len(evaluated) - len(bracketed)
+        doubled += len(path) - 2  # every iteration but the first accepts a step
+    assert settled >= 0.5 * doubled
 
 
 def test_scorers_pickle_and_compute_their_loss_trace_on_first_read():
