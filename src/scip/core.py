@@ -22,6 +22,7 @@ import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -64,7 +65,7 @@ class ConfigError(ScipError):
 # ---------------------------------------------------------------------------
 
 
-# fewer keys than two chunks of this size run as one chunk, inline
+# fewer indices than two chunks of this size run as one chunk, inline
 _CHUNK_KEYS = 1 << 16
 # the largest array a chunk allocates holds this many keys
 _BLOCK_KEYS = 1 << 15
@@ -79,13 +80,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_chunks(m: int, fn: Callable[[int, int], object]) -> list:
+    """``fn(lo, hi)`` over contiguous index chunks that cover ``range(m)``, in chunk order.
+
+    One chunk, run inline, below two chunks of ``_CHUNK_KEYS`` indices;
+    otherwise one chunk per usable CPU, each in its own thread (so
+    ``taskset`` limits them).  Returns each chunk's result; an exception in
+    any chunk is raised here, once every chunk has ended.  The split only
+    decides how many threads run, so ``fn`` must give the same bits on any
+    split: each chunk writes only its own slots of arrays its caller
+    allocated.  Threads run numpy calls and private helpers only (a public
+    function may carry a tracing wrapper that is not thread safe), and numpy's
+    error state does not reach them, so ``fn`` sets its own ``np.errstate``.
+    glibc gives each thread its own malloc arena, and whole-chunk temporaries
+    freed there stay resident, so ``fn`` allocates nothing larger than a block
+    of ``_BLOCK_KEYS`` indices or so.
+    """
+    n_chunks = 1 if m < 2 * _CHUNK_KEYS else min(_usable_cpus(), m // _CHUNK_KEYS)
+    if n_chunks == 1:
+        return [fn(0, m)]
+    bounds = [m * i // n_chunks for i in range(n_chunks + 1)]
+    # an executor per call: a process forked later (the CLI's worker pool) inherits no
+    # executor whose threads are gone
+    with ThreadPoolExecutor(n_chunks) as pool:
+        return [done.result() for done in [pool.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]]
+
+
 def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray, ...]:
     """``np.searchsorted(table, keys, side)`` for each side, in the keys' own order.
 
-    ``table`` is sorted and holds no NaN; ``keys`` is 1-d.  The keys are
-    split into contiguous index chunks: one chunk, run inline, below two
-    chunks of ``_CHUNK_KEYS`` keys, and otherwise one per usable CPU, each in
-    its own thread (so ``taskset`` limits them).  Each chunk runs the whole
+    ``table`` is sorted and holds no NaN; ``keys`` is 1-d.  The keys run in
+    ``_in_chunks``' contiguous index chunks.  Each chunk runs the whole
     chain on its own keys: it packs each key's float bits, mapped so that
     signed integer order is float order (-0.0 is folded into 0.0, NaN sorts
     by its sign bit), with the key's index within the chunk in the low bits;
@@ -94,15 +119,13 @@ def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray
     keys walk a table far larger than the cache left to right; random keys
     miss it on nearly every probe.  Chunks share nothing but disjoint slices
     of arrays allocated here, so the ranks are the same integers whatever
-    the split; the split only decides how many threads run.  Threads run
-    numpy calls and private helpers only.
+    the split.
 
     A chunk allocates nothing larger than ``_BLOCK_KEYS`` keys: it packs,
-    gathers, searches and scatters block by block.  glibc gives each thread
-    its own malloc arena, and whole-chunk temporaries freed there stay
-    resident: with whole-chunk blocks, the large-pool benchmark (n = m = 1e6,
-    two threads) peaked at 347 MB of RSS against 305 MB.  A chunk allocates its
-    block buffers once; ``_search`` reads a table window per run of keys.
+    gathers, searches and scatters block by block.  With whole-chunk blocks,
+    the large-pool benchmark (n = m = 1e6, two threads) peaked at 347 MB of
+    RSS against 305 MB.  A chunk allocates its block buffers once;
+    ``_search`` reads a table window per run of keys.
 
     With both sides asked for and at least a block of keys, only ``left`` is
     searched: a key equal to ``table[left]`` ends its run of ties at
@@ -122,17 +145,7 @@ def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray
     run_end = _run_ends(table) if derive else None
     outs = [np.empty(m, dtype=dtype) for _ in sides]
     words = np.empty(m, dtype=np.int64)
-    n_chunks = 1 if m < 2 * _CHUNK_KEYS else min(_usable_cpus(), m // _CHUNK_KEYS)
-    args = (table, keys, words, sides, outs, run_end)
-    if n_chunks == 1:
-        _rank_chunk(*args, 0, m)
-    else:
-        bounds = [m * i // n_chunks for i in range(n_chunks + 1)]
-        # an executor per call: a process forked later (the CLI's worker pool) inherits no
-        # executor whose threads are gone
-        with ThreadPoolExecutor(n_chunks) as pool:
-            for done in [pool.submit(_rank_chunk, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]:
-                done.result()
+    _in_chunks(m, partial(_rank_chunk, table, keys, words, sides, outs, run_end))
     return tuple(outs)
 
 

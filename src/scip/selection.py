@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, _ranks
+from .core import RngStream, _in_chunks, _ranks
 
 
 class TieMode(enum.Enum):
@@ -139,13 +140,14 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
 
     Identical selected set to the self-consistent rule
     max{a in [0,1] : (alpha/m) #{p <= a} >= a}, with max over the empty set
-    read as 0.  The p-values that can pass some k are copied out by index
+    read as 0.  The range check runs in ``core._in_chunks``' index chunks.
+    The p-values that can pass some k are copied out by index
     (``np.compress``, faster than a boolean index) and sorted in place.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p-values must form a nonempty vector")
-    if not (p.min() >= 0.0 and p.max() <= 1.0):  # a NaN fails both
+    if not all(_in_chunks(p.size, partial(_in_unit_interval, p))):
         raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -158,6 +160,11 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
     alpha_hat = alpha * k_hat / m
     selected = np.flatnonzero(p <= alpha_hat) if k_hat else np.array([], dtype=int)
     return SelectionResult(selected, float(alpha_hat), p, k_hat)
+
+
+def _in_unit_interval(p, lo: int, hi: int) -> bool:
+    """Every one of ``p[lo:hi]`` lies in [0, 1]; a NaN fails both bounds."""
+    return p[lo:hi].min() >= 0.0 and p[lo:hi].max() <= 1.0
 
 
 def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
@@ -180,14 +187,22 @@ def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
 def counting_knockoff_fdp(pool: ScoredPool, tau: float, u: float = 1.0) -> float:
     """FDP estimate at trust threshold tau; u = 1 gives the deterministic form
     [1 + #{i : null_i, T_i >= tau}] / (1 v #{j : T_j >= tau}) * m / (n + 1)."""
-    return _knockoff_fdp(pool, pool.cal_trust[pool.cal_null], tau, u)
+    return float(_knockoff_fdps(pool, np.array([tau], dtype=float), u)[0])
 
 
-def _knockoff_fdp(pool: ScoredPool, null_t: np.ndarray, tau: float, u: float) -> float:
-    """``counting_knockoff_fdp`` over the pool's null trusts ``null_t``, indexed once by the caller."""
-    num = np.count_nonzero(null_t > tau) + (1.0 + np.count_nonzero(null_t == tau)) * u
-    den = max(1, int(np.count_nonzero(pool.test_trust >= tau)))
-    return float(num / den * pool.m / (pool.n + 1))
+def _knockoff_fdps(pool: ScoredPool, taus: np.ndarray, u: float) -> np.ndarray:
+    """``counting_knockoff_fdp`` at every threshold in ``taus``, from one sort of the null and test trusts.
+
+    The three counts are ranks in the sorted trusts (``np.searchsorted``, not ``core._ranks``: this
+    scan is the reference BH is checked against), and the estimate is formed with the float
+    operations of the formula in its order, so each value has the bits of the formula written out
+    (a NaN tau counts no trust).
+    """
+    null_t = np.sort(pool.cal_trust[pool.cal_null])
+    above = null_t.size - np.searchsorted(null_t, taus, "right")
+    ties = null_t.size - np.searchsorted(null_t, taus, "left") - above
+    den = np.maximum(1, pool.m - np.searchsorted(np.sort(pool.test_trust), taus, "left"))
+    return (above + (1.0 + ties) * u) / den * pool.m / (pool.n + 1)
 
 
 def counting_knockoff_select(
@@ -200,19 +215,20 @@ def counting_knockoff_select(
 
     Equals BH over deterministic generalized p-values (tie mode DETERMINISTIC)
     or over shared-U p-values (SHARED_U).  PER_UNIT has no coherent shared
-    threshold semantics and is rejected.
+    threshold semantics and is rejected.  Every distinct test trust is a
+    candidate threshold, all scanned at once in O((n + m) log(n + m)).
     """
     if tie_mode is TieMode.PER_UNIT:
         raise ValueError("counting-knockoff selection needs a shared or deterministic tie regime")
     draw = _tie_draws(tie_mode, rng)
     u = float(draw(1)[0])
-    null_t = pool.cal_trust[pool.cal_null]
-    feasible = [tau for tau in np.unique(pool.test_trust) if _knockoff_fdp(pool, null_t, float(tau), u) <= alpha]
+    taus = np.unique(pool.test_trust)  # ascending, so the first feasible one is the smallest
+    feasible = taus[_knockoff_fdps(pool, taus, u) <= alpha]
     # the matching generalized p-values (same shared u), attached as diagnostics
     pvals = _pvalues_at(pool, draw)
-    if not feasible:
+    if not feasible.size:
         return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0)
-    selected = np.flatnonzero(pool.test_trust >= min(feasible))
+    selected = np.flatnonzero(pool.test_trust >= feasible[0])
     k_hat = int(selected.size)
     return SelectionResult(selected, alpha * k_hat / pool.m, pvals, k_hat)
 

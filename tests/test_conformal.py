@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scip.conformal
+import scip.core
 from scip.conformal import (
     AbsoluteResidual,
     CalibrationScores,
@@ -353,3 +355,62 @@ def test_i_adjusted_pvalue_is_the_masked_formula(kind, data):
     expected = np.array([_masked_pvalue(cal_values, v) for v in masked], dtype=float)
     got = i_adjusted_pvalues(np.zeros((len(rows), 1)), CalibrationScores(cal_values), score, constraint)
     assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# Level passes in index chunks
+# ---------------------------------------------------------------------------
+
+# (usable CPUs, block size) with _CHUNK_KEYS = 16: one chunk inline, then 2 and 9 threads whose
+# chunks hold several blocks and a partial last one
+_SPLITS = [(2, 7), (9, 5)]
+
+
+def _in_split(fn, cpus: int, block_keys: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scip.core, "_CHUNK_KEYS", 16)
+        patch.setattr(scip.conformal, "_BLOCK_KEYS", block_keys)
+        patch.setattr(scip.core, "_usable_cpus", lambda: cpus)
+        return fn()
+
+
+def _edge_levels(n: int, gen) -> np.ndarray:
+    """0, 1, the lattice points (1 + c)/(n + 1), BH thresholds tau0 = 0.1 k / m, each one ulp off
+    either way, and uniform levels, shuffled."""
+    lattice = np.arange(1, n + 2) / (n + 1)
+    tau0 = 0.1 * np.arange(1, 40) / 39
+    exact = np.concatenate([[0.0, 1.0], lattice, tau0])
+    near = np.concatenate([exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0), gen.random(200)])
+    return gen.permutation(near[(near >= 0.0) & (near <= 1.0)])
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+@pytest.mark.parametrize("cpus, block_keys", _SPLITS)
+def test_level_passes_keep_their_bits_in_every_split(n, cpus, block_keys):
+    """score_radius and admissible_level give the one-chunk result, bit for bit, with 2 and 9 chunks."""
+    gen = np.random.default_rng(n)
+    values = gen.choice([0.0, 0.5, 2.0], n) + (gen.normal(size=n) if n > 3 else 0.0)
+    cal = CalibrationScores(values)
+    q = _edge_levels(n, gen)
+    nu = gen.permutation(np.concatenate([values, np.nextafter(values, -math.inf), np.nextafter(values, math.inf),
+                                         [-math.inf, math.inf, 0.0, -0.0], gen.normal(size=200)]))
+    assert q.size >= 2 * 16 and nu.size >= 2 * 16  # several chunks
+    radii = cal.score_radius(q)
+    assert np.array_equal(radii, _three_mask_radius(np.sort(values), cal.min_count_for_level(q)))
+    pvals = cal.admissible_level(nu)
+    assert np.array_equal(pvals, (cal.n - np.searchsorted(np.sort(values), nu, "left") + 1.0) / (n + 1))
+    assert np.array_equal(_in_split(lambda: cal.score_radius(q), cpus, block_keys), radii)
+    assert np.array_equal(_in_split(lambda: cal.score_radius(q.reshape(1, -1)), cpus, block_keys),
+                          radii.reshape(1, -1))
+    assert np.array_equal(_in_split(lambda: cal.admissible_level(nu), cpus, block_keys), pvals)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -5e-324, np.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize("cpus, block_keys", [(1, 7)] + _SPLITS)
+def test_bad_level_in_the_last_chunk_raises(bad, cpus, block_keys):
+    """A NaN or out-of-range level in the last block of the last chunk raises LevelError."""
+    cal = CalibrationScores([1.0, 2.0, 3.0])
+    q = np.linspace(0.0, 1.0, 301)
+    q[-1] = bad
+    with pytest.raises(LevelError):
+        _in_split(lambda: cal.score_radius(q), cpus, block_keys)

@@ -33,22 +33,35 @@ def test_pvalue_hand_count():
     assert selection._pvalues_at(pool, lambda m: np.full(m, 0.5))[0] == pytest.approx(0.3)
 
 
-def test_pvalue_no_nulls_reduces_to_u_over_n1():
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 30),
+    m=st.integers(1, 30),
+    alpha=st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]) | st.floats(1e-6, 1 - 1e-6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pvalue_no_nulls_reduces_to_u_over_n1(n, m, alpha, seed):
     """With no null calibration unit p_j = U_j / (n + 1) in every tie mode, and BH cuts those."""
-    pool = _pool([0.9, 0.7], [False, False], [0.5, 2.0, 0.7, -1.0])
+    gen = np.random.default_rng(seed)
+    pool = _pool(gen.random(n), np.zeros(n, dtype=bool), gen.normal(size=m))
     draws = {
-        TieMode.PER_UNIT: lambda rng: rng.uniform_open_closed(4),
-        TieMode.SHARED_U: lambda rng: np.full(4, rng.uniform_open_closed()),
-        TieMode.DETERMINISTIC: lambda rng: np.ones(4),
+        TieMode.PER_UNIT: lambda rng: rng.uniform_open_closed(m),
+        TieMode.SHARED_U: lambda rng: np.full(m, rng.uniform_open_closed()),
+        TieMode.DETERMINISTIC: lambda rng: np.ones(m),
     }
     for tie_mode, draw in draws.items():
-        rng = RngStream(3).child(1)
+        rng = RngStream(3).child(seed)
         p = generalized_conformal_pvalues(pool, tie_mode, rng)
-        assert np.array_equal(p, draw(rng) / 3)
-        for alpha in (0.05, 0.1, 0.2, 0.3, 0.5):
-            # step-up BH with m = 4: k_hat = max{k : p_(k) <= alpha k / m}; select p <= alpha k_hat / m
-            k_hat = max((k for k in range(1, 5) if np.sort(p)[k - 1] <= alpha * k / 4), default=0)
-            assert bh_select(p, alpha).selected.tolist() == np.flatnonzero(p <= alpha * k_hat / 4).tolist()
+        assert np.array_equal(p, draw(rng) / (n + 1))
+        # step-up BH: k_hat = max{k : p_(k) <= alpha k / m}; select p <= alpha k_hat / m
+        k_hat = max((k for k in range(1, m + 1) if np.sort(p)[k - 1] <= alpha * k / m), default=0)
+        expected = np.flatnonzero(p <= alpha * k_hat / m) if k_hat else []
+        assert bh_select(p, alpha).selected.tolist() == list(expected)
+
+
+def test_deterministic_pvalues_with_no_nulls_all_pass_or_none():
+    """Every deterministic p-value is 1/(n + 1) with no null unit: BH takes all at alpha above it, none below."""
+    pool = _pool([0.9, 0.7], [False, False], [0.5, 2.0, 0.7, -1.0])
     deterministic = generalized_conformal_pvalues(pool, TieMode.DETERMINISTIC)  # all 1/3
     assert bh_select(deterministic, 0.34).selected.tolist() == [0, 1, 2, 3]
     assert bh_select(deterministic, 0.33).selected.size == 0
@@ -223,6 +236,38 @@ def test_bh_matches_full_sort_rule(m, alpha, data):
     _assert_full_sort_bh(p, alpha)
 
 
+def _bh_in_split(p, alpha, cpus: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scip.core, "_CHUNK_KEYS", 16)
+        patch.setattr(scip.core, "_usable_cpus", lambda: cpus)
+        return bh_select(p, alpha)
+
+
+@pytest.mark.parametrize("cpus", [2, 9])
+@pytest.mark.parametrize("m", [32, 500])
+def test_bh_keeps_its_result_in_every_split(m, cpus):
+    """With the range check in 2 or 9 chunks, BH gives the one-chunk selection, threshold and k_hat, over
+    p-values at 0, 1, the thresholds alpha k / m and one ulp off each."""
+    gen = np.random.default_rng(m)
+    exact = np.concatenate([[0.0, 1.0], 0.1 * np.arange(1, m + 1) / m])
+    near = np.concatenate([exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0)])
+    p = gen.choice(near[(near >= 0.0) & (near <= 1.0)], m)
+    one = bh_select(p, 0.1)
+    split = _bh_in_split(p, 0.1, cpus)
+    assert np.array_equal(split.selected, one.selected) and split.selected.dtype == one.selected.dtype
+    assert (split.threshold_alpha_hat, split.k_hat) == (one.threshold_alpha_hat, one.k_hat)
+    assert one.k_hat > 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 9])
+@pytest.mark.parametrize("bad", [math.nan, -5e-324, np.nextafter(1.0, 2.0)])
+def test_bh_rejects_a_bad_p_value_in_the_last_chunk(bad, cpus):
+    p = np.linspace(0.0, 1.0, 300)
+    p[-1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _bh_in_split(p, 0.1, cpus)
+
+
 def _assert_bh_matches_self_consistent(p, alpha):
     a = bh_select(p, alpha)
     b = self_consistent_select(p, alpha)
@@ -249,23 +294,24 @@ def test_bh_rejects_p_values_outside_the_unit_interval(p):
         bh_select(np.array(p), 0.1)
 
 
-def test_selection_invariant_to_monotone_trust_transform():
-    gen = np.random.default_rng(10)
-    for i in range(300):
-        n, m = int(gen.integers(2, 40)), int(gen.integers(1, 40))
-        cal_t, test_t = gen.random(n), gen.random(m)
-        null = gen.random(n) < 0.5
-        rng = RngStream(21).child(i)
-        base = bh_select(
-            generalized_conformal_pvalues(_pool(cal_t, null, test_t), TieMode.PER_UNIT, rng), 0.2
-        )
-        warped = bh_select(
-            generalized_conformal_pvalues(
-                _pool(np.exp(3 * cal_t), null, np.exp(3 * test_t)), TieMode.PER_UNIT, rng
-            ),
-            0.2,
-        )
-        assert np.array_equal(base.selected, warped.selected)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(n=st.integers(2, 39), m=st.integers(1, 39), seed=st.integers(0, 2**32 - 1))
+def test_selection_invariant_to_monotone_trust_transform(n, m, seed):
+    """BH over per-unit p-values selects the same units after a strictly increasing map of every trust."""
+    gen = np.random.default_rng(seed)
+    cal_t, test_t = gen.random(n), gen.random(m)
+    null = gen.random(n) < 0.5
+    rng = RngStream(21).child(seed)
+    base = bh_select(
+        generalized_conformal_pvalues(_pool(cal_t, null, test_t), TieMode.PER_UNIT, rng), 0.2
+    )
+    warped = bh_select(
+        generalized_conformal_pvalues(
+            _pool(np.exp(3 * cal_t), null, np.exp(3 * test_t)), TieMode.PER_UNIT, rng
+        ),
+        0.2,
+    )
+    assert np.array_equal(base.selected, warped.selected)
 
 
 def test_knockoff_fdp_fixture():
@@ -332,7 +378,20 @@ def test_ineligible_units_keep_their_bh_slot():
     assert full.selected.size == 0  # 0.4 > 0.45 * k/4 for k <= 2
 
 
-def test_single_unit_bh_threshold_is_alpha():
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    alpha=st.sampled_from([0.4, 0.1, 1 / 3]) | st.floats(1e-6, 1 - 1e-6),
+    offset=st.sampled_from([0, -1, 1]),
+    p=st.none() | st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+)
+def test_single_unit_bh_threshold_is_alpha(alpha, offset, p):
+    """With m = 1 the one threshold is alpha itself: a p-value at or below it is selected, one ulp above is not."""
+    if p is None:  # alpha itself, or one ulp either side of it
+        p = float(np.nextafter(alpha, 0.0) if offset < 0 else np.nextafter(alpha, 1.0) if offset > 0 else alpha)
+    assert bh_select(np.array([p]), alpha).selected.tolist() == ([0] if p <= alpha else [])
+
+
+def test_single_unit_pool_threshold_is_alpha():
     for p in (0.0, 0.1, 0.4, np.nextafter(0.4, 1.0), 1.0):
         assert bh_select(np.array([p]), 0.4).selected.tolist() == ([0] if p <= 0.4 else [])
     out = scip_select_arrays(
