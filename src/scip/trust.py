@@ -11,7 +11,9 @@ only where two brackets overlap; the loss trace is computed on first read.
 That loss is convex, so the tangent plane at the previous accepted point bounds
 it from below: an iteration's first candidate (the doubled step) that this
 plane, less a margin that covers its rounding, puts at or above the current
-point's bracket is rejected without a bracket of its own.
+point's bracket is rejected without a bracket of its own.  So most steps cost
+one bracket and one gradient, and the descent's bookkeeping around them runs on
+Python floats.
 ``softmax`` is the one row softmax: the simulation designs and the softmax
 classifier call it, and the classifier's loss takes its log-normalizer from
 the same shifted exponentials.
@@ -140,6 +142,12 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
     would make, so the path is the plain descent's.  The gradient is taken at
     the start and at each accepted point.
 
+    Each accepted point and its gradient are turned into Python floats once.
+    The convergence test is ``all(abs(g) < tol)`` over them, which a NaN entry
+    fails as it fails max |grad| < tol.  The tangent test below forms its
+    candidate as w_i - step * g_i in floats, the bits of ``w - step * grad``;
+    the candidate is built as an array only when it is bracketed.
+
     An iteration's first candidate c is rejected with no bracket when the
     tangent plane at the previous accepted point p certifies it: with p's lo_p
     and gradient g_p, D = g_p . (c - p) and N = |c|_1 + |p|_1, summed in Python
@@ -170,23 +178,25 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
     lo, hi, state = objective.bracket(w)
     loss = None  # the exact loss at w, once a near-tie has needed it
     grad = objective.grad(state)
+    w_f, g_f = w.tolist(), grad.tolist()
     path = [w]
     step = 1.0
     converged = False
+    tol, rounding = config.grad_tol, objective.rounding
     tangent = None  # the previous accepted point, its lo and its gradient, as lists, while they can certify
     for _ in range(config.max_iter):
-        if np.maximum.reduce(np.abs(grad)) < config.grad_tol:  # np.max: the same reduce, more dispatch
+        if all(abs(g) < tol for g in g_f):  # a NaN entry fails it, as it fails max |grad| < tol
             converged = True
             break
         step = min(step * 2.0, 1e3)
         certify = tangent is not None and hi < math.inf  # the first candidate, if a tangent can reject it
         while step > 1e-18:
-            cand = w - step * grad
             if certify:
                 certify = False
-                if _tangent_rejects(objective.rounding, tangent, cand, hi):
+                if _tangent_rejects(rounding, tangent, [p - step * g for p, g in zip(w_f, g_f)], hi):
                     step *= 0.5
                     continue
+            cand = w - step * grad
             c_lo, c_hi, c_state = objective.bracket(cand)
             c_loss = None
             if c_hi < lo:
@@ -200,18 +210,19 @@ def _gd_minimize(objective: _Objective, w0: np.ndarray, config: OptimizerConfig)
             step *= 0.5
         else:
             break  # no descent direction at float resolution
-        tangent = (w.tolist(), lo, grad.tolist()) if math.isfinite(lo) and objective.rounding < 1.0 else None
+        tangent = (w_f, lo, g_f) if math.isfinite(lo) and rounding < 1.0 else None
         w, lo, hi, state, loss = cand, c_lo, c_hi, c_state, c_loss
         grad = objective.grad(state)
+        w_f, g_f = w.tolist(), grad.tolist()
         path.append(w)
     return np.array(path), converged
 
 
-def _tangent_rejects(rounding: float, tangent: tuple, cand: np.ndarray, hi: float) -> bool:
-    """Whether the tangent plane (point, lo, gradient) certifies the loss at ``cand`` >= ``hi``."""
+def _tangent_rejects(rounding: float, tangent: tuple, cand: list, hi: float) -> bool:
+    """Whether the tangent plane (point, lo, gradient) certifies the loss at ``cand`` >= ``hi``; points are lists."""
     point, lo_p, g_p = tangent
     dot = norm = 0.0
-    for g, p, c in zip(g_p, point, cand.tolist()):
+    for g, p, c in zip(g_p, point, cand):
         dot += g * (c - p)
         norm += abs(c) + abs(p)
     bound = rounding * (1.0 + norm)
@@ -257,15 +268,24 @@ class TrainedScorer:
         return np.clip(_sigmoid(z), 1e-300, np.nextafter(1.0, 0.0))
 
 
+# 0 and 1 as read-only 0-d arrays: a ufunc takes one of these faster than a Python float, which it
+# converts on every call
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO.flags.writeable = False
+_ONE.flags.writeable = False
+
+
 def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # one exp of -|z| (``e``, if given) serves both branches, and neither can overflow
     if e is None:
         e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    s = np.where(np.greater_equal(z, _ZERO), _ONE, e)
+    s /= np.add(_ONE, e)
+    return s
 
 
 # the logistic bracket's relative margin, which the tangent certificate's margin shares, and its least mean
-_BRACKET_SLACK, _BRACKET_MIN_BOUND = 1e-12, 1e-290
+_BRACKET_SLACK, _BRACKET_MIN_BOUND = 1e-13, 1e-290
 
 
 def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float) -> _Objective:
@@ -274,14 +294,33 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
     ``exact`` is the plain form, the mean of w * np.logaddexp(0, t) with t = sgn * z (libm's scalar
     exp and log1p in numpy's loop).  ``bracket`` takes the same terms as w * (max(t, 0) + log1p(e)),
     e = exp(-|z|), with numpy's vectorized ``np.exp`` and ``np.log1p``, and widens their mean s to
-    [s (1 - _BRACKET_SLACK), s (1 + _BRACKET_SLACK)].  That holds the exact loss: logaddexp(0, t) is
-    max(t, 0) + log1p(exp(-|t|)) and |t| = |z|; every term of either sum is nonnegative and within
-    a few ulps of w * log(1 + e^t) (no exp can overflow); pairwise sums of nonnegative terms agree
-    to about log2(n) * eps relative; the slack covers both by two orders of magnitude at n = 1e6,
-    and the gap seen on real candidates (under 5e-16) by more than three.  A mean that is NaN,
-    infinite or under _BRACKET_MIN_BOUND * max(lam, 1) (where the absolute error of underflowed terms
-    could pass the slack) gives (-inf, inf), and the exact loss decides.  The sigmoid in ``grad``
-    reads the bracket's e, which is the bits of ``np.exp(-np.abs(z))``.
+    [s (1 - _BRACKET_SLACK), s (1 + _BRACKET_SLACK)].  That holds the exact loss.  With u = 2**-53
+    (one ulp is at most 2u relative), both means are within a small multiple of u of the mean of the
+    true terms w * log(1 + e^t), since logaddexp(0, t) is max(t, 0) + log1p(exp(-|t|)) and |t| = |z|,
+    so both sides take the same steps:
+
+    - Each term is within 6u of its true value on either side: exp within 1 ulp (2u), which log1p
+      passes on, since its relative condition number is at most 1 on [0, 1]; log1p's own ulp (2u);
+      the add of two nonnegative parts (u); the weight multiply (u).  No exp can overflow.  The
+      1 ulp for float64 exp and log1p is what numpy's accuracy tables hold
+      (``numpy/_core/tests/data/umath-validation-set-{exp,log1p}.csv``).  Against mpmath, over 2e5
+      inputs on each of numpy 2.4's AVX-512, AVX2 and baseline loops, the largest errors seen were
+      0.73 ulp for each function and 1.4 ulp for a whole term, either side's.
+    - Each sum is within gamma_d of the sum of its terms, all nonnegative, where d is the most adds
+      a term passes through.  ``np.add.reduce`` of a contiguous array is numpy's pairwise sum: eight
+      running sums over a block of at most 128 terms, then 3 adds to combine them and up to 7 for
+      the rest (24 adds at most in a block), and one add per halving above that.  So d <= 24 + ceil(log2(n / 128)),
+      which is 27 for n <= 1e3 and 37 for n <= 1e6.
+    - Each division by n adds u.
+
+    So the gap between s and the exact loss is at most (14 + 2d) u relative, to first order (the rest
+    is under 1e-28): 68u = 7.6e-15 for n <= 1e3 and 88u = 9.8e-15 for n <= 1e6.  _BRACKET_SLACK,
+    1e-13, is the smallest power of ten at least 10 times the gap at n = 1e6, so its safety factor
+    is 10 there and 13 at n = 1e3.  The largest gap seen, over 3,000 objectives on each of those
+    loops, was 2 ulps of the loss.  A mean that is NaN, infinite or under _BRACKET_MIN_BOUND *
+    max(lam, 1) (where the absolute error of underflowed terms, a few subnormal ulps each, could pass
+    the slack) gives (-inf, inf), and the exact loss decides.  The sigmoid in ``grad`` reads the
+    bracket's e, which is the bits of ``np.exp(-np.abs(z))``.
 
     ``rounding`` is kappa = 2 max(lam, 1) Phi (n + 2k + 20) u, with Phi =
     max(1, max |phi|), k = p + 1 parameters and u = 2**-53 (gamma_m = m u / (1 - m u) below).  The
@@ -294,8 +333,9 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
     The three sum to under max(lam, 1) Phi (n + 2k + 17) u N, half of kappa N at most.
 
     A step costs its transcendental passes and few in-place calls: both sums' terms go into
-    buffers reused by every call (each ``bracket`` returns a new z and e), and at lam == 1 no weight
-    multiply runs, since every weight is 1.0 and x * 1.0 == x.
+    buffers reused by every call (each ``bracket`` returns a new z and e), a scalar operand is a
+    0-d array (``_ZERO``, ``_ONE``, n), and at lam == 1 no weight multiply runs, since every weight
+    is 1.0 and x * 1.0 == x.
     """
     n = phi.shape[0]
     a = (labels > 0).astype(float)
@@ -304,6 +344,7 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
     sgn = np.where(labels > 0, -1.0, 1.0)
     least = _BRACKET_MIN_BOUND * max(lam, 1.0)
     terms, log1p_e = np.empty(n), np.empty(n)
+    n_0d = np.array(float(n))  # the divisor as a 0-d array, as _ZERO is
     rounding = 2.0 * max(lam, 1.0) * float(np.abs(phi).max(initial=1.0)) * (n + 2 * phi.shape[1] + 22) * 2.0**-53
 
     def bracket(theta):
@@ -313,7 +354,7 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
         np.negative(e, out=e)
         np.exp(e, out=e)
         np.multiply(sgn, z, out=terms)
-        np.maximum(terms, 0.0, out=terms)
+        np.maximum(terms, _ZERO, out=terms)
         np.log1p(e, out=log1p_e)
         np.add(terms, log1p_e, out=terms)
         if lam != 1.0:
@@ -335,7 +376,7 @@ def _weighted_logistic_objective(phi: np.ndarray, labels: np.ndarray, lam: float
         resid -= a
         if lam != 1.0:
             resid *= w
-        resid /= n
+        resid /= n_0d
         g = np.empty(phi.shape[1] + 1)
         np.dot(phi.T, resid, out=g[:-1])
         g[-1] = np.add.reduce(resid)
