@@ -13,20 +13,20 @@ predictions once (``predict``) and reads its scores (``scores``) and sets
 and the p-value is ``admissible_level``: ``(1 + #{i : V_i >= nu(x)}) / (n + 1)``.
 A unit with no admissible nonempty set at any level has nu(x) = -inf: p = 1.
 
-Both rank counts are cheap at n = m = 1e6.  ``count_geq`` hands its keys to
-``core._ranks``, and the large passes over levels run in the same contiguous
-index chunks (``core._in_chunks``): one chunk inline below 2^17 keys or
-levels, otherwise one thread per usable CPU.  ``_ranks`` searches each
-chunk's keys in ascending order, so the sorted scores are read nearly left
-to right (a run of 2^12 keys only between its least and greatest key).
-``admissible_level`` turns the int32 counts below each key into its quotient
-(n + 1 - below) / (n + 1) in the chunks too.  The level count behind
-``score_radius`` is arithmetic, ``floor(q (n + 1))`` corrected by one step
-each way, with no level grid held; each chunk checks its levels, counts them
-and gathers their radii from the sorted scores held between a -inf and a
-+inf sentinel, block by block into the caller's output.  Every chunk writes
-only its own slots with element-wise operations, so each count, p-value and
-radius has the same bits whatever the split.
+Both rank passes are cheap at n = m = 1e6.  ``admissible_level`` hands its
+keys to ``core._ranks``, which searches them in contiguous index chunks
+(``core._in_chunks``): one chunk inline below 2^17 keys, otherwise one
+thread per usable CPU, each chunk in ascending key order, so the sorted
+scores are read nearly left to right (a run of 2^12 keys only between its
+least and greatest key).  The int32 counts below each key become the
+quotient (n + 1 - below) / (n + 1) in one inline pass.  The level count
+behind ``score_radius`` is arithmetic, ``floor(q (n + 1))`` corrected by one
+step each way, with no level grid held; it runs in the same index chunks,
+each of which checks its levels, counts them and gathers their radii from
+the sorted scores held between a -inf and a +inf sentinel, block by block
+into the caller's output.  Every chunk writes only its own slots with
+element-wise operations, so each count and radius has the same bits
+whatever the split.
 """
 
 from __future__ import annotations
@@ -108,22 +108,16 @@ NonconformityScore = AbsoluteResidual | OneMinusProb
 
 
 class CalibrationScores:
-    """Frozen calibration score sample with rank/count helpers.
+    """Frozen calibration score sample with its two rank passes.
 
-    ``count_geq(v)`` and ``admissible_level(nu)`` take their counts from
-    ``core._ranks``, which searches a large batch of keys in index chunks,
-    one thread each, every chunk in ascending key order; the counts come back
-    in the keys' own order and are exact whatever the split.
-    ``min_count_for_level(q)`` returns the smallest integer c such that a
-    candidate with c calibration scores >= its own score passes the strict
-    level-q rank test, i.e. the number of grid values k/(n+1), k = 1..n+1,
-    that are <= q.  It is computed arithmetically, without the grid.  A
-    result of 0 means every candidate passes; n+1 means none does (NaN gives
-    n+1).  ``score_radius(q)`` runs in ``core._in_chunks``' index chunks:
-    each chunk range-checks its levels, counts them as ``min_count_for_level``
-    does and gathers their radii from the sorted scores held between a -inf
-    and a +inf sentinel, ``_BLOCK_KEYS`` levels at a time, so a thread
-    allocates nothing larger than a block.
+    ``admissible_level(nu)`` takes its counts from ``core._ranks``, which
+    searches a large batch of keys in index chunks, one thread each, every
+    chunk in ascending key order; the counts come back in the keys' own order
+    and are exact whatever the split.  ``score_radius(q)`` runs in
+    ``core._in_chunks``' index chunks: each chunk range-checks its levels,
+    counts them (``_min_counts``) and gathers their radii from the sorted
+    scores held between a -inf and a +inf sentinel, ``_BLOCK_KEYS`` levels at
+    a time, so a thread allocates nothing larger than a block.
     """
 
     def __init__(self, values):
@@ -144,38 +138,20 @@ class CalibrationScores:
     def n(self) -> int:
         return self._sorted.size
 
-    def count_geq(self, v) -> np.ndarray | int:
-        """#{i : V_i >= v}, vectorized over v."""
-        keys = np.asarray(v)
-        (below,) = _ranks(self._sorted, keys.ravel(), "left")
-        # the counts stay intp whatever width _ranks returns; [()] makes a 0-d result a scalar
-        return np.subtract(self.n, below, dtype=np.intp).reshape(keys.shape)[()]
-
     def admissible_level(self, nu) -> np.ndarray:
         """The I-adjusted p-value (1 + #{i : V_i >= nu}) / (n + 1): 1 at nu = -inf, 1/(n+1) at +inf."""
         keys = np.asarray(nu)
         (below,) = _ranks(self._sorted, keys.ravel(), "left")
-        pvals = np.empty(below.size)
-        _in_chunks(below.size, partial(_quotients, self.n + 1, below, pvals))
+        pvals = np.subtract(self.n + 1, below, dtype=float)  # the count, exact in float
+        pvals /= self.n + 1
         return pvals.reshape(keys.shape)[()]
-
-    def min_count_for_level(self, q) -> np.ndarray | int:
-        """#{k in 1..n+1 : k/(n+1) <= q}, vectorized over q.
-
-        floor(q (n+1)) is off by at most one; one step each way against the
-        grid values c/(n+1) and (c+1)/(n+1), the same correctly rounded
-        quotients as ``np.arange(1, n+2) / (n+1)``, makes the count exact.
-        """
-        q = np.asarray(q, dtype=float)
-        levels = np.atleast_1d(q)
-        counts = _min_counts(self.n + 1, levels, np.empty(levels.shape)).astype(np.intp)
-        return counts if q.ndim else int(counts[0])
 
     def score_radius(self, q) -> np.ndarray | float:
         """Largest score value admitted at level q: +inf (all), -inf (none), or a score.
 
-        The radius is the min_count-th largest calibration score; candidates
-        belong to the level-q set exactly when their score is <= the radius.
+        The radius is the c-th largest calibration score, with c the level's
+        ``_min_counts``; candidates belong to the level-q set exactly when
+        their score is <= the radius.
         """
         q_arr = np.asarray(q, dtype=float)
         levels = q_arr.ravel()
@@ -184,14 +160,16 @@ class CalibrationScores:
         return radii.reshape(q_arr.shape) if np.ndim(q) else float(radii[0])
 
 
-def _quotients(n1: int, below, out, lo: int, hi: int):
-    """``out[lo:hi] = (n1 - below[lo:hi]) / n1``: the count, exact in float, then one division, both in place."""
-    np.subtract(n1, below[lo:hi], out=out[lo:hi], dtype=float)
-    out[lo:hi] /= n1
-
-
 def _min_counts(n1: int, q, c):
-    """``min_count_for_level`` of the levels q, as floats written to c (of q's shape) and returned."""
+    """#{k in 1..n+1 : k/(n+1) <= q} per level q, as floats written to c (of q's shape) and returned.
+
+    This is the smallest count c of calibration scores at or above a
+    candidate's own score that passes the strict level-q rank test: 0 means
+    every candidate passes, n+1 that none does (NaN gives n+1).
+    floor(q (n+1)) is off by at most one; one step each way against the grid
+    values c/(n+1) and (c+1)/(n+1), the same correctly rounded quotients as
+    ``np.arange(1, n+2) / (n+1)``, makes the count exact.
+    """
     with np.errstate(over="ignore"):
         np.multiply(q, n1, out=c)
     np.floor(c, out=c)

@@ -92,6 +92,8 @@ class ProcedureConfig:
             raise ConfigError("a method needs a score and a constraint")
         if not 0.0 < self.lam < np.inf:
             raise ConfigError("lam must be finite and > 0")
+        if not (isinstance(self.feature_degree, (int, np.integer)) and self.feature_degree >= 1):
+            raise ConfigError("feature_degree must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -231,10 +233,8 @@ def _half_line_sets(config: ProcedureConfig, mu: np.ndarray) -> tuple[IntervalBa
 def run_naive(cal: Dataset, test: Dataset, config: ProcedureConfig) -> ProcedureOutput:
     """Level-alpha conformal sets for every unit; keep the admissible nonempty ones."""
     _, cal_scores, pred = _calibrated(config.score, cal, test)
-    radius = cal_scores.score_radius(config.alpha)
-    sets = config.score.sets(pred, radius)
-    diag = {"level": config.alpha, "radius": radius}
-    return _report(config, np.flatnonzero(config.constraint.admits(sets)), sets, diag)
+    sets = config.score.sets(pred, cal_scores.score_radius(config.alpha))
+    return _report(config, np.flatnonzero(config.constraint.admits(sets)), sets, {})
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,7 @@ def run_infoscop(
         return ProcedureOutput(survivors[:0], _NO_INTERVALS, {"survivors": survivors})
     cal_scores = CalibrationScores(score.scores(mu_b[keep_cal], cal_b.y[keep_cal]))
     stage2 = _infosp_core(config, cal_scores, mu_test[survivors])  # checks every reported set
-    diag = {"survivors": survivors, "trust_threshold": tau_trust, "stage2": stage2.diagnostics}
+    diag = {"survivors": survivors, "trust_threshold": tau_trust}
     return ProcedureOutput(survivors[stage2.selected], stage2.sets, diag)
 
 

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, _in_chunks, _ranks
+from .core import RngStream, _ranks
 
 
 class TieMode(enum.Enum):
@@ -77,11 +76,15 @@ class ScoredPool:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Selected indices (0-based), the BH threshold, and the p-values used."""
+    """Selected indices (0-based), the threshold, and the p-values used.
+
+    ``pvalues`` is ``None`` for the counting-knockoff scan, which thresholds
+    the trusts directly and builds no p-values.
+    """
 
     selected: np.ndarray
     threshold_alpha_hat: float
-    pvalues: np.ndarray
+    pvalues: np.ndarray | None
     k_hat: int
 
 
@@ -140,14 +143,14 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
 
     Identical selected set to the self-consistent rule
     max{a in [0,1] : (alpha/m) #{p <= a} >= a}, with max over the empty set
-    read as 0.  The range check runs in ``core._in_chunks``' index chunks.
-    The p-values that can pass some k are copied out by index
+    read as 0.  The range check reads the minimum and the maximum, which a
+    NaN fails.  The p-values that can pass some k are copied out by index
     (``np.compress``, faster than a boolean index) and sorted in place.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p-values must form a nonempty vector")
-    if not all(_in_chunks(p.size, partial(_in_unit_interval, p))):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -160,11 +163,6 @@ def bh_select(pvalues, alpha: float) -> SelectionResult:
     alpha_hat = alpha * k_hat / m
     selected = np.flatnonzero(p <= alpha_hat) if k_hat else np.array([], dtype=int)
     return SelectionResult(selected, float(alpha_hat), p, k_hat)
-
-
-def _in_unit_interval(p, lo: int, hi: int) -> bool:
-    """Every one of ``p[lo:hi]`` lies in [0, 1]; a NaN fails both bounds."""
-    return p[lo:hi].min() >= 0.0 and p[lo:hi].max() <= 1.0
 
 
 def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
@@ -184,14 +182,11 @@ def self_consistent_select(pvalues, alpha: float) -> SelectionResult:
     return SelectionResult(selected, alpha_hat, p, int(selected.size))
 
 
-def counting_knockoff_fdp(pool: ScoredPool, tau: float, u: float = 1.0) -> float:
-    """FDP estimate at trust threshold tau; u = 1 gives the deterministic form
-    [1 + #{i : null_i, T_i >= tau}] / (1 v #{j : T_j >= tau}) * m / (n + 1)."""
-    return float(_knockoff_fdps(pool, np.array([tau], dtype=float), u)[0])
-
-
 def _knockoff_fdps(pool: ScoredPool, taus: np.ndarray, u: float) -> np.ndarray:
-    """``counting_knockoff_fdp`` at every threshold in ``taus``, from one sort of the null and test trusts.
+    """The FDP estimate at every trust threshold tau in ``taus``, from one sort of the null and test trusts.
+
+    With a shared tie draw u (u = 1 gives the deterministic form) the estimate at tau is
+    [#{i : null_i, T_i > tau} + (1 + #{i : null_i, T_i = tau}) u] / (1 v #{j : T_j >= tau}) * m / (n + 1).
 
     The three counts are ranks in the sorted trusts (``np.searchsorted``, not ``core._ranks``: this
     scan is the reference BH is checked against), and the estimate is formed with the float
@@ -224,13 +219,11 @@ def counting_knockoff_select(
     u = float(draw(1)[0])
     taus = np.unique(pool.test_trust)  # ascending, so the first feasible one is the smallest
     feasible = taus[_knockoff_fdps(pool, taus, u) <= alpha]
-    # the matching generalized p-values (same shared u), attached as diagnostics
-    pvals = _pvalues_at(pool, draw)
     if not feasible.size:
-        return SelectionResult(np.array([], dtype=int), 0.0, pvals, 0)
+        return SelectionResult(np.array([], dtype=int), 0.0, None, 0)
     selected = np.flatnonzero(pool.test_trust >= feasible[0])
     k_hat = int(selected.size)
-    return SelectionResult(selected, alpha * k_hat / pool.m, pvals, k_hat)
+    return SelectionResult(selected, alpha * k_hat / pool.m, None, k_hat)
 
 
 def scip_select_arrays(

@@ -400,6 +400,8 @@ def train_trust_classifier(
     labels = np.array(labels)  # a copy: the scorer keeps it for its loss trace
     if not 0.0 < lam < np.inf:  # NaN fails both comparisons
         raise ValueError("lam must be finite and > 0")
+    if not (isinstance(feature_degree, (int, np.integer)) and feature_degree >= 1):
+        raise ValueError("feature_degree must be an integer >= 1")
     if not np.all((labels == 1) | (labels == -1)):
         raise ValueError("labels must each be -1 or +1")
     if np.all(labels > 0) or np.all(labels < 0):

@@ -92,20 +92,26 @@ def test_level_range_check_edges():
             cal.score_radius(q)
 
 
+def _counts(cal, q):
+    """The level counts behind ``score_radius``, as intp."""
+    q = np.asarray(q, dtype=float)
+    return scip.conformal._min_counts(cal.n + 1, q, np.empty(q.shape)).astype(np.intp)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 999, 1000, 12345, 999_999, 1_000_000])
-def test_min_count_for_level_matches_grid_search(n):
+def test_min_counts_match_grid_search(n):
     """The arithmetic level count equals a search of the grid k/(n+1), k = 1..n+1."""
-    cal = CalibrationScores(np.zeros(n))
     grid = np.arange(1, n + 2) / (n + 1)
     edges = [0.0, -0.0, 1.0, -1e-300, -0.5, -math.inf, 5e-324, 1.5, 1e308, math.inf, math.nan]
     random = np.random.default_rng(n).random(1000)
     q = np.concatenate([grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf), edges, random])
-    got = cal.min_count_for_level(q)
-    assert got.dtype == np.intp
+    out = np.empty(q.shape)
+    got = scip.conformal._min_counts(n + 1, q, out)
+    assert got is out and got.dtype == np.float64
     assert np.array_equal(got, np.searchsorted(grid, q, side="right"))
     for scalar in (0.0, 1.0, math.nan, -0.5, 1.5, float(grid[n // 2]), float(np.nextafter(grid[0], 0.0))):
-        count = cal.min_count_for_level(scalar)
-        assert type(count) is int
+        count = scip.conformal._min_counts(n + 1, scalar, np.empty(()))
+        assert count.shape == ()
         assert count == np.searchsorted(grid, scalar, side="right")
 
 
@@ -130,7 +136,7 @@ def test_score_radius_matches_three_mask_form(n):
     grid = np.arange(1, n + 2) / (n + 1)
     q = np.concatenate([[0.0, 1.0], grid, np.nextafter(grid, 0.0), np.clip(np.nextafter(grid, 2.0), 0.0, 1.0),
                         gen.random(100)])
-    counts = cal.min_count_for_level(q)
+    counts = _counts(cal, q)
     assert counts.min() == 0 and counts.max() == n + 1 and np.any((counts > 0) & (counts < n + 1))
     sorted_scores = np.sort(values)
     assert np.array_equal(cal.score_radius(q), _three_mask_radius(sorted_scores, counts))
@@ -138,33 +144,37 @@ def test_score_radius_matches_three_mask_form(n):
     for scalar in (0.0, 1.0, float(grid[0]), float(grid[n // 2]), 0.5):
         radius = cal.score_radius(scalar)
         assert type(radius) is float
-        assert radius == _three_mask_radius(sorted_scores, np.array([cal.min_count_for_level(scalar)]))[0]
+        assert radius == _three_mask_radius(sorted_scores, _counts(cal, [scalar]))[0]
     assert np.array_equal(cal._sorted, sorted_scores) and not cal._sorted.flags.writeable
     with pytest.raises(ValueError):
         cal._sorted[0] = 0.0
 
 
-def test_count_geq_matches_plain_search():
-    """Searching the keys in ascending order gives the counts of a plain search in any key order."""
+def test_admissible_level_matches_plain_search():
+    """Searching the keys in ascending order gives the p-values of a plain search in any key order, bit for bit."""
     gen = np.random.default_rng(58)
     values = np.repeat([-1.5, 0.0, 0.25, 1.0, 3.0], [1, 400, 3, 250, 40])  # heavy ties
     cal = CalibrationScores(gen.permutation(values))
     table = np.sort(values)
+
+    def plain(keys):
+        return (cal.n - np.searchsorted(table, keys, side="left") + 1.0) / (cal.n + 1)
+
     keys = np.concatenate([
         table,  # every key equal to a table value
         [-math.inf, math.inf, math.nan, -2.0, 0.1, 5.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
         gen.choice(table, 2000) + gen.choice([-1e-12, 0.0, 1e-12], 2000),
     ])
     for batch in (keys, keys[::-1], gen.permutation(keys)):
-        assert np.array_equal(cal.count_geq(batch), cal.n - np.searchsorted(table, batch, side="left"))
+        assert np.array_equal(cal.admissible_level(batch), plain(batch))
     grid_keys = keys[:12].reshape(3, 4)
-    assert np.array_equal(cal.count_geq(grid_keys), cal.n - np.searchsorted(table, grid_keys, side="left"))
-    empty = cal.count_geq(np.array([]))
-    assert empty.shape == (0,) and empty.dtype == np.intp
+    assert np.array_equal(cal.admissible_level(grid_keys), plain(grid_keys))
+    empty = cal.admissible_level(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == np.float64
     for scalar in (0.0, -0.0, 5e-324, 0.25, -math.inf, math.inf, math.nan, 2, np.float64(1.0)):
-        count = cal.count_geq(scalar)
-        assert np.ndim(count) == 0
-        assert count == cal.n - np.searchsorted(table, scalar, side="left")
+        level = cal.admissible_level(scalar)
+        assert np.ndim(level) == 0
+        assert level == plain(scalar)
 
 
 def test_set_membership_matches_brute_force_counts():
@@ -327,7 +337,8 @@ def _masked_pvalue(cal_values, nu: float) -> float:
 @given(data=st.data())
 def test_i_adjusted_pvalue_is_the_masked_formula(kind, data):
     """-inf marks "no admissible set" exactly where the masked formula read NaN, and the one
-    formula (1 + count_geq(nu)) / (n + 1) gives the masked formula's bits, 1 included."""
+    formula of admissible_level, (1 + #{i : V_i >= nu}) / (n + 1), gives the masked formula's bits,
+    1 included."""
     cal_values = data.draw(st.lists(_QUARTER, min_size=1, max_size=8), "cal")
     c_l, c_u = sorted(data.draw(st.tuples(_QUARTER, _QUARTER), "constants"))
     if kind in ("max_size", "singleton"):
@@ -396,7 +407,7 @@ def test_level_passes_keep_their_bits_in_every_split(n, cpus, block_keys):
                                          [-math.inf, math.inf, 0.0, -0.0], gen.normal(size=200)]))
     assert q.size >= 2 * 16 and nu.size >= 2 * 16  # several chunks
     radii = cal.score_radius(q)
-    assert np.array_equal(radii, _three_mask_radius(np.sort(values), cal.min_count_for_level(q)))
+    assert np.array_equal(radii, _three_mask_radius(np.sort(values), _counts(cal, q)))
     pvals = cal.admissible_level(nu)
     assert np.array_equal(pvals, (cal.n - np.searchsorted(np.sort(values), nu, "left") + 1.0) / (n + 1))
     assert np.array_equal(_in_split(lambda: cal.score_radius(q), cpus, block_keys), radii)

@@ -583,7 +583,7 @@ def test_ranks_with_more_threads_than_cpus(monkeypatch):
 
 
 def test_ranks_just_above_the_real_chunk_threshold():
-    """Unpatched: count_geq and the generalized p-values equal their written-out plain-search forms."""
+    """Unpatched: the I-adjusted and generalized p-values equal their written-out plain-search forms."""
     gen = np.random.default_rng(61)
     m = 2 * scip.core._CHUNK_KEYS + 1  # one chunk per usable CPU, each run in its own thread
     cal_values = gen.integers(0, 500, 3000) / 499.0  # heavy ties, and keys that tie them
@@ -591,7 +591,8 @@ def test_ranks_just_above_the_real_chunk_threshold():
     gen.shuffle(keys)
     cal = CalibrationScores(cal_values)
     table = np.sort(cal_values)
-    assert np.array_equal(cal.count_geq(keys), cal.n - np.searchsorted(table, keys, side="left"))
+    assert np.array_equal(cal.admissible_level(keys),
+                          (cal.n - np.searchsorted(table, keys, side="left") + 1.0) / (cal.n + 1))
     pool = ScoredPool(cal_values, gen.random(cal_values.size) < 0.6, keys)
     null_sorted = np.sort(pool.cal_trust[pool.cal_null])
     gt = null_sorted.size - np.searchsorted(null_sorted, keys, side="right")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scip.core
 from scip.conformal import AbsoluteResidual, OneMinusProb
 from scip.core import (
     CLASSIFICATION,
@@ -1045,6 +1046,38 @@ def test_lam_must_be_finite_and_positive_in_the_config_and_the_trainer(lam):
     X = np.linspace(-1.0, 1.0, 8)[:, None]
     with pytest.raises(ValueError, match="lam must be finite and > 0"):
         train_trust_classifier(X, np.where(X[:, 0] > 0.3, 1, -1), lam=lam)
+
+
+@pytest.mark.parametrize("degree", [0, -1, 1.5])
+def test_feature_degree_must_be_a_positive_integer_in_the_config_and_the_trainer(degree):
+    """Before, 0 and -1 failed inside np.hstack ("need at least one array") and 1.5 with a TypeError."""
+    score, X = AbsoluteResidual(lambda X: X[:, 0]), np.linspace(-1.0, 1.0, 8)[:, None]
+    labels = np.where(X[:, 0] > 0.3, 1, -1)
+    with pytest.raises(ConfigError, match="feature_degree must be an integer >= 1"):
+        ProcedureConfig(alpha=0.1, score=score, constraint=PositiveInterval(), feature_degree=degree)
+    with pytest.raises(ValueError, match="feature_degree must be an integer >= 1"):
+        train_trust_classifier(X, labels, feature_degree=degree)
+    assert ProcedureConfig(alpha=0.1, score=score, constraint=PositiveInterval(), feature_degree=1).feature_degree == 1
+    assert train_trust_classifier(X, labels, feature_degree=1).weights.shape == (1,)
+
+
+def test_infosp_plus_keeps_its_bits_on_the_threaded_paths(monkeypatch):
+    """At n = m just above two chunks of keys, the rank searches and the score radii run as one chunk with
+    one usable CPU and in threads with 2 and 9; the selection, the reported sets and the p-values are the
+    same arrays each time."""
+    size = 140_000
+    assert size > 2 * scip.core._CHUNK_KEYS
+    data, mu_hat = gen_regression(3 * size, 0.5, RngStream(63))
+    cal, cal0, test = (Dataset(data.X[i::3], data.y[i::3], REGRESSION) for i in range(3))
+    cfg = ProcedureConfig(alpha=0.2, score=AbsoluteResidual(mu_hat), constraint=PositiveInterval())
+    runs = []
+    for cpus in (1, 2, 9):
+        monkeypatch.setattr(scip.core, "_usable_cpus", lambda: cpus)
+        out = run_infosp_plus(cal, cal0, test, cfg, RngStream(64))
+        runs.append((out.selected, out.sets.lower, out.sets.upper, out.diagnostics["result"].pvalues))
+    assert runs[0][0].size > 0 and cal.n == test.n == size
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
 
 
 def test_same_seed_same_output():
