@@ -8,11 +8,9 @@ Informativeness constraints are monotone set predicates: whenever a set is
 admissible, every nonempty subset of it is admissible too.  Each constraint
 judges a whole batch at once with ``admits``, and reads a score's
 predictions (``mu_hat`` values or class probabilities) to give each row's
-"informativeness breakpoint": the largest score radius nu such that the
-sublevel set {y : V(x, y) <= nu} is still admissible (sets strictly inside
-the radius are admissible, sets beyond it by more than rounding are not),
-and -inf when no admissible nonempty sublevel set exists.  A ``Dataset``
-and both batches select rows the same way, with ``take``.
+"informativeness breakpoint", the largest score radius nu whose sublevel
+set {y : V(x, y) <= nu} is still admissible (``InformativeConstraint``).  A
+``Dataset`` and both batches select rows the same way, with ``take``.
 """
 
 from __future__ import annotations
@@ -80,30 +78,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_chunks(m: int, fn: Callable[[int, int], object]) -> list:
-    """``fn(lo, hi)`` over contiguous index chunks that cover ``range(m)``, in chunk order.
+def _in_chunks(m: int, fn: Callable[[int, int], None]) -> None:
+    """``fn(lo, hi)`` over contiguous index chunks that cover ``range(m)``, for its writes only.
 
     One chunk, run inline, below two chunks of ``_CHUNK_KEYS`` indices;
-    otherwise one chunk per usable CPU, each in its own thread (so
-    ``taskset`` limits them).  Returns each chunk's result; an exception in
-    any chunk is raised here, once every chunk has ended.  The split only
-    decides how many threads run, so ``fn`` must give the same bits on any
-    split: each chunk writes only its own slots of arrays its caller
-    allocated.  Threads run numpy calls and private helpers only (a public
-    function may carry a tracing wrapper that is not thread safe), and numpy's
-    error state does not reach them, so ``fn`` sets its own ``np.errstate``.
-    glibc gives each thread its own malloc arena, and whole-chunk temporaries
-    freed there stay resident, so ``fn`` allocates nothing larger than a block
-    of ``_BLOCK_KEYS`` indices or so.
+    otherwise one chunk per usable CPU, each in its own thread (so ``taskset``
+    limits them).  An exception in a chunk is raised here once every chunk has
+    ended.  The split only decides how many threads run, so ``fn`` must give
+    the same bits on any split: each chunk writes only its own slots of arrays
+    its caller allocated.  Threads run numpy calls and private helpers only
+    (a public function may carry a tracing wrapper that is not thread safe),
+    and numpy's error state does not reach them, so ``fn`` sets its own
+    ``np.errstate``.  glibc gives each thread its own malloc arena, and
+    whole-chunk temporaries freed there stay resident, so ``fn`` allocates
+    nothing larger than a block of ``_BLOCK_KEYS`` indices or so.
     """
     n_chunks = 1 if m < 2 * _CHUNK_KEYS else min(_usable_cpus(), m // _CHUNK_KEYS)
     if n_chunks == 1:
-        return [fn(0, m)]
+        fn(0, m)
+        return
     bounds = [m * i // n_chunks for i in range(n_chunks + 1)]
     # an executor per call: a process forked later (the CLI's worker pool) inherits no
-    # executor whose threads are gone
+    # executor whose threads are gone; leaving it waits for every chunk
     with ThreadPoolExecutor(n_chunks) as pool:
-        return [done.result() for done in [pool.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]]
+        chunks = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for done in chunks:
+        done.result()  # raises the first failed chunk's exception
 
 
 def _ranks(table: np.ndarray, keys: np.ndarray, *sides: str) -> tuple[np.ndarray, ...]:
@@ -304,20 +304,19 @@ SetBatch = IntervalBatch | ClassBatch
 class InformativeConstraint(ABC):
     """Monotone predicate over prediction sets plus a score breakpoint.
 
-    ``admits(batch)`` judges each row's set; admissibility is inherited by
-    every nonempty subset of an admitted set, and the value on an empty row
-    is not part of the contract (empty sets are never reported).
-    ``breakpoints(pred)`` reads a score's predictions (``mu_hat`` values of
-    shape (n,) for an interval constraint, class probabilities of shape (n, K)
-    for a class constraint) and gives, per row, the largest score radius whose
-    sublevel set is still admissible: ``math.inf`` when no radius ever violates
-    the constraint, and ``-math.inf`` when no admissible nonempty set exists.
-    Every radius below the breakpoint gives an admitted (or empty) set, and
-    every radius beyond it by more than rounding a rejected (or empty) one: a
-    breakpoint is taken one float past a constant where rounding would put a
-    set's end on it.  So the I-adjusted p-value is exact except for
-    calibration scores within rounding of the breakpoint, where it is
-    conservative.
+    ``admits(batch)`` judges each row's set; admissibility is inherited by every nonempty subset
+    of an admitted set, and the value on an empty row is not part of the contract (empty sets are
+    never reported).  ``breakpoints(pred)`` reads a score's predictions (``mu_hat`` values of shape
+    (n,) for an interval constraint, class probabilities of shape (n, K) for a class constraint)
+    and gives, per row, the largest score radius whose sublevel set is still admissible:
+    ``math.inf`` when no radius ever violates the constraint, and ``-math.inf`` when no admissible
+    nonempty set exists.  Every radius below the breakpoint gives an admitted (or empty) set, and
+    every radius beyond it by more than rounding a rejected (or empty) one.
+
+    An interval breakpoint is one rounded distance to a closed end: an open end at c is the closed
+    end c' at the next float past c, where the sets hold it, so every float radius below fl(mu - c')
+    (or fl(c' - mu)) keeps the set's end at c' or beyond.  That is about one spacing of c under the
+    real mu - c, and the I-adjusted p-value is conservative only for calibration scores in between.
     """
 
     @abstractmethod
@@ -365,17 +364,6 @@ def _positive_or_never(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.where((v > 0.0) & np.isfinite(mu), v, -math.inf)
 
 
-def _past_rounding(constraint: InformativeConstraint, mu, nu, nu_past) -> np.ndarray:
-    """``_positive_or_never`` of nu, or of nu_past where the closed set at the largest radius below nu is not admitted.
-
-    nu = fl(mu - c) is rounded, so that set can end exactly on the constant
-    c.  ``nu_past`` is nu taken against the next float past c; every radius
-    below it keeps the set's end strictly on the admitted side of c.
-    """
-    inside = IntervalBatch.from_radius(mu, np.nextafter(nu, -math.inf))
-    return _positive_or_never(np.where(constraint.admits(inside), nu, nu_past), mu)
-
-
 @dataclass(frozen=True)
 class PositiveInterval(InformativeConstraint):
     """Intervals with a strictly positive lower end."""
@@ -390,9 +378,13 @@ class PositiveInterval(InformativeConstraint):
 
 @dataclass(frozen=True)
 class LowerBoundedInterval(InformativeConstraint):
-    """Intervals lying within [c, inf)."""
+    """Intervals lying within [c, inf); c must not be NaN."""
 
     c: float
+
+    def __post_init__(self):
+        if math.isnan(self.c):
+            raise ValueError("c must not be NaN")
 
     def admits(self, batch):
         return _intervals(batch).lower >= self.c
@@ -405,9 +397,13 @@ class LowerBoundedInterval(InformativeConstraint):
 
 @dataclass(frozen=True)
 class HalfLine(InformativeConstraint):
-    """Subsets of the open half line (c0, inf)."""
+    """Subsets of the open half line (c0, inf); c0 must not be NaN."""
 
     c0: float
+
+    def __post_init__(self):
+        if math.isnan(self.c0):
+            raise ValueError("c0 must not be NaN")
 
     def admits(self, batch):
         return _intervals(batch).lower > self.c0
@@ -415,19 +411,19 @@ class HalfLine(InformativeConstraint):
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "HalfLine")
         with np.errstate(over="ignore", invalid="ignore"):
-            return _past_rounding(self, mu, mu - self.c0, mu - np.nextafter(self.c0, math.inf))
+            return _positive_or_never(mu - np.nextafter(self.c0, math.inf), mu)
 
 
 @dataclass(frozen=True)
 class TargetHalfLines(InformativeConstraint):
-    """Subsets of either (-inf, c_l) or (c_u, inf)."""
+    """Subsets of either (-inf, c_l) or (c_u, inf); c_l <= c_u, neither NaN."""
 
     c_l: float
     c_u: float
 
     def __post_init__(self):
-        if self.c_l > self.c_u:
-            raise ValueError("need c_l <= c_u")
+        if not self.c_l <= self.c_u:  # False for a NaN end too
+            raise ValueError("need c_l <= c_u, neither NaN")
 
     def admits(self, batch):
         b = _intervals(batch)
@@ -436,20 +432,19 @@ class TargetHalfLines(InformativeConstraint):
     def breakpoints(self, pred):
         mu = _predictions(pred, 1, "TargetHalfLines")
         with np.errstate(over="ignore", invalid="ignore"):
-            nu = np.maximum(self.c_l - mu, mu - self.c_u)
-            past = np.maximum(np.nextafter(self.c_l, -math.inf) - mu, mu - np.nextafter(self.c_u, math.inf))
-            return _past_rounding(self, mu, nu, past)
+            v = np.maximum(np.nextafter(self.c_l, -math.inf) - mu, mu - np.nextafter(self.c_u, math.inf))
+            return _positive_or_never(v, mu)
 
 
 @dataclass(frozen=True)
 class MaxSize(InformativeConstraint):
-    """Class sets with at most k0 members."""
+    """Class sets with at most k0 members; k0 is an integer >= 1."""
 
     k0: int
 
     def __post_init__(self):
-        if self.k0 < 1:
-            raise ValueError("k0 must be >= 1")
+        if not (isinstance(self.k0, (int, np.integer)) and self.k0 >= 1):
+            raise ValueError("k0 must be an integer >= 1")
 
     def admits(self, batch):
         return _classes(batch).member.sum(axis=1) <= self.k0
@@ -467,9 +462,13 @@ class MaxSize(InformativeConstraint):
 
 @dataclass(frozen=True)
 class SingletonClass(InformativeConstraint):
-    """Class sets contained in {y0}."""
+    """Class sets contained in {y0}; y0 is an integer (one outside 1..K admits only the empty set)."""
 
     y0: int
+
+    def __post_init__(self):
+        if not isinstance(self.y0, (int, np.integer)):
+            raise ValueError("y0 must be an integer")
 
     def admits(self, batch):
         member = _classes(batch).member

@@ -313,15 +313,10 @@ def _masked_breakpoint(constraint, row) -> float:
         v = mu
     elif isinstance(constraint, LowerBoundedInterval):
         v = mu - constraint.c
-    elif isinstance(constraint, HalfLine):
-        v = mu - constraint.c0
-        if mu - math.nextafter(v, -math.inf) <= constraint.c0:  # the closed set just inside v reaches c0
-            v = mu - math.nextafter(constraint.c0, math.inf)
+    elif isinstance(constraint, HalfLine):  # the open end c0 is the closed end at the next float past it
+        v = mu - math.nextafter(constraint.c0, math.inf)
     else:
-        v = max(constraint.c_l - mu, mu - constraint.c_u)
-        r = math.nextafter(v, -math.inf)
-        if r >= 0.0 and not (mu + r < constraint.c_l or mu - r > constraint.c_u):
-            v = max(math.nextafter(constraint.c_l, -math.inf) - mu, mu - math.nextafter(constraint.c_u, math.inf))
+        v = max(math.nextafter(constraint.c_l, -math.inf) - mu, mu - math.nextafter(constraint.c_u, math.inf))
     return v if math.isfinite(mu) and v > 0.0 else math.nan
 
 

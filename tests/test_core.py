@@ -426,6 +426,87 @@ def test_breakpoint_contract(kind, data):
     assert not (constraint.admits(batch) & batch.nonempty).any()
 
 
+_MAX = sys.float_info.max
+_EXTREME = st.sampled_from([_MAX, -_MAX, math.inf, -math.inf])
+
+
+def _old_breakpoints(constraint, mu: np.ndarray) -> np.ndarray:
+    """The rule an open end had before it was measured to the next float past its constant: the
+    distance nu to the constant itself, or the distance to the next float past it where the closed
+    set at the largest radius below nu is not admitted."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(constraint, HalfLine):
+            nu, past = mu - constraint.c0, mu - np.nextafter(constraint.c0, math.inf)
+        else:
+            nu = np.maximum(constraint.c_l - mu, mu - constraint.c_u)
+            c_l, c_u = np.nextafter(constraint.c_l, -math.inf), np.nextafter(constraint.c_u, math.inf)
+            past = np.maximum(c_l - mu, mu - c_u)
+        inside = IntervalBatch.from_radius(mu, np.nextafter(nu, -math.inf))
+        v = np.where(constraint.admits(inside), nu, past)
+    return np.where((v > 0.0) & np.isfinite(mu), v, -math.inf)
+
+
+@pytest.mark.parametrize("kind", ["half", "target"])
+@_PROPERTY
+@given(data=st.data())
+def test_an_open_end_is_measured_to_the_next_float_past_its_constant(kind, data):
+    """HalfLine(c) has the breakpoints of LowerBoundedInterval at the next float past c, bit for bit,
+    and TargetHalfLines(c_l, c_u) the larger of the two closed ends' distances (c_l's by symmetry,
+    on -mu).  Against the old rule each breakpoint is no larger, and the I-adjusted p-value moves
+    only where a calibration score lies in [new, old), and then up.  Predictions near a constant,
+    at +-max, +-inf and NaN, and constants at +-max and +-inf."""
+    tenth = st.integers(-50, 50).map(lambda k: k / 10.0)  # constants and offsets that round in mu - c
+    constant = st.one_of(tenth, _MAGNITUDE, _EXTREME)
+    c_l, c_u = sorted(data.draw(st.tuples(constant, constant), "constants"))
+    near = st.builds(lambda c, d: c + d, st.sampled_from([c_l, c_u]), st.one_of(tenth, st.floats(-1e3, 1e3)))
+    rows = data.draw(st.lists(st.one_of(near, _MAGNITUDE, _EXTREME, st.just(math.nan)), min_size=1, max_size=12))
+    mu = np.array(rows, dtype=float)
+    with np.errstate(over="ignore"):  # the next float past +-max is +-inf
+        past_c_l, past_c_u = np.nextafter(c_l, -math.inf), np.nextafter(c_u, math.inf)
+    if kind == "half":
+        constraint = HalfLine(c_u)
+        closed = LowerBoundedInterval(past_c_u).breakpoints(mu)
+    else:
+        constraint = TargetHalfLines(c_l, c_u)
+        below_c_l = LowerBoundedInterval(-past_c_l).breakpoints(-mu)  # fl(-mu + past_c_l) is fl(past_c_l - mu)
+        closed = np.maximum(below_c_l, LowerBoundedInterval(past_c_u).breakpoints(mu))
+    new, old = constraint.breakpoints(mu), _old_breakpoints(constraint, mu)
+    assert np.array_equal(new.view(np.int64), closed.view(np.int64))
+    assert (new <= old).all()
+    finite = np.concatenate([new, old])[np.isfinite(np.concatenate([new, old]))]
+    cal = data.draw(st.lists(st.one_of(st.sampled_from(finite.tolist() or [0.0]), _MAGNITUDE), min_size=1,
+                             max_size=8), "cal")
+    scores = CalibrationScores(cal)
+    level_new, level_old = scores.admissible_level(new), scores.admissible_level(old)
+    in_window = np.array([any(a <= v < b for v in cal) for a, b in zip(new.tolist(), old.tolist())])
+    assert (level_new >= level_old).all()
+    assert np.array_equal(level_new != level_old, in_window)
+
+
+def test_an_open_end_moves_some_breakpoints_by_one_window():
+    """The rule is not idle: on normal predictions some rows of each half-line constraint lose their
+    old breakpoint, and a calibration score at the new one raises that row's p-value."""
+    mu = np.random.default_rng(7).normal(size=2000)
+    for constraint in (HalfLine(0.1), TargetHalfLines(-0.3, 0.7)):
+        new, old = constraint.breakpoints(mu), _old_breakpoints(constraint, mu)
+        dropped = np.flatnonzero(new < old)
+        assert 0 < dropped.size < mu.size and (new <= old).all()
+        row = dropped[0]
+        scores = CalibrationScores([new[row]])
+        assert scores.admissible_level(new[row]) > scores.admissible_level(old[row])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HalfLine(math.nan), lambda: LowerBoundedInterval(math.nan), lambda: TargetHalfLines(math.nan, 1.0),
+    lambda: TargetHalfLines(0.0, math.nan), lambda: MaxSize(1.5), lambda: SingletonClass(1.5),
+], ids=["half-line-nan", "lower-bounded-nan", "target-c_l-nan", "target-c_u-nan", "max-size-1.5", "singleton-1.5"])
+def test_a_constant_that_can_never_work_raises_at_construction(build):
+    """A NaN interval constant admits nothing and gives every row -inf; a class count or label that is
+    not an integer admits nothing or fails at the first breakpoint.  Each raises when built."""
+    with pytest.raises(ValueError, match="NaN|must be an integer"):
+        build()
+
+
 def test_breakpoint_needs_the_matching_score():
     """An interval constraint reads one mu_hat per row, a class constraint one probability row."""
     X = np.zeros((2, 1))

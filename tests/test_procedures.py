@@ -483,24 +483,29 @@ def test_infinite_mu_hat_in_a_calibration_row_raises(procedure):
 _EIGHT_METHODS = ["naive", "cfbh", "cfbh+", "cfbh++", "infosp", "infosp+", "infosp++", "infoscop"]
 
 
+def _eight_methods(train, cal, cal0, cal1, test, config, rng):
+    """The eight methods by name, each a thunk: on cal, or on its halves cal0 and cal1 as the CLI
+    splits it; cfbh, cfbh+ and cfbh++ under HalfLine(0)."""
+    one_sided = replace(config, constraint=HalfLine(0.0))
+    return {
+        "naive": lambda: run_naive(cal, test, config),
+        "cfbh": lambda: run_cfbh(cal, test, one_sided, rng),
+        "cfbh+": lambda: run_cfbh_plus(cal, test, one_sided, rng),
+        "cfbh++": lambda: run_cfbh_plus_plus(train, cal, test, one_sided, rng),
+        "infosp": lambda: run_infosp(cal, test, config),
+        "infosp+": lambda: run_infosp_plus(cal1, cal0, test, config, rng),
+        "infosp++": lambda: run_infosp_plus_plus(train, cal1, cal0, test, config, rng),
+        "infoscop": lambda: run_infoscop(cal0, cal1, test, config, rng),
+    }
+
+
 def _run_method(method, cal, test, train, mu_hat):
     """One method on these samples, split as the CLI splits them (cal0 first), and its test p-values."""
     base = ProcedureConfig(
         alpha=0.3, score=AbsoluteResidual(mu_hat), constraint=PositiveInterval(), screening_alpha=0.2
     )
-    one_sided = replace(base, constraint=HalfLine(0.0))
     cal0, cal1 = cal.take(slice(0, cal.n // 2)), cal.take(slice(cal.n // 2, None))
-    rng = RngStream(1)
-    out = {
-        "naive": lambda: run_naive(cal, test, base),
-        "cfbh": lambda: run_cfbh(cal, test, one_sided, rng),
-        "cfbh+": lambda: run_cfbh_plus(cal, test, one_sided, rng),
-        "cfbh++": lambda: run_cfbh_plus_plus(train, cal, test, one_sided, rng),
-        "infosp": lambda: run_infosp(cal, test, base),
-        "infosp+": lambda: run_infosp_plus(cal1, cal0, test, base, rng),
-        "infosp++": lambda: run_infosp_plus_plus(train, cal1, cal0, test, base, rng),
-        "infoscop": lambda: run_infoscop(cal0, cal1, test, base, rng),
-    }[method]()
+    out = _eight_methods(train, cal, cal0, cal1, test, base, RngStream(1))[method]()
     if "result" in out.diagnostics:
         return out, out.diagnostics["result"].pvalues
     return out, out.diagnostics.get("q")
@@ -1078,6 +1083,61 @@ def test_infosp_plus_keeps_its_bits_on_the_threaded_paths(monkeypatch):
     assert runs[0][0].size > 0 and cal.n == test.n == size
     for run in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
+
+
+def _every_method(train, cal, cal0, cal1, test, cls_cal, cls_test, config):
+    """The eight methods, and selective classification on (cls_cal, cls_test) under SingletonClass(2)
+    and MaxSize(1), by name, each a thunk."""
+    fixed = replace(config, score=OneMinusProb(true_class_probs), constraint=SingletonClass(2))
+    return {
+        **_eight_methods(train, cal, cal0, cal1, test, config, RngStream(5)),
+        "fixed class": lambda: run_selective_classification(cls_cal, cls_test, fixed),
+        "argmax class": lambda: run_selective_classification(cls_cal, cls_test, replace(fixed, constraint=MaxSize(1))),
+    }
+
+
+def _reported(run, order=None):
+    """Each reported set by its test row (``order`` maps the rows of a permuted run back), or the
+    trainer's refusal of labels all on one side, which depends on the fixed training rows only."""
+    try:
+        out = run()
+    except DegenerateLabelsError:
+        return "degenerate"
+    rows = out.selected if order is None else order[out.selected]
+    return dict(zip(rows.tolist(), _rows(out.sets)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_method_follows_its_test_rows_and_ignores_the_calibration_order(data):
+    """Permuting the test rows permutes each method's selection and reported sets, and permuting the
+    rows within cal, cal0 and cal1 changes neither, for the eight methods and selective
+    classification under DETERMINISTIC and SHARED_U ties.  PER_UNIT is left out: its tie draws
+    follow the test rows' order.  The training rows stay fixed, since their order moves the trained
+    trust's bits through the pairwise sums.  infosp's p-values do not depend on alpha, so its
+    selections are nested as alpha grows."""
+    n, m = data.draw(st.integers(8, 80), "n"), data.draw(st.integers(4, 60), "m")
+    seed = data.draw(st.integers(0, 999), "seed")
+    reg, mu_hat = gen_regression(2 * n + m, data.draw(st.sampled_from([0.2, 0.5, 1.0]), "eta"), RngStream(seed))
+    cal, test, train = reg.take(slice(0, n)), reg.take(slice(n, n + m)), reg.take(slice(n + m, None))
+    cls_cal, cls_test, _ = _classification_bundle(seed, n, m)
+    config = ProcedureConfig(
+        alpha=data.draw(st.sampled_from([0.1, 0.2, 0.4]), "alpha"), score=AbsoluteResidual(mu_hat),
+        constraint=PositiveInterval(), screening_alpha=0.2,
+        tie_mode=data.draw(st.sampled_from([TieMode.DETERMINISTIC, TieMode.SHARED_U]), "ties"),
+    )
+    halves = (slice(0, n // 2), slice(n // 2, None))
+    gen = np.random.default_rng(data.draw(st.integers(0, 999), "permutation seed"))
+    p_test, p_cal, p0, p1 = (gen.permutation(k) for k in (m, n, n // 2, n - n // 2))
+    original = _every_method(train, cal, *(cal.take(h) for h in halves), test, cls_cal, cls_test, config)
+    permuted = _every_method(
+        train, cal.take(p_cal), cal.take(halves[0]).take(p0), cal.take(halves[1]).take(p1), test.take(p_test),
+        cls_cal.take(p_cal), cls_test.take(p_test), config,
+    )
+    for method, run in original.items():
+        assert _reported(permuted[method], p_test) == _reported(run), method
+    selections = [set(run_infosp(cal, test, replace(config, alpha=a)).selected.tolist()) for a in (0.05, 0.1, 0.3)]
+    assert all(small <= large for small, large in zip(selections, selections[1:]))
 
 
 def test_same_seed_same_output():
